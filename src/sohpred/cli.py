@@ -23,6 +23,7 @@ import yaml
 from . import __version__, icfeatures, ingest, pipeline, ssa
 from .hiselect import HI_NAMES, HISeries, rank_his, select_hi
 from .neuralnet import (
+    DivergenceError,
     DualBiGRUSpec,
     TrainingConfig,
     load_model,
@@ -123,16 +124,21 @@ def read_hi_table(path: Path | str) -> tuple[str, np.ndarray, HISeries, ingest.S
     path = Path(path)
     name = "MF"
     indices, his, sohs = [], [], []
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line or line.startswith("# "):
             continue
         if line.startswith("index,"):
             name = line.split(",")[1]
             continue
-        idx, hi_v, soh_v = line.split(",")
-        indices.append(int(idx))
-        his.append(float(hi_v))
-        sohs.append(float(soh_v))
+        fields = line.split(",")
+        try:
+            if len(fields) != 3:
+                raise ValueError(f"expected 3 fields (index,{name},soh), got {len(fields)}")
+            indices.append(int(fields[0]))
+            his.append(float(fields[1]))
+            sohs.append(float(fields[2]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {lineno}: {exc}") from None
     if not indices:
         raise ConfigError(f"{path}: empty indicator table")
     idx = np.array(indices)
@@ -236,14 +242,13 @@ def _experiment_config(cfg: dict, args, network_mode: str) -> pipeline.Experimen
         max_epochs = int(tr.get("max_epochs", pipeline.BASELINE_EPOCHS))
         learning_rate = float(tr.get("learning_rate", pipeline.BASELINE_LEARNING_RATE))
         batch_size = int(tr.get("batch_size", pipeline.BASELINE_BATCH_SIZE))
+        if net.get("candidate_form", "reset_gated") != "reset_gated":
+            raise ConfigError(
+                f"candidate_form {net['candidate_form']!r} is not supported (only reset_gated)"
+            )
         if bool(exp.get("validate_bounds", True)):
             _validate_explicit_bounds(units, dropouts, learning_rate, max_epochs, batch_size)
-        network = DualBiGRUSpec(
-            window_length=window,
-            gru_units=units,
-            dropout_rates=dropouts,
-            candidate_form=net.get("candidate_form", "reset_gated"),
-        )
+        network = DualBiGRUSpec(window_length=window, gru_units=units, dropout_rates=dropouts)
         training = TrainingConfig(
             max_epochs=max_epochs,
             learning_rate=learning_rate,
@@ -659,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ingest.ParseError, ValueError, FileNotFoundError) as exc:
+    except (ConfigError, ingest.ParseError, ValueError, FileNotFoundError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,13 +14,17 @@ Gate equations per cell, with z = [x_t, h_prev]:
     h~ = tanh(W_h [x_t, R * h_prev] + b_h)
     h  = (1 - U) * h_prev + U * h~
 
-A flag switches the candidate input to the literal concatenation
-``[x_t, R, h_prev]`` for auditing.
+All 26 trainable tensors of a network are views into one contiguous
+float64 buffer, ``ModelParams.flat``, laid out by :func:`tensor_layout`:
+the cells m1f, m1b, m2f, m2b in turn (W_U, W_R, W_h, b_U, b_R, b_h each),
+then dense.w and dense.b.  Gradients use the same class over a buffer of
+their own, so Adam updates the whole network with a few vector
+operations, and the model file is a text header followed by the buffer.
 """
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -28,8 +32,6 @@ from typing import Iterator
 import numpy as np
 
 from .seeding import derive_rng
-
-CANDIDATE_FORMS = ("reset_gated", "concat")
 
 
 class DivergenceError(RuntimeError):
@@ -51,7 +53,7 @@ class GRUCellParams:
     """Weights of one GRU cell.
 
     Gate matrices act on [x, h_prev]; the candidate matrix acts on
-    [x, R*h_prev] (reset_gated) or [x, R, h_prev] (concat).
+    [x, R*h_prev].
     """
 
     W_U: np.ndarray
@@ -62,17 +64,13 @@ class GRUCellParams:
     b_h: np.ndarray
     input_size: int
     hidden_size: int
-    candidate_form: str = "reset_gated"
 
     def __post_init__(self) -> None:
-        if self.candidate_form not in CANDIDATE_FORMS:
-            raise ValueError(f"candidate_form must be one of {CANDIDATE_FORMS}")
         joint = self.input_size + self.hidden_size
-        cand = joint if self.candidate_form == "reset_gated" else joint + self.hidden_size
         expected = {
             "W_U": (self.hidden_size, joint),
             "W_R": (self.hidden_size, joint),
-            "W_h": (self.hidden_size, cand),
+            "W_h": (self.hidden_size, joint),
             "b_U": (self.hidden_size,),
             "b_R": (self.hidden_size,),
             "b_h": (self.hidden_size,),
@@ -91,24 +89,17 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_gru_cell(
-    input_size: int,
-    hidden_size: int,
-    rng: np.random.Generator,
-    candidate_form: str = "reset_gated",
-) -> GRUCellParams:
+def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -> GRUCellParams:
     joint = input_size + hidden_size
-    cand = joint if candidate_form == "reset_gated" else joint + hidden_size
     return GRUCellParams(
         W_U=_glorot(rng, (hidden_size, joint)),
         W_R=_glorot(rng, (hidden_size, joint)),
-        W_h=_glorot(rng, (hidden_size, cand)),
+        W_h=_glorot(rng, (hidden_size, joint)),
         b_U=np.zeros(hidden_size),
         b_R=np.zeros(hidden_size),
         b_h=np.zeros(hidden_size),
         input_size=input_size,
         hidden_size=hidden_size,
-        candidate_form=candidate_form,
     )
 
 
@@ -128,10 +119,7 @@ def gru_cell_forward(
     z = np.concatenate([x, h_prev], axis=1)
     U = sigmoid(z @ params.W_U.T + params.b_U)
     R = sigmoid(z @ params.W_R.T + params.b_R)
-    if params.candidate_form == "reset_gated":
-        zc = np.concatenate([x, R * h_prev], axis=1)
-    else:
-        zc = np.concatenate([x, R, h_prev], axis=1)
+    zc = np.concatenate([x, R * h_prev], axis=1)
     h_tilde = np.tanh(zc @ params.W_h.T + params.b_h)
     h_new = (1.0 - U) * h_prev + U * h_tilde
     if not np.all(np.isfinite(h_new)):
@@ -140,24 +128,8 @@ def gru_cell_forward(
     return (h_new[0] if single else h_new), cache
 
 
-@dataclass
-class CellGrads:
-    W_U: np.ndarray
-    W_R: np.ndarray
-    W_h: np.ndarray
-    b_U: np.ndarray
-    b_R: np.ndarray
-    b_h: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: GRUCellParams) -> "CellGrads":
-        return cls(
-            *(np.zeros_like(getattr(params, n)) for n in ("W_U", "W_R", "W_h", "b_U", "b_R", "b_h"))
-        )
-
-
 def gru_cell_backward(
-    params: GRUCellParams, dh: np.ndarray, cache: tuple, grads: CellGrads
+    params: GRUCellParams, dh: np.ndarray, cache: tuple, grads: GRUCellParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backprop one step; accumulates into ``grads``, returns (dx, dh_prev)."""
     x, h_prev, U, R, h_tilde = cache
@@ -168,21 +140,14 @@ def gru_cell_backward(
     dh_prev = dh * (1.0 - U)
 
     da_h = dh_tilde * (1.0 - h_tilde**2)
-    if params.candidate_form == "reset_gated":
-        zc = np.concatenate([x, R * h_prev], axis=1)
-    else:
-        zc = np.concatenate([x, R, h_prev], axis=1)
+    zc = np.concatenate([x, R * h_prev], axis=1)
     grads.W_h += da_h.T @ zc
     grads.b_h += da_h.sum(axis=0)
     dzc = da_h @ params.W_h
     dx = dzc[:, :n_in].copy()
-    if params.candidate_form == "reset_gated":
-        dRh = dzc[:, n_in:]
-        dR = dRh * h_prev
-        dh_prev = dh_prev + dRh * R
-    else:
-        dR = dzc[:, n_in : n_in + params.hidden_size]
-        dh_prev = dh_prev + dzc[:, n_in + params.hidden_size :]
+    dRh = dzc[:, n_in:]
+    dR = dRh * h_prev
+    dh_prev = dh_prev + dRh * R
 
     da_U = dU * U * (1.0 - U)
     da_R = dR * R * (1.0 - R)
@@ -278,8 +243,8 @@ def bigru_backward(
     backward_params: GRUCellParams,
     dout: np.ndarray,
     cache: _BiGRUCache,
-    grads_fwd: CellGrads,
-    grads_bwd: CellGrads,
+    grads_fwd: GRUCellParams,
+    grads_bwd: GRUCellParams,
 ) -> np.ndarray:
     """Backprop through both directions; returns gradient wrt the input sequence."""
     T, B, _ = dout.shape
@@ -306,17 +271,67 @@ def bigru_backward(
     return dseq
 
 
+CELL_NAMES = ("m1f", "m1b", "m2f", "m2b")
+CELL_FIELDS = ("W_U", "W_R", "W_h", "b_U", "b_R", "b_h")
+
+
+def _cell_sizes(gru_units: tuple[int, int, int, int]):
+    """(name, input size, hidden size) of each of the four cells."""
+    g1, g2, _, _ = gru_units
+    return zip(CELL_NAMES, (1, 1, g1 + g2, g1 + g2), gru_units)
+
+
+def tensor_layout(gru_units: tuple[int, int, int, int]) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, in buffer and model-file order."""
+    layout = []
+    for cname, n_in, hid in _cell_sizes(gru_units):
+        for fname in CELL_FIELDS:
+            layout.append((f"{cname}.{fname}", (hid, n_in + hid) if fname[0] == "W" else (hid,)))
+    return layout + [("dense.w", (gru_units[2] + gru_units[3],)), ("dense.b", ())]
+
+
 @dataclass
 class ModelParams:
-    """All trainable tensors: four GRU cells plus the dense head."""
+    """All trainable tensors: four GRU cells plus the dense head.
 
+    Every tensor is a view into ``flat``, so writing to a view writes to
+    the buffer and vice versa.  Gradients are held in the same form.
+    """
+
+    flat: np.ndarray
     cells: tuple[GRUCellParams, GRUCellParams, GRUCellParams, GRUCellParams]
     dense_w: np.ndarray
     dense_b: np.ndarray  # shape ()
 
+    @classmethod
+    def from_flat(cls, gru_units: tuple[int, int, int, int], flat: np.ndarray) -> "ModelParams":
+        """Views of ``flat`` (1-D, contiguous, used in place) laid out for ``gru_units``."""
+        layout = tensor_layout(gru_units)
+        sizes = [math.prod(shape) for _, shape in layout]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(
+                f"buffer of shape {flat.shape}, but units {gru_units} need {sum(sizes)} values"
+            )
+        views, offset = {}, 0
+        for (name, shape), size in zip(layout, sizes):
+            views[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        cells = tuple(
+            GRUCellParams(
+                *(views[f"{cname}.{fname}"] for fname in CELL_FIELDS),
+                input_size=n_in,
+                hidden_size=hid,
+            )
+            for cname, n_in, hid in _cell_sizes(gru_units)
+        )
+        return cls(flat, cells, views["dense.w"], views["dense.b"])
 
-CELL_NAMES = ("m1f", "m1b", "m2f", "m2b")
-CELL_FIELDS = ("W_U", "W_R", "W_h", "b_U", "b_R", "b_h")
+    @property
+    def gru_units(self) -> tuple[int, int, int, int]:
+        return tuple(cell.hidden_size for cell in self.cells)
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams.from_flat(self.gru_units, np.zeros_like(self.flat))
 
 
 def iter_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -339,7 +354,6 @@ class DualBiGRUSpec:
     window_length: int
     gru_units: tuple[int, int, int, int]
     dropout_rates: tuple[float, float, float, float]
-    candidate_form: str = "reset_gated"
     params: ModelParams | None = None
 
     def __post_init__(self) -> None:
@@ -352,23 +366,20 @@ class DualBiGRUSpec:
         ):
             raise ValueError("dropout_rates must be four values in [0, 0.5]")
         if self.params is not None:
-            g1, g2, g3, g4 = self.gru_units
-            if self.params.cells[2].input_size != g1 + g2:
-                raise ValueError("block-2 input width must equal g1 + g2")
-            if self.params.dense_w.shape != (g3 + g4,):
-                raise ValueError("dense input width must equal g3 + g4")
+            shapes = [arr.shape for _, arr in iter_arrays(self.params)]
+            if shapes != [shape for _, shape in tensor_layout(self.gru_units)]:
+                raise ValueError(f"params lack the tensor shapes of gru_units {self.gru_units}")
 
 
 def init_params(spec: DualBiGRUSpec, rng: np.random.Generator) -> ModelParams:
-    g1, g2, g3, g4 = spec.gru_units
-    cells = (
-        init_gru_cell(1, g1, rng, spec.candidate_form),
-        init_gru_cell(1, g2, rng, spec.candidate_form),
-        init_gru_cell(g1 + g2, g3, rng, spec.candidate_form),
-        init_gru_cell(g1 + g2, g4, rng, spec.candidate_form),
-    )
-    dense_w = _glorot(rng, (1, g3 + g4))[0]
-    return ModelParams(cells=cells, dense_w=dense_w, dense_b=np.zeros(()))
+    """Glorot-uniform weight matrices, zero biases."""
+    size = sum(math.prod(shape) for _, shape in tensor_layout(spec.gru_units))
+    params = ModelParams.from_flat(spec.gru_units, np.zeros(size))
+    for cell in params.cells:
+        for weights in (cell.W_U, cell.W_R, cell.W_h):
+            weights[...] = _glorot(rng, weights.shape)
+    params.dense_w[...] = _glorot(rng, (1, params.dense_w.size))[0]
+    return params
 
 
 def network_forward(
@@ -399,34 +410,11 @@ def network_forward(
     return y, (cache1, cache2, last, out2.shape)
 
 
-@dataclass
-class ModelGrads:
-    cells: tuple[CellGrads, CellGrads, CellGrads, CellGrads]
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ModelGrads":
-        return cls(
-            cells=tuple(CellGrads.zeros_like(c) for c in params.cells),
-            dense_w=np.zeros_like(params.dense_w),
-            dense_b=np.zeros_like(params.dense_b),
-        )
-
-
-def iter_grad_arrays(grads: ModelGrads) -> Iterator[tuple[str, np.ndarray]]:
-    for cname, cell in zip(CELL_NAMES, grads.cells):
-        for fname in CELL_FIELDS:
-            yield f"{cname}.{fname}", getattr(cell, fname)
-    yield "dense.w", grads.dense_w
-    yield "dense.b", grads.dense_b
-
-
-def network_backward(spec: DualBiGRUSpec, dy: np.ndarray, cache: tuple) -> ModelGrads:
+def network_backward(spec: DualBiGRUSpec, dy: np.ndarray, cache: tuple) -> ModelParams:
     """Gradients of the loss wrt every parameter, given d(loss)/d(prediction)."""
     cache1, cache2, last, out2_shape = cache
     params = spec.params
-    grads = ModelGrads.zeros_like(params)
+    grads = params.zeros_like()
 
     grads.dense_w += last.T @ dy
     grads.dense_b += dy.sum()
@@ -481,16 +469,15 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moments, laid out like ``ModelParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in iter_arrays(params)},
-            v={name: np.zeros_like(arr) for name, arr in iter_arrays(params)},
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def effective_learning_rate(config: TrainingConfig, epoch: int) -> float:
@@ -500,7 +487,7 @@ def effective_learning_rate(config: TrainingConfig, epoch: int) -> float:
 
 def adam_step(
     params: ModelParams,
-    grads: ModelGrads,
+    grads: ModelParams,
     state: AdamState,
     config: TrainingConfig,
     epoch: int,
@@ -511,14 +498,12 @@ def adam_step(
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for (name, p), (_, g) in zip(iter_arrays(params), iter_grad_arrays(grads)):
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g = grads.flat
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g**2
+    params.flat -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
     return params, state
 
 
@@ -575,7 +560,7 @@ def train(
     if spec.params is None:
         params = init_params(spec, derive_rng(config.seed, "init"))
     else:
-        params = copy.deepcopy(spec.params)
+        params = ModelParams.from_flat(spec.gru_units, spec.params.flat.copy())
     work = replace(spec, params=params)
     dropout_rng = derive_rng(config.seed, "dropout")
     shuffle_rng = derive_rng(config.seed, "shuffle")
@@ -610,95 +595,62 @@ def predict(spec: DualBiGRUSpec, windows: np.ndarray) -> np.ndarray:
 MODEL_MAGIC = "dual-bigru-model v1"
 
 
-def save_model(spec: DualBiGRUSpec, path: Path | str) -> None:
-    """Self-describing flat file: text header, then row-major float64 data."""
-    if spec.params is None:
-        raise ValueError("cannot save an unbuilt spec")
-    tensors = list(iter_arrays(spec.params))
+def _header_lines(spec: DualBiGRUSpec) -> list[str]:
+    layout = tensor_layout(spec.gru_units)
     lines = [
         MODEL_MAGIC,
         f"window_length {spec.window_length}",
         "gru_units " + " ".join(str(g) for g in spec.gru_units),
         "dropout_rates " + " ".join(repr(d) for d in spec.dropout_rates),
-        f"candidate_form {spec.candidate_form}",
-        f"tensors {len(tensors)}",
+        "candidate_form reset_gated",  # the one form implemented; v1 files name it
+        f"tensors {len(layout)}",
     ]
-    for name, arr in tensors:
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"{name} {arr.ndim}{(' ' + dims) if dims else ''}")
-    lines.append("end-header")
+    for name, shape in layout:
+        lines.append(" ".join([name, str(len(shape)), *(str(d) for d in shape)]))
+    return lines + ["end-header"]
+
+
+def save_model(spec: DualBiGRUSpec, path: Path | str) -> None:
+    """Self-describing flat file: text header, then row-major float64 data."""
+    if spec.params is None:
+        raise ValueError("cannot save an unbuilt spec")
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(("\n".join(_header_lines(spec)) + "\n").encode("ascii"))
+        fh.write(spec.params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: Path | str) -> DualBiGRUSpec:
+    """Read a file written by :func:`save_model`; ``ValueError`` naming ``path`` if malformed."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
     blob = path.read_bytes()
     try:
-        header_end = blob.index(b"end-header\n")
+        header_end = blob.index(b"end-header\n") + len(b"end-header\n")
     except ValueError:
         raise ValueError(f"{path}: not a model file (missing header terminator)") from None
-    header = blob[:header_end].decode("ascii").splitlines()
-    if not header or header[0] != MODEL_MAGIC:
+    lines = blob[:header_end].decode("ascii", errors="replace").splitlines()
+    if lines[0] != MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file")
-    fields = {}
-    tensor_specs: list[tuple[str, tuple[int, ...]]] = []
-    n_tensors = None
-    for line in header[1:]:
-        key, *rest = line.split()
-        if key == "tensors":
-            n_tensors = int(rest[0])
-        elif n_tensors is None:
-            fields[key] = rest
-        else:
-            ndim = int(rest[0])
-            shape = tuple(int(d) for d in rest[1 : 1 + ndim])
-            tensor_specs.append((key, shape))
-    if n_tensors is None or len(tensor_specs) != n_tensors:
-        raise ValueError(f"{path}: corrupt model header")
-
-    data = blob[header_end + len(b"end-header\n") :]
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in tensor_specs:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        arrays[name] = arr.reshape(shape).astype(float)
-
-    window_length = int(fields["window_length"][0])
-    gru_units = tuple(int(g) for g in fields["gru_units"])
-    dropout_rates = tuple(float(d) for d in fields["dropout_rates"])
-    candidate_form = fields["candidate_form"][0]
-    g1, g2, _, _ = gru_units
-    cells = []
-    for cname, (in_size, hid) in zip(
-        CELL_NAMES, [(1, gru_units[0]), (1, gru_units[1]), (g1 + g2, gru_units[2]), (g1 + g2, gru_units[3])]
-    ):
-        cells.append(
-            GRUCellParams(
-                W_U=arrays[f"{cname}.W_U"],
-                W_R=arrays[f"{cname}.W_R"],
-                W_h=arrays[f"{cname}.W_h"],
-                b_U=arrays[f"{cname}.b_U"],
-                b_R=arrays[f"{cname}.b_R"],
-                b_h=arrays[f"{cname}.b_h"],
-                input_size=in_size,
-                hidden_size=hid,
-                candidate_form=candidate_form,
+    try:
+        fields = dict(line.split(" ", 1) for line in lines[1:6])
+        if fields["candidate_form"] != "reset_gated":
+            raise ValueError(
+                f"candidate_form {fields['candidate_form']} is not supported (only reset_gated)"
             )
+        spec = DualBiGRUSpec(
+            window_length=int(fields["window_length"]),
+            gru_units=tuple(int(g) for g in fields["gru_units"].split()),
+            dropout_rates=tuple(float(d) for d in fields["dropout_rates"].split()),
         )
-    params = ModelParams(
-        cells=tuple(cells), dense_w=arrays["dense.w"], dense_b=arrays["dense.b"]
-    )
-    return DualBiGRUSpec(
-        window_length=window_length,
-        gru_units=gru_units,
-        dropout_rates=dropout_rates,
-        candidate_form=candidate_form,
-        params=params,
-    )
+        if lines != _header_lines(spec):
+            raise ValueError("header does not match the v1 layout for its gru_units")
+        flat = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(float)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite parameter values")
+        params = ModelParams.from_flat(spec.gru_units, flat)
+    except KeyError as exc:
+        raise ValueError(f"{path}: corrupt model header (missing {exc.args[0]})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: corrupt model file ({exc})") from None
+    return replace(spec, params=params)

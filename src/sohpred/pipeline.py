@@ -184,7 +184,6 @@ def config_fingerprint(config: ExperimentConfig) -> str:
                 "window_length": obj.window_length,
                 "gru_units": list(obj.gru_units),
                 "dropout_rates": list(obj.dropout_rates),
-                "candidate_form": obj.candidate_form,
             }
         if isinstance(obj, (TrainingConfig, SplitSpec, ssa.SSAConfig)):
             return {k: describe(v) for k, v in vars(obj).items()}

@@ -98,7 +98,6 @@ class SSAConfig:
     safety_threshold: float = 0.8
     epsilon: float = 1e-12
     seed: int = 0
-    exponent_uses_iteration: bool = False  # producer decay by iteration instead of rank
 
     def __post_init__(self) -> None:
         if self.pop_size < 2 or self.max_iter < 1:
@@ -166,7 +165,6 @@ def initialize_population(
 
 def update_producers(
     positions: np.ndarray,
-    t: int,
     config: SSAConfig,
     space: SearchSpace,
     rng: np.random.Generator,
@@ -183,8 +181,7 @@ def update_producers(
     if r2 < config.safety_threshold:
         for i in range(n_prod):
             alpha = 1.0 - rng.random()  # (0, 1]
-            numerator = (t + 1) if config.exponent_uses_iteration else (i + 1)
-            out[i] *= math.exp(-numerator / (alpha * config.max_iter))
+            out[i] *= math.exp(-(i + 1) / (alpha * config.max_iter))
     else:
         for i in range(n_prod):
             out[i] += rng.standard_normal()
@@ -271,7 +268,7 @@ def optimize(
 
     for t in range(config.max_iter):
         moved = positions.copy()
-        moved[: config.n_producers] = update_producers(positions, t, config, space, rng)
+        moved[: config.n_producers] = update_producers(positions, config, space, rng)
         moved[config.n_producers :] = update_scroungers(
             positions, moved[0], config, space, rng
         )
@@ -326,7 +323,6 @@ def decode(
     space: SearchSpace | None = None,
     window_length: int = 5,
     seed: int = 0,
-    candidate_form: str = "reset_gated",
 ) -> tuple[DualBiGRUSpec, TrainingConfig]:
     """Turn a position vector into an (unbuilt) network spec and training config."""
     space = space if space is not None else encode_hyperparameters()
@@ -346,7 +342,6 @@ def decode(
         window_length=window_length,
         gru_units=units,
         dropout_rates=dropouts,
-        candidate_form=candidate_form,
     )
     training = TrainingConfig(
         max_epochs=max_epochs,

@@ -18,10 +18,7 @@ def scalar_cell_oracle(cell, x, h_prev):
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     U = [sig(sum(cell.W_U[i][j] * z[j] for j in range(n_in + n_h)) + cell.b_U[i]) for i in range(n_h)]
     R = [sig(sum(cell.W_R[i][j] * z[j] for j in range(n_in + n_h)) + cell.b_R[i]) for i in range(n_h)]
-    if cell.candidate_form == "reset_gated":
-        zc = list(x) + [R[i] * h_prev[i] for i in range(n_h)]
-    else:
-        zc = list(x) + list(R) + list(h_prev)
+    zc = list(x) + [R[i] * h_prev[i] for i in range(n_h)]
     h_tilde = [
         math.tanh(sum(cell.W_h[i][j] * zc[j] for j in range(len(zc))) + cell.b_h[i])
         for i in range(n_h)
@@ -60,7 +57,7 @@ def gradcheck(spec, windows, targets, rng_factory, eps=1e-5):
         return loss, dy, cache
 
     _, dy, cache = loss_of()
-    grads = dict(nn.iter_grad_arrays(nn.network_backward(spec, dy, cache)))
+    grads = dict(nn.iter_arrays(nn.network_backward(spec, dy, cache)))
     worst = 0.0
     for name, arr in nn.iter_arrays(spec.params):
         g = grads[name]

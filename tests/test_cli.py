@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from sohpred import cli
+from sohpred import cli, pipeline
+from sohpred.neuralnet import DivergenceError
 
 
 def run_cli(*argv):
@@ -117,6 +118,42 @@ class TestTrainPredict:
         err = capsys.readouterr().err
         assert "dropout_rates[1]" in err and "dropout_rates[3]" in err
         assert "learning_rate" in err
+
+
+class TestInputErrors:
+    @pytest.fixture
+    def hi_table(self, tmp_path):
+        rows = [f"{i},{0.5 + 0.01 * i!r},{1.0 - 0.002 * i!r}" for i in range(40)]
+        path = tmp_path / "hi.csv"
+        path.write_text("\n".join(["# manifest x", "index,MF,soh", *rows]) + "\n")
+        return path
+
+    def test_short_row_names_file_and_line(self, tmp_path, tiny_config, hi_table, capsys):
+        lines = hi_table.read_text().splitlines()
+        lines[6] = "4,0.54"
+        hi_table.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert f"{hi_table}, line 7: expected 3 fields" in capsys.readouterr().err
+
+    def test_concat_candidate_form_rejected(self, tmp_path, tiny_config, hi_table, capsys):
+        cfg = yaml.safe_load(Path(tiny_config).read_text())
+        cfg["experiment"]["network"]["candidate_form"] = "concat"
+        bad = tmp_path / "concat.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        code = run_cli("train", "--config", bad, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert "candidate_form 'concat' is not supported" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_divergence_reported_without_traceback(self, tmp_path, tiny_config, hi_table, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite loss at epoch 3, batch offset 8")
+
+        monkeypatch.setattr(pipeline, "train", diverge)
+        code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert "error: non-finite loss at epoch 3" in capsys.readouterr().err
 
 
 class TestHpo:

@@ -97,7 +97,7 @@ class TestUpdateProducers:
         config = SSAConfig(pop_size=5, max_iter=10, producer_fraction=0.2, seed=0)
         positions = np.full((5, 3), 2.0)
         rng = StubRng(random_values=[0.1, 0.0])  # r2 = 0.1 < 0.8, then alpha = 1 - 0
-        out = update_producers(positions, t=0, config=config, space=space, rng=rng)
+        out = update_producers(positions, config=config, space=space, rng=rng)
         assert out.shape == (1, 3)
         assert np.allclose(out[0], 2.0 * math.exp(-0.1))
 
@@ -106,16 +106,8 @@ class TestUpdateProducers:
         config = SSAConfig(pop_size=5, max_iter=10, seed=0)
         positions = np.full((5, 3), 1.5)
         rng = StubRng(random_values=[0.95], normal_values=[0.0])  # r2 >= ST, Q = 0
-        out = update_producers(positions, t=0, config=config, space=space, rng=rng)
+        out = update_producers(positions, config=config, space=space, rng=rng)
         assert np.array_equal(out[0], positions[0])
-
-    def test_iteration_exponent_variant(self):
-        space = box()
-        config = SSAConfig(pop_size=5, max_iter=10, seed=0, exponent_uses_iteration=True)
-        positions = np.full((5, 3), 2.0)
-        rng = StubRng(random_values=[0.1, 0.0])
-        out = update_producers(positions, t=4, config=config, space=space, rng=rng)
-        assert np.allclose(out[0], 2.0 * math.exp(-0.5))
 
     @given(seed=st.integers(0, 999))
     @settings(max_examples=25, deadline=None)
@@ -124,7 +116,7 @@ class TestUpdateProducers:
         config = SSAConfig(pop_size=6, max_iter=10, seed=0)
         rng = np.random.default_rng(seed)
         positions = rng.uniform(-1, 1, size=(6, 3))
-        out = update_producers(positions, t=0, config=config, space=space, rng=rng)
+        out = update_producers(positions, config=config, space=space, rng=rng)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 
