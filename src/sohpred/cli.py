@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +21,7 @@ import yaml
 
 from . import __version__, icfeatures, ingest, pipeline, ssa
 from .hiselect import HI_NAMES, HISeries, rank_his, select_hi
-from .neuralnet import (
-    DivergenceError,
-    DualBiGRUSpec,
-    TrainingConfig,
-    load_model,
-    make_windows,
-    predict,
-    save_model,
-)
+from .neuralnet import DivergenceError, DualBiGRUSpec, TrainingConfig
 
 OUT_ROOT_ENV = "SOHPRED_OUT"
 
@@ -246,8 +237,7 @@ def _experiment_config(cfg: dict, args, network_mode: str) -> pipeline.Experimen
             raise ConfigError(
                 f"candidate_form {net['candidate_form']!r} is not supported (only reset_gated)"
             )
-        if bool(exp.get("validate_bounds", True)):
-            _validate_explicit_bounds(units, dropouts, learning_rate, max_epochs, batch_size)
+        _validate_explicit_bounds(units, dropouts, learning_rate, max_epochs, batch_size)
         network = DualBiGRUSpec(window_length=window, gru_units=units, dropout_rates=dropouts)
         training = TrainingConfig(
             max_epochs=max_epochs,
@@ -445,14 +435,6 @@ def _write_summary(out_dir: Path, h: str, rows: list[list]) -> None:
     )
 
 
-def _save_scalers(out_dir: Path, result: pipeline.SingleRunResult) -> None:
-    payload = {
-        "input_scale": asdict(result.input_scale),
-        "target_scale": asdict(result.target_scale),
-    }
-    (out_dir / "scaler.yaml").write_text(yaml.safe_dump(payload, sort_keys=True))
-
-
 def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
     cfg = _load_config(args.config)
     table, hi, soh = _load_hi_inputs(args, cfg)
@@ -464,7 +446,7 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
     h = manifest["hash"]
 
     results = [pipeline.train_and_predict(config, hi, soh, seed) for seed in config.seeds]
-    aggregate = pipeline._aggregate_reports(config, [r.report for r in results])
+    aggregate = pipeline.aggregate_reports([r.report for r in results])
 
     _write_report(out_dir, h, "report.csv", aggregate)
     _write_summary(
@@ -473,10 +455,9 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
         [[aggregate.fingerprint, hi.name, config.split.label(),
           aggregate.rmse, aggregate.mae, aggregate.mape]],
     )
-    save_model(results[0].model, out_dir / "model.bin")
-    _save_scalers(out_dir, results[0])
+    first = results[0]
+    first.predictor.save(out_dir)  # the first seed's predictor
     if emit_search:
-        first = results[0]
         _write_table(
             out_dir / "ssa_history.csv",
             h,
@@ -484,12 +465,13 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
             [[r.iteration, r.best_fitness, *[float(v) for v in r.best_position]]
              for r in first.search_history],
         )
+        model = first.predictor.model
         best = {
             "experiment": {
-                "window_length": first.model.window_length,
+                "window_length": model.window_length,
                 "network": {
-                    "gru_units": [int(u) for u in first.model.gru_units],
-                    "dropout_rates": [float(d) for d in first.model.dropout_rates],
+                    "gru_units": [int(u) for u in model.gru_units],
+                    "dropout_rates": [float(d) for d in model.dropout_rates],
                 },
                 "training": {
                     "max_epochs": first.training.max_epochs,
@@ -520,35 +502,20 @@ def cmd_predict(args) -> int:
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
     table, hi, soh = _load_hi_inputs(args, cfg)
-    spec = load_model(model_path)
-
     scaler_path = Path(args.scaler) if args.scaler else model_path.with_name("scaler.yaml")
     if not scaler_path.is_file():
         raise ConfigError(f"scaler file not found: {scaler_path}")
-    scalers = yaml.safe_load(scaler_path.read_text())
-    input_scale = pipeline.AnchoredScale(**scalers["input_scale"])
-    target_scale = pipeline.AnchoredScale(**scalers["target_scale"])
+    # conditioning comes from the scaler file, never from --config
+    predictor = pipeline.Predictor.load(model_path, scaler_path)
 
     manifest = build_manifest("predict", cfg, [table, model_path], [args.seed])
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
-
-    exp = cfg.get("experiment", {})
-    cond = pipeline._condition_region(
-        hi.values, input_scale, bool(exp.get("denoise", True)), exp.get("denoise_rank", 2)
-    )
-    batch = make_windows(cond, soh.values, spec.window_length)
-    preds = target_scale.inverse(predict(spec, batch.inputs))
-    rmse, mae, mape = pipeline.evaluate_metrics(batch.targets, preds)
-    _write_table(
-        out_dir / "predictions.csv",
-        h,
-        ["index", "true_soh", "predicted_soh"],
-        [[int(i), float(t), float(p)] for i, t, p in zip(batch.indices, batch.targets, preds)],
-    )
-    _write_summary(out_dir, h, [["-", hi.name, "full", rmse, mae, mape]])
+    report = predictor.report("-", hi.values, soh.values)
+    _write_report(out_dir, h, "predictions.csv", report)
+    _write_summary(out_dir, h, [["-", hi.name, "full", report.rmse, report.mae, report.mape]])
     _write_manifest(out_dir, manifest)
-    print(f"{out_dir} rmse={rmse!r}")
+    print(f"{out_dir} rmse={report.rmse!r}")
     return 0
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,19 +137,39 @@ class FleetMonthlyRecord:
     mean_capacity: float
 
 
-def _open_rows(path: Path | str) -> tuple[list[str], list[list[str]]]:
+def _open_rows(path: Path | str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Header, then the data rows streamed with their 1-based line numbers.
+
+    Rows with nothing but whitespace are skipped.
+    """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: unreadable file: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    first = next((ln for ln in lines if ln.strip()), "")
+    reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+    numbered = rows()
+    _, header = next(numbered, (0, None))
+    if header is None:
         raise ParseError(f"{path}: empty file")
-    delimiter = "\t" if "\t" in lines[0] else ","
-    reader = csv.reader(lines, delimiter=delimiter)
-    header = [h.strip() for h in next(reader)]
-    return header, [row for row in reader]
+    return [h.strip() for h in header], numbered
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
 
 
 def _column(header: list[str], name: str, path: Path | str) -> int:
@@ -159,15 +179,15 @@ def _column(header: list[str], name: str, path: Path | str) -> int:
         raise ParseError(f"{path}: missing mapped column {name!r}") from None
 
 
-def _parse_timestamp(raw: str, path: Path | str, line: int) -> datetime:
+def _parse_timestamp(raw: str) -> datetime:
     try:
         return datetime.fromtimestamp(float(raw), tz=timezone.utc)
-    except ValueError:
+    except (ValueError, OverflowError, OSError):
         pass
     try:
         ts = datetime.fromisoformat(raw)
     except ValueError:
-        raise ParseError(f"{path}:{line}: bad timestamp {raw!r}") from None
+        raise ValueError(f"bad timestamp {raw!r}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts
@@ -198,21 +218,18 @@ def parse_cycle_file(
     lo, hi = schema.voltage_window
     dropped = 0
     by_cycle: dict[int, list[tuple[float, float, float, float | None]]] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         try:
-            cyc = int(float(row[i_cycle]))
-            t = float(row[i_time])
+            cyc = int(_finite(row[i_cycle]))
+            t = _finite(row[i_time])
             v = float(row[i_volt])
+            if not lo <= v <= hi:  # NaN falls outside the window too
+                dropped += 1
+                continue
+            q = _finite(row[i_q if i_q is not None else i_cur])  # current is integrated below
+            cap = _finite(row[i_cap]) if i_cap is not None and row[i_cap] != "" else None
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
-        if not lo <= v <= hi:
-            dropped += 1
-            continue
-        if i_q is not None:
-            q = float(row[i_q])
-        else:
-            q = float(row[i_cur])  # integrated below
-        cap = float(row[i_cap]) if i_cap is not None and row[i_cap] != "" else None
         by_cycle.setdefault(cyc, []).append((t, v, q, cap))
 
     records = []
@@ -230,7 +247,10 @@ def parse_cycle_file(
         capacity = caps[0] if caps else float(q[-1] - q[0])
         if len(t) < 2:
             continue
-        records.append(CycleRecord(cyc, np.column_stack([t, v, q]), capacity))
+        try:
+            records.append(CycleRecord(cyc, np.column_stack([t, v, q]), capacity))
+        except ValueError as exc:
+            raise ParseError(f"{path}: cycle {cyc}: {exc}") from None
     if not records:
         raise ParseError(f"{path}: zero usable rows")
     return records, dropped
@@ -259,17 +279,17 @@ def parse_fleet_file(
     source = source_id if source_id is not None else Path(path).stem
 
     parsed: list[tuple[datetime, float, float, float, float | None]] = []
-    for lineno, row in enumerate(rows, start=2):
-        ts = _parse_timestamp(row[i_ts], path, lineno)
+    for lineno, row in rows:
         try:
-            cur = float(row[i_cur])
-            volt = float(row[i_volt])
-            soc = float(row[i_soc])
+            ts = _parse_timestamp(row[i_ts])
+            cur = _finite(row[i_cur])
+            volt = _finite(row[i_volt])
+            soc = _finite(row[i_soc])
+            temp = _finite(row[i_temp]) if i_temp is not None else None
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
         if schema.soc_in_percent:
             soc /= 100.0
-        temp = float(row[i_temp]) if i_temp is not None else None
         parsed.append((ts, cur, volt, soc, temp))
     if not parsed:
         raise ParseError(f"{path}: empty file")
@@ -311,7 +331,10 @@ def _build_segment(
         kept.append(ChargeSample(t_rel, cur, volt, soc, temp))
     if len(kept) < 2:
         return None
-    return ChargeSegment(source, start, tuple(kept))
+    try:
+        return ChargeSegment(source, start, tuple(kept))
+    except ValueError as exc:
+        raise ParseError(f"{path}: segment starting {start.isoformat()}: {exc}") from None
 
 
 def compute_capacity(segment: ChargeSegment, min_soc_span: float = MIN_SOC_SPAN) -> float:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import yaml
 
 from . import hiselect, ssa
 from .hiselect import HISeries
@@ -23,8 +24,10 @@ from .neuralnet import (
     DualBiGRUSpec,
     SequenceBatch,
     TrainingConfig,
+    load_model,
     make_windows,
     predict,
+    save_model,
     train,
 )
 from .seeding import derive_rng
@@ -193,7 +196,8 @@ def config_fingerprint(config: ExperimentConfig) -> str:
             return [describe(v) for v in obj]
         return obj
 
-    payload = {k: describe(v) for k, v in vars(config).items()}
+    # jobs is a run setting: it never changes a result
+    payload = {k: describe(v) for k, v in vars(config).items() if k != "jobs"}
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -209,7 +213,6 @@ class PredictionReport:
     rmse: float
     mae: float
     mape: float | None
-    runtime_s: float
     detail: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -244,16 +247,6 @@ class AnchoredScale:
 
     def inverse(self, scaled: np.ndarray) -> np.ndarray:
         return (np.asarray(scaled) - 1.0) * (self.span / self.band) + self.top
-
-
-def _condition_region(
-    values: np.ndarray, scale: AnchoredScale, denoise: bool, rank: float | int
-) -> np.ndarray:
-    scaled = scale.forward(values)
-    if denoise and scaled.size >= 4:
-        series = HISeries(name="MF", values=scaled)  # name is irrelevant here
-        scaled = hiselect.hankel_svd_denoise(series, rank=rank).values
-    return scaled
 
 
 def _resolve_network(
@@ -309,14 +302,114 @@ def _resolve_network(
     return spec, training, history
 
 
+def _condition(
+    values: np.ndarray, input_scale: AnchoredScale, rank: float | int | None
+) -> np.ndarray:
+    """Scale, then Hankel-SVD denoise the whole series unless ``rank`` is None."""
+    scaled = input_scale.forward(values)
+    if rank is not None and scaled.size >= 4:
+        series = HISeries(name="MF", values=scaled)  # name is irrelevant here
+        scaled = hiselect.hankel_svd_denoise(series, rank=rank).values
+    return scaled
+
+
+@dataclass(frozen=True)
+class Predictor:
+    """A fitted network together with the conditioning it was trained under.
+
+    Conditioning is the input scale followed, unless ``denoise_rank`` is
+    None, by Hankel-SVD denoising of the scaled series.  Every prediction
+    (evaluation, fleet runs and the ``predict`` command) goes through
+    :meth:`report`, so a saved predictor reproduces the numbers reported
+    next to it.
+    """
+
+    model: DualBiGRUSpec
+    input_scale: AnchoredScale
+    target_scale: AnchoredScale
+    denoise_rank: float | int | None
+
+    def __post_init__(self) -> None:
+        rank = self.denoise_rank
+        if rank is not None and (isinstance(rank, bool) or not isinstance(rank, numbers.Real)):
+            raise ValueError(f"denoise_rank must be a number or None, got {rank!r}")
+
+    def report(
+        self, fingerprint: str, values: np.ndarray, soh: np.ndarray, offset: int = 0
+    ) -> PredictionReport:
+        """Condition one region as a whole, predict every window, score it."""
+        inputs = _condition(values, self.input_scale, self.denoise_rank)
+        batch = make_windows(inputs, soh, self.model.window_length, offset)
+        preds = self.target_scale.inverse(predict(self.model, batch.inputs))
+        if not np.all(np.isfinite(preds)):
+            raise ValueError(
+                f"non-finite predictions (indices {batch.indices[0]}-{batch.indices[-1]})"
+            )
+        rmse, mae, mape = evaluate_metrics(batch.targets, preds)
+        return PredictionReport(
+            fingerprint=fingerprint,
+            indices=batch.indices,
+            true_soh=batch.targets,
+            predicted_soh=preds,
+            rmse=rmse,
+            mae=mae,
+            mape=mape,
+        )
+
+    def save(self, out_dir: Path | str) -> None:
+        """Write ``model.bin`` and ``scaler.yaml`` into ``out_dir``."""
+        out_dir = Path(out_dir)
+        save_model(self.model, out_dir / "model.bin")
+        payload = {
+            "input_scale": asdict(self.input_scale),
+            "target_scale": asdict(self.target_scale),
+            "denoise_rank": self.denoise_rank,
+        }
+        (out_dir / "scaler.yaml").write_text(yaml.safe_dump(payload, sort_keys=True))
+
+    @classmethod
+    def load(cls, model: Path | str, scaler: Path | str) -> "Predictor":
+        """Read what :meth:`save` wrote; ``ValueError`` naming the file if malformed."""
+        spec = load_model(model)
+        try:
+            payload = yaml.safe_load(Path(scaler).read_text())
+            scales = [
+                AnchoredScale(**{k: float(v) for k, v in payload[key].items()})
+                for key in ("input_scale", "target_scale")
+            ]
+            return cls(spec, *scales, denoise_rank=payload["denoise_rank"])
+        except KeyError as exc:
+            raise ValueError(f"{scaler}: malformed scaler file (missing {exc})") from None
+        except (yaml.YAMLError, AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{scaler}: malformed scaler file ({exc})") from None
+
+
+def fit_predictor(
+    config: ExperimentConfig,
+    values: np.ndarray,
+    soh: np.ndarray,
+    seed: int,
+    offset: int = 0,
+) -> tuple[Predictor, TrainingConfig, list[ssa.IterationRecord]]:
+    """Fit the scales on one training region, then resolve and train the network."""
+    input_scale = AnchoredScale.fit(values, config.scale_band)
+    rank = config.denoise_rank if config.denoise else None
+    batch = make_windows(
+        _condition(values, input_scale, rank), soh, config.resolved_window(), offset
+    )
+    target_scale = AnchoredScale.fit(batch.targets, config.scale_band)
+    batch = replace(batch, targets=target_scale.forward(batch.targets))
+    spec, training, history = _resolve_network(config, batch.inputs, batch.targets, seed)
+    fitted, _losses = train(spec, training, batch)
+    return Predictor(fitted, input_scale, target_scale, rank), training, history
+
+
 @dataclass(frozen=True)
 class SingleRunResult:
     """Everything produced by one seeded experiment run."""
 
     report: PredictionReport
-    model: DualBiGRUSpec
-    input_scale: AnchoredScale
-    target_scale: AnchoredScale
+    predictor: Predictor
     training: TrainingConfig
     search_history: list[ssa.IterationRecord]
 
@@ -330,67 +423,19 @@ def train_and_predict(
     """One full experiment for one seed."""
     w = config.resolved_window()
     train_region, test_region = split_series(hi, soh, config.split)
-    if train_region.hi.size < w:
-        raise ValueError(
-            f"training region ({train_region.hi.size}) shorter than window ({w})"
-        )
-    if test_region.hi.size < w:
-        raise ValueError(
-            f"test region ({test_region.hi.size}) shorter than window ({w})"
-        )
-    input_scale = AnchoredScale.fit(train_region.hi, config.scale_band)
-    train_cond = _condition_region(
-        train_region.hi, input_scale, config.denoise, config.denoise_rank
+    for name, region in (("training", train_region), ("test", test_region)):
+        if region.hi.size < w:
+            raise ValueError(f"{name} region ({region.hi.size}) shorter than window ({w})")
+    predictor, training, history = fit_predictor(
+        config, train_region.hi, train_region.soh, seed, train_region.offset
     )
-    test_cond = _condition_region(
-        test_region.hi, input_scale, config.denoise, config.denoise_rank
+    report = predictor.report(
+        config_fingerprint(config), test_region.hi, test_region.soh, test_region.offset
     )
-    train_batch = make_windows(train_cond, train_region.soh, w, train_region.offset)
-    test_batch = make_windows(test_cond, test_region.soh, w, test_region.offset)
-    target_scale = AnchoredScale.fit(train_batch.targets, config.scale_band)
-    train_batch = replace(train_batch, targets=target_scale.forward(train_batch.targets))
-
-    start = time.perf_counter()
-    spec, training, history = _resolve_network(
-        config, train_batch.inputs, train_batch.targets, seed
-    )
-    fitted, _losses = train(spec, training, train_batch)
-    preds = target_scale.inverse(predict(fitted, test_batch.inputs))
-    runtime = time.perf_counter() - start
-    if not np.all(np.isfinite(preds)):
-        raise ValueError(
-            f"non-finite predictions (seed {seed}, split {config.split.label()})"
-        )
-
-    rmse, mae, mape = evaluate_metrics(test_batch.targets, preds)
-    report = PredictionReport(
-        fingerprint=config_fingerprint(config),
-        indices=test_batch.indices,
-        true_soh=test_batch.targets,
-        predicted_soh=preds,
-        rmse=rmse,
-        mae=mae,
-        mape=mape,
-        runtime_s=runtime,
-        detail={
-            "seed": seed,
-            "gru_units": list(fitted.gru_units),
-            "max_epochs": training.max_epochs,
-        },
-    )
-    return SingleRunResult(
-        report=report,
-        model=fitted,
-        input_scale=input_scale,
-        target_scale=target_scale,
-        training=training,
-        search_history=history,
-    )
+    return SingleRunResult(report, predictor, training, history)
 
 
-def _aggregate_reports(
-    config: ExperimentConfig, reports: list[PredictionReport]
-) -> PredictionReport:
+def aggregate_reports(reports: list[PredictionReport]) -> PredictionReport:
     """Mean metrics and mean point predictions over the seed list."""
     first = reports[0]
     preds = np.mean([r.predicted_soh for r in reports], axis=0)
@@ -403,9 +448,7 @@ def _aggregate_reports(
         rmse=float(np.mean([r.rmse for r in reports])),
         mae=float(np.mean([r.mae for r in reports])),
         mape=None if any(m is None for m in mapes) else float(np.mean(mapes)),
-        runtime_s=float(np.sum([r.runtime_s for r in reports])),
-        detail={"seeds": [r.detail.get("seed") for r in reports],
-                "per_seed_rmse": [r.rmse for r in reports]},
+        detail={"per_seed_rmse": [r.rmse for r in reports]},
     )
 
 
@@ -414,7 +457,7 @@ def run_single_battery(
 ) -> PredictionReport:
     """Train on the leading region, predict the rest; metrics averaged over seeds."""
     reports = [train_and_predict(config, hi, soh, seed).report for seed in config.seeds]
-    return _aggregate_reports(config, reports)
+    return aggregate_reports(reports)
 
 
 @dataclass(frozen=True)
@@ -476,56 +519,20 @@ def run_fleet(
     if train_vehicle not in vehicle_soh:
         raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
     w = config.resolved_window()
-    train_soh = vehicle_soh[train_vehicle]
-    input_scale = AnchoredScale.fit(train_soh.values, config.scale_band)
-    train_cond = _condition_region(
-        train_soh.values, input_scale, config.denoise, config.denoise_rank
-    )
-    train_batch = make_windows(train_cond, train_soh.values, w)
-    target_scale = AnchoredScale.fit(train_batch.targets, config.scale_band)
-    train_batch = replace(train_batch, targets=target_scale.forward(train_batch.targets))
-
-    models = []
-    for seed in config.seeds:
-        spec, training, _ = _resolve_network(
-            config, train_batch.inputs, train_batch.targets, seed
-        )
-        fitted, _ = train(spec, training, train_batch)
-        models.append(fitted)
+    train_soh = vehicle_soh[train_vehicle].values
+    predictors = [
+        fit_predictor(config, train_soh, train_soh, seed)[0] for seed in config.seeds
+    ]
 
     results: list[tuple[str, PredictionReport]] = []
     fingerprint = config_fingerprint(config)
     for vid in sorted(v for v in vehicle_soh if v != train_vehicle):
-        soh = vehicle_soh[vid]
-        k = start.boundary(soh.values.size)
-        test_values = soh.values[k:]
-        if test_values.size < w:
+        values = vehicle_soh[vid].values
+        k = start.boundary(values.size)
+        if values.size - k < w:
             raise ValueError(f"vehicle {vid}: test region shorter than window")
-        test_cond = _condition_region(
-            test_values, input_scale, config.denoise, config.denoise_rank
-        )
-        test_batch = make_windows(test_cond, test_values, w, k)
-        per_seed = []
-        for seed, model in zip(config.seeds, models):
-            start_t = time.perf_counter()
-            preds = target_scale.inverse(predict(model, test_batch.inputs))
-            if not np.all(np.isfinite(preds)):
-                raise ValueError(f"non-finite predictions for vehicle {vid}")
-            rmse, mae, mape = evaluate_metrics(test_batch.targets, preds)
-            per_seed.append(
-                PredictionReport(
-                    fingerprint=fingerprint,
-                    indices=test_batch.indices,
-                    true_soh=test_batch.targets,
-                    predicted_soh=preds,
-                    rmse=rmse,
-                    mae=mae,
-                    mape=mape,
-                    runtime_s=time.perf_counter() - start_t,
-                    detail={"seed": seed, "vehicle": vid},
-                )
-            )
-        results.append((vid, _aggregate_reports(config, per_seed)))
+        reports = [p.report(fingerprint, values[k:], values[k:], k) for p in predictors]
+        results.append((vid, aggregate_reports(reports)))
     return results
 
 

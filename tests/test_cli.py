@@ -97,6 +97,52 @@ class TestTrainPredict:
         assert lines[1] == "index,true_soh,predicted_soh"
         assert len(lines) > 10
 
+    def test_predict_uses_the_conditioning_it_was_trained_under(self, tmp_path, tiny_config):
+        # trained without denoising; predict gets no --config, so nothing but
+        # scaler.yaml can tell it to skip the denoising step
+        cfg = yaml.safe_load(Path(tiny_config).read_text())
+        cfg["experiment"]["denoise"] = False
+        raw = tmp_path / "raw.yaml"
+        raw.write_text(yaml.safe_dump(cfg))
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        model_dir = tmp_path / "model"
+        assert run_cli("train", "--config", raw, "--hi-table", ext / "hi_top.csv", "--out", model_dir) == 0
+        assert yaml.safe_load((model_dir / "scaler.yaml").read_text())["denoise_rank"] is None
+
+        lines = (ext / "hi_top.csv").read_text().splitlines()
+        rows = lines[2:]
+        k = pipeline.SplitSpec.fraction(0.25).boundary(len(rows))
+        test_table = tmp_path / "test_rows.csv"
+        test_table.write_text("\n".join(lines[:2] + rows[k:]) + "\n")
+        pred_dir = tmp_path / "pred"
+        assert run_cli(
+            "predict", "--model", model_dir / "model.bin", "--hi-table", test_table, "--out", pred_dir
+        ) == 0
+
+        def column(path, name):
+            table = path.read_text().splitlines()[1:]
+            at = table[0].split(",").index(name)
+            return [line.split(",")[at] for line in table[1:]]
+
+        reported = column(model_dir / "report.csv", "predicted_soh")
+        assert len(reported) == len(rows) - k - 3  # window 4
+        assert column(pred_dir / "predictions.csv", "predicted_soh") == reported
+
+    def test_scaler_without_conditioning_rule_rejected(self, tmp_path, tiny_config, capsys):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        model_dir = tmp_path / "model"
+        assert run_cli("train", "--config", tiny_config, "--hi-table", ext / "hi_top.csv", "--out", model_dir) == 0
+        scaler = model_dir / "scaler.yaml"
+        payload = yaml.safe_load(scaler.read_text())
+        del payload["denoise_rank"]
+        scaler.write_text(yaml.safe_dump(payload))
+        code = run_cli(
+            "predict", "--model", model_dir / "model.bin",
+            "--hi-table", ext / "hi_top.csv", "--out", tmp_path / "p",
+        )
+        assert code == 1
+        assert f"error: {scaler}: malformed scaler file (missing 'denoise_rank')" in capsys.readouterr().err
+
     def test_predict_missing_model_errors(self, tmp_path, tiny_config, capsys):
         _, ext = chain_synth_extract(tmp_path, tiny_config)
         code = run_cli(

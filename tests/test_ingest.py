@@ -275,3 +275,123 @@ class TestTypes:
     def test_soh_series_bounds(self):
         with pytest.raises(ValueError):
             ingest.SOHSeries((0,), np.array([1.2]))
+
+
+CYCLE_HEADER = "cycle,time_s,voltage_v,charge_ah,capacity_ah"
+FLEET_HEADER = "timestamp,current_a,voltage_v,soc,temp_c"
+BAD_TOKENS = ["nan", "inf", "-inf", "", "x", "1e400", "2020-13-01"]
+
+
+@st.composite
+def delimited_file(draw, header, good_row):
+    """A header plus rows that are well formed, truncated, non-finite or garbled.
+
+    ``good_row(i)`` gives the fields of a valid i-th row.  Some files mix
+    tabs and commas between fields, and some rows are repeated, so duplicate
+    timestamps occur.
+    """
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    mixed = draw(st.booleans())
+    damage = draw(st.sampled_from([0, 0, 1, 3]))  # tenths of the rows
+    rows = [header.replace(",", delimiter)]
+    for i in range(draw(st.integers(0, 12))):
+        fields = good_row(i)
+        if draw(st.integers(0, 9)) < damage:
+            at = draw(st.integers(0, len(fields) - 1))
+            kind = draw(st.sampled_from(["truncated", "bad-token", "any-number"]))
+            if kind == "truncated":
+                fields = fields[:at]
+            elif kind == "bad-token":
+                fields[at] = draw(st.sampled_from(BAD_TOKENS))
+            else:
+                fields[at] = repr(draw(st.floats(-1e3, 1e10)))
+        gaps = [draw(st.sampled_from([",", "\t"])) if mixed else delimiter for _ in fields]
+        row = "".join(g + f for g, f in zip(gaps, fields))[1:]
+        rows += [row] * draw(st.sampled_from([1, 1, 1, 2]))
+    return "\n".join(rows) + "\n"
+
+
+def cycle_row(i):
+    return [str(1 + i // 4), str(i % 4), repr(3.5 + 0.1 * (i % 4)), repr(0.1 * (i % 4)), "0.74"]
+
+
+def fleet_row(i):
+    return [repr(1.5e9 + 8.0 * i), "-70.0", "350.0", repr(20.0 + i), "25.0"]
+
+
+class TestParserProperties:
+    """Either records come back, or a ParseError; nothing else escapes."""
+
+    @given(text=delimited_file(CYCLE_HEADER, cycle_row))
+    @settings(max_examples=200, deadline=None)
+    def test_cycle_file_records_or_parse_error(self, tmp_path_factory, text):
+        path = write(tmp_path_factory.mktemp("cycles"), "cycles.csv", text)
+        try:
+            records, dropped = ingest.parse_cycle_file(path)
+        except ingest.ParseError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        assert records and all(isinstance(r, ingest.CycleRecord) for r in records)
+        assert all(np.all(np.isfinite(r.charge_curve)) for r in records)
+        assert dropped >= 0
+
+    @given(text=delimited_file(FLEET_HEADER, fleet_row))
+    @settings(max_examples=200, deadline=None)
+    def test_fleet_file_records_or_parse_error(self, tmp_path_factory, text):
+        path = write(tmp_path_factory.mktemp("fleet"), "fleet.csv", text)
+        schema = ingest.FleetSchema(temperature="temp_c", gap_threshold_s=15.0)
+        try:
+            segments = ingest.parse_fleet_file(path, schema)
+        except ingest.ParseError as exc:
+            assert str(exc).startswith(str(path))
+            return
+        assert all(isinstance(s, ingest.ChargeSegment) for s in segments)
+
+
+class TestParserErrorsNamePlace:
+    def test_truncated_cycle_row(self, tmp_path):
+        text = f"{CYCLE_HEADER}\n1,0,3.5,0.0,0.7\n1,1,3.6\n"
+        path = write(tmp_path, "cut.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:3: bad row"):
+            ingest.parse_cycle_file(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        text = f"{CYCLE_HEADER}\n\n1,0,3.5,0.0,0.7\n\n1,1,3.6,x,0.7\n"
+        path = write(tmp_path, "blank.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:5: bad row"):
+            ingest.parse_cycle_file(path)
+
+    def test_cycle_record_rejection_names_cycle(self, tmp_path):
+        text = f"{CYCLE_HEADER}\n4,0,3.5,0.2,0.7\n4,1,3.6,0.1,0.7\n"
+        path = write(tmp_path, "down.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}: cycle 4: cumulative charge"):
+            ingest.parse_cycle_file(path)
+
+    def test_truncated_fleet_temperature(self, tmp_path):
+        text = f"{FLEET_HEADER}\n1500000000,-70,350,20,25\n1500000008,-70,350,21\n"
+        path = write(tmp_path, "cut.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:3: bad row"):
+            ingest.parse_fleet_file(path, ingest.FleetSchema(temperature="temp_c"))
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e300"])
+    def test_out_of_range_timestamp(self, tmp_path, stamp):
+        text = f"{FLEET_HEADER}\n{stamp},-70,350,20,25\n"
+        path = write(tmp_path, "ts.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:2: bad row: bad timestamp"):
+            ingest.parse_fleet_file(path)
+
+    def test_segment_rejection_names_file(self, tmp_path):
+        text = f"{FLEET_HEADER}\n1500000000,-70,350,99,25\n1500000008,-70,350,101,25\n"
+        path = write(tmp_path, "soc.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}: segment starting .*soc out of"):
+            ingest.parse_fleet_file(path)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # the csv module refuses a field above its size limit
+        text = f"{CYCLE_HEADER}\n1,0,3.5,0.0,0.7\n1,1,3.6,{'9' * 200_000},0.7\n"
+        path = write(tmp_path, "huge.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:3: field larger than field limit"):
+            ingest.parse_cycle_file(path)
+        path = write(tmp_path, "huge_header.csv", "x" * 200_000 + "\n")
+        with pytest.raises(ingest.ParseError, match=f"^{path}:1: field larger"):
+            ingest.parse_fleet_file(path)

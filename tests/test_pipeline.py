@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from sohpred.pipeline import (
     CycleSynthesisParams,
     ExperimentConfig,
     FleetSynthesisParams,
+    Predictor,
     SplitSpec,
     evaluate_metrics,
+    fit_predictor,
     run_fleet,
     run_hi_ablation,
     run_single_battery,
@@ -179,7 +183,8 @@ class TestSingleBattery:
         result_fake = train_and_predict(config, corrupted, soh, seed=0)
 
         for (ka, va), (kb, vb) in zip(
-            iter_arrays(result_real.model.params), iter_arrays(result_fake.model.params)
+            iter_arrays(result_real.predictor.model.params),
+            iter_arrays(result_fake.predictor.model.params),
         ):
             assert ka == kb
             assert np.array_equal(va, vb), f"trained parameter {ka} depends on test data"
@@ -192,10 +197,54 @@ class TestSingleBattery:
         with pytest.raises(ValueError, match="shorter than window"):
             run_single_battery(config, hi, soh)
 
-    def test_runtime_recorded(self):
+
+class TestPredictor:
+    def config(self, denoise=True):
+        return ExperimentConfig(
+            split=SplitSpec.fraction(0.25),
+            network=small_net(units=8),
+            training=small_training(epochs=30),
+            denoise=denoise,
+            seeds=(0,),
+        )
+
+    @pytest.mark.parametrize("denoise", [True, False])
+    def test_save_load_reproduces_report_bitwise(self, tmp_path, denoise):
         hi, soh = identity_series(n=60)
-        report = run_single_battery(self.config(seeds=(0,)), hi, soh)
-        assert report.runtime_s > 0.0
+        result = train_and_predict(self.config(denoise), hi, soh, seed=0)
+        result.predictor.save(tmp_path)
+        loaded = Predictor.load(tmp_path / "model.bin", tmp_path / "scaler.yaml")
+        assert loaded.denoise_rank == (2 if denoise else None)
+        k = self.config().split.boundary(60)
+        again = loaded.report(result.report.fingerprint, hi.values[k:], soh.values[k:], k)
+        assert np.array_equal(again.indices, result.report.indices)
+        assert np.array_equal(again.predicted_soh, result.report.predicted_soh)
+        assert (again.rmse, again.mae, again.mape) == (
+            result.report.rmse, result.report.mae, result.report.mape
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "input_scale: {top: 1.0, span: 1.0, band: 0.25}\n"
+            "target_scale: [1, 2]\ndenoise_rank: 2\n",
+            "input_scale: {top: x, span: 1.0, band: 0.25}\n"
+            "target_scale: {top: 1.0, span: 1.0, band: 0.25}\ndenoise_rank: 2\n",
+            "input_scale: {top: 1.0, span: 1.0, band: 0.25}\n"
+            "target_scale: {top: 1.0, span: 1.0, band: 0.25}\ndenoise_rank: two\n",
+            "input_scale: [unclosed\n",
+            "just text\n",
+        ],
+    )
+    def test_malformed_scaler_names_file(self, tmp_path, text):
+        hi, soh = identity_series(n=40)
+        predictor, _, _ = fit_predictor(self.config(), hi.values, soh.values, seed=0)
+        predictor.save(tmp_path)
+        scaler = tmp_path / "scaler.yaml"
+        scaler.write_text(text)
+        with pytest.raises(ValueError) as info:
+            Predictor.load(tmp_path / "model.bin", scaler)
+        assert str(info.value).startswith(f"{scaler}: malformed scaler file")
 
 
 class TestHIAblation:
@@ -355,3 +404,5 @@ class TestExperimentConfig:
         c = ExperimentConfig(split=SplitSpec.fraction(0.15), network=small_net(), training=small_training())
         assert pipeline.config_fingerprint(a) == pipeline.config_fingerprint(b)
         assert pipeline.config_fingerprint(a) != pipeline.config_fingerprint(c)
+        # jobs is a run setting, not a hyperparameter
+        assert pipeline.config_fingerprint(replace(a, jobs=2)) == pipeline.config_fingerprint(a)
