@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .ingest import SOHSeries
 
@@ -114,6 +113,19 @@ def hankel_svd_denoise(
     return replace(series, values=out / counts, denoised=True)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank; all NaN if any value is NaN."""
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(
     x: np.ndarray,
     y: np.ndarray,
@@ -134,8 +146,8 @@ def spearman(
     if x.size < 2:
         raise ValueError("need at least 2 points")
     if ranked:
-        x = rankdata(x)
-        y = rankdata(y)
+        x = _average_ranks(x)
+        y = _average_ranks(y)
     dx = x - x.mean()
     dy = y - y.mean()
     sx = np.sqrt(np.sum(dx**2))

@@ -12,9 +12,10 @@ peak height, and the area inside a voltage window around the peak.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import savgol_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hiselect import HISeries, spearman
 from .ingest import CycleRecord, SOHSeries
@@ -115,13 +116,28 @@ def compute_ic_curve(
     return ICCurve(record.cycle_index, edges, dqdv, smoothed=False)
 
 
+@lru_cache(maxsize=None)
+def _savgol_hat(window: int, poly_order: int) -> np.ndarray:
+    """Smoothing matrix ``V @ pinv(V)`` of one window (Savitzky & Golay 1964).
+
+    ``V`` is the Vandermonde matrix of the window's centred positions, so
+    row ``i`` maps the window's samples to the value at position ``i`` of
+    their least-squares polynomial of degree ``poly_order``.
+    """
+    half = window // 2
+    vander = np.vander(np.arange(-half, half + 1, dtype=float), poly_order + 1, increasing=True)
+    hat = vander @ np.linalg.pinv(vander)
+    hat.flags.writeable = False
+    return hat
+
+
 def savitzky_golay(
     curve: ICCurve, window: int = DEFAULT_SG_WINDOW, poly_order: int = DEFAULT_SG_ORDER
 ) -> ICCurve:
     """Least-squares polynomial smoothing on the uniform voltage grid.
 
     Edge points come from evaluating the polynomial fitted to the boundary
-    window at their positions.
+    window at their positions (SciPy's ``savgol_filter(mode="interp")``).
     """
     n = curve.dqdv.size
     if window % 2 == 0:
@@ -130,7 +146,13 @@ def savitzky_golay(
         raise ValueError(f"window {window} must exceed polynomial order {poly_order}")
     if window > n:
         raise ValueError(f"window {window} exceeds curve length {n}")
-    smoothed = savgol_filter(curve.dqdv, window, poly_order, mode="interp")
+    hat = _savgol_hat(window, poly_order)
+    half = window // 2
+    dqdv = curve.dqdv
+    smoothed = np.empty(n)
+    smoothed[half : n - half] = sliding_window_view(dqdv, window) @ hat[half]
+    smoothed[:half] = hat[:half] @ dqdv[:window]
+    smoothed[n - half :] = hat[half + 1 :] @ dqdv[n - window :]
     return replace(curve, dqdv=smoothed, smoothed=True)
 
 

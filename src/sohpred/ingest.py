@@ -263,8 +263,10 @@ def parse_fleet_file(
 
     Samples are split into segments wherever the time gap exceeds the
     schema threshold.  Within a segment, samples whose SOC dips below the
-    running maximum are dropped as sensor jitter before the monotonicity
-    check; SOC values logged in percent are converted to fractions.
+    running maximum are dropped as sensor jitter, and a sample that repeats
+    the previous one exactly (timestamp and values) is dropped as a logging
+    duplicate; a repeated timestamp with other values is a ``ParseError``.
+    SOC values logged in percent are converted to fractions.
     """
     header, rows = _open_rows(path)
     i_ts = _column(header, schema.timestamp, path)
@@ -278,7 +280,7 @@ def parse_fleet_file(
     )
     source = source_id if source_id is not None else Path(path).stem
 
-    parsed: list[tuple[datetime, float, float, float, float | None]] = []
+    parsed: list[tuple[datetime, float, float, float, float | None, int]] = []
     for lineno, row in rows:
         try:
             ts = _parse_timestamp(row[i_ts])
@@ -290,13 +292,13 @@ def parse_fleet_file(
             raise ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
         if schema.soc_in_percent:
             soc /= 100.0
-        parsed.append((ts, cur, volt, soc, temp))
+        parsed.append((ts, cur, volt, soc, temp, lineno))
     if not parsed:
         raise ParseError(f"{path}: empty file")
     parsed.sort(key=lambda p: p[0])
 
     segments: list[ChargeSegment] = []
-    chunk: list[tuple[datetime, float, float, float, float | None]] = []
+    chunk: list[tuple[datetime, float, float, float, float | None, int]] = []
     for point in parsed:
         if chunk and (point[0] - chunk[-1][0]).total_seconds() > schema.gap_threshold_s:
             seg = _build_segment(source, chunk, path)
@@ -312,23 +314,27 @@ def parse_fleet_file(
 
 def _build_segment(
     source: str,
-    chunk: list[tuple[datetime, float, float, float, float | None]],
+    chunk: list[tuple[datetime, float, float, float, float | None, int]],
     path: Path | str,
 ) -> ChargeSegment | None:
     if len(chunk) < 2:
         return None
     start = chunk[0][0]
-    # drop SOC dips (quantization jitter) so the segment invariant holds
+    # drop SOC dips (quantization jitter) and exact repeats so the segment invariant holds
     kept: list[ChargeSample] = []
     soc_max = -math.inf
-    for ts, cur, volt, soc, temp in chunk:
+    for ts, cur, volt, soc, temp, lineno in chunk:
         if soc < soc_max:
             continue
         soc_max = soc
-        t_rel = (ts - start).total_seconds()
-        if kept and t_rel <= kept[-1].time:
-            raise ParseError(f"{path}: non-monotone timestamps inside a segment")
-        kept.append(ChargeSample(t_rel, cur, volt, soc, temp))
+        sample = ChargeSample((ts - start).total_seconds(), cur, volt, soc, temp)
+        if kept and sample.time <= kept[-1].time:
+            if sample == kept[-1]:
+                continue
+            raise ParseError(
+                f"{path}:{lineno}: timestamp {ts.isoformat()} repeated with different values"
+            )
+        kept.append(sample)
     if len(kept) < 2:
         return None
     try:

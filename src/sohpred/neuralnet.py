@@ -53,7 +53,9 @@ class GRUCellParams:
     """Weights of one GRU cell.
 
     Gate matrices act on [x, h_prev]; the candidate matrix acts on
-    [x, R*h_prev].
+    [x, R*h_prev].  Only shapes are checked here: gradients are built in
+    this form on every batch, so finiteness is checked once, where
+    parameters enter a :class:`DualBiGRUSpec`.
     """
 
     W_U: np.ndarray
@@ -79,8 +81,6 @@ class GRUCellParams:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -369,6 +369,8 @@ class DualBiGRUSpec:
             shapes = [arr.shape for _, arr in iter_arrays(self.params)]
             if shapes != [shape for _, shape in tensor_layout(self.gru_units)]:
                 raise ValueError(f"params lack the tensor shapes of gru_units {self.gru_units}")
+            if not np.all(np.isfinite(self.params.flat)):
+                raise ValueError("non-finite parameter values")
 
 
 def init_params(spec: DualBiGRUSpec, rng: np.random.Generator) -> ModelParams:
@@ -646,11 +648,8 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
         if lines != _header_lines(spec):
             raise ValueError("header does not match the v1 layout for its gru_units")
         flat = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(float)
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("non-finite parameter values")
-        params = ModelParams.from_flat(spec.gru_units, flat)
+        return replace(spec, params=ModelParams.from_flat(spec.gru_units, flat))
     except KeyError as exc:
         raise ValueError(f"{path}: corrupt model header (missing {exc.args[0]})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: corrupt model file ({exc})") from None
-    return replace(spec, params=params)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import sohpred
 from sohpred import cli, pipeline
 from sohpred.neuralnet import DivergenceError
 
@@ -35,6 +39,27 @@ def tiny_config(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """SciPy is a test oracle only: importing the CLI must not load any of it."""
+    src = Path(sohpred.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    probe = (
+        "import sys, sohpred.cli; "
+        "print(sohpred.cli.__file__); "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded_from, scipy_modules = done.stdout.splitlines()
+    assert Path(loaded_from).resolve().parents[1] == src
+    assert scipy_modules == ""
 
 
 def chain_synth_extract(tmp_path, tiny_config):

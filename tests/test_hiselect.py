@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from sohpred.hiselect import (
     HISeries,
+    _average_ranks,
     hankel_matrix,
     hankel_svd_denoise,
     min_max_normalize,
@@ -126,6 +127,15 @@ class TestSpearman:
             ours = spearman(x, y, ranked=True)
             ref = spearmanr(x, y).statistic
             assert ours == pytest.approx(ref, abs=1e-12)
+
+    def test_average_ranks_equal_rankdata(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            for values in (rng.integers(0, 4, size=n).astype(float), rng.normal(size=n)):
+                assert np.array_equal(_average_ranks(values), rankdata(values))
+        assert np.array_equal(_average_ranks(np.full(6, 2.0)), np.full(6, 3.5))
+        assert np.all(np.isnan(_average_ranks(np.array([1.0, np.nan, 0.0]))))
 
     @given(seed=st.integers(0, 99999))
     @settings(max_examples=40, deadline=None)

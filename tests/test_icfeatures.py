@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import direct_feature_oracle
+from scipy.signal import savgol_filter
 
+from sohpred import ingest
 from sohpred.icfeatures import (
     ICCurve,
     compute_ic_curve,
@@ -14,6 +16,7 @@ from sohpred.icfeatures import (
     sweep_area_boundaries,
 )
 from sohpred.ingest import CycleRecord, SOHSeries
+from sohpred.pipeline import CycleSynthesisParams, synthesize_cycles
 
 
 def record_from_qv(v, q, cycle=1):
@@ -95,6 +98,25 @@ class TestSavitzkyGolay:
         rms_before = np.sqrt(np.mean((noisy - clean) ** 2))
         rms_after = np.sqrt(np.mean((out.dqdv - clean) ** 2))
         assert rms_after < rms_before
+
+    @pytest.mark.parametrize("window", [5, 11, 13, 21])
+    def test_matches_scipy_interp_mode(self, window):
+        rng = np.random.default_rng(window)
+        for order in range(1, min(4, window - 1) + 1):
+            for n in (window, window + 1, window + 2, 2 * window + 3, 150):
+                values = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 4)
+                ours = savitzky_golay(curve_from_values(values, smoothed=False), window, order)
+                ref = savgol_filter(values, window, order, mode="interp")
+                tol = 1e-12 * max(1.0, np.max(np.abs(ref)))
+                assert np.max(np.abs(ours.dqdv - ref)) <= tol, (window, order, n)
+
+    def test_matches_scipy_on_synthetic_cycles(self, tmp_path):
+        params = CycleSynthesisParams(n_cycles=6, sample_period_s=6.0)
+        records, _ = ingest.parse_cycle_file(synthesize_cycles(params, 5, tmp_path / "c.csv"))
+        for record in records:
+            curve = compute_ic_curve(record)
+            ref = savgol_filter(curve.dqdv, 21, 3, mode="interp")
+            assert np.max(np.abs(savitzky_golay(curve).dqdv - ref)) <= 1e-12
 
     def test_window_validation(self):
         curve = curve_from_values(np.ones(30), smoothed=False)

@@ -109,6 +109,15 @@ class TestParseFleetFile:
         assert soc_values == sorted(soc_values)
         assert len(soc_values) == 4
 
+    def test_exact_duplicate_rows_dropped(self, tmp_path):
+        stamps = [1_600_000_000 + 8 * i for i in range(20)]
+        socs = [20.0 + 0.5 * i for i in range(20)]
+        lines = self.fleet_text(stamps, socs).split("\n")
+        clean = ingest.parse_fleet_file(write(tmp_path, "clean.csv", "\n".join(lines)), source_id="v")
+        for at in (1, 7, 20):  # first, a middle and the last sample
+            text = "\n".join(lines[: at + 1] + lines[at:])
+            assert ingest.parse_fleet_file(write(tmp_path, "dup.csv", text), source_id="v") == clean
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ingest.ParseError):
             ingest.parse_fleet_file(write(tmp_path, "v.csv", "timestamp,current_a,voltage_v,soc\n"))
@@ -378,6 +387,16 @@ class TestParserErrorsNamePlace:
         text = f"{FLEET_HEADER}\n{stamp},-70,350,20,25\n"
         path = write(tmp_path, "ts.csv", text)
         with pytest.raises(ingest.ParseError, match=f"^{path}:2: bad row: bad timestamp"):
+            ingest.parse_fleet_file(path)
+
+    def test_conflicting_repeated_timestamp_names_line(self, tmp_path):
+        text = (
+            f"{FLEET_HEADER}\n1500000000,-70,350,20,25\n"
+            "1500000008,-70,350,21,25\n1500000008,-71,350,21,25\n"
+        )
+        path = write(tmp_path, "twice.csv", text)
+        stamp = r"2017-07-14T02:40:08\+00:00"
+        with pytest.raises(ingest.ParseError, match=f"^{path}:4: timestamp {stamp} repeated"):
             ingest.parse_fleet_file(path)
 
     def test_segment_rejection_names_file(self, tmp_path):

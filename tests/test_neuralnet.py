@@ -189,6 +189,12 @@ class TestNetworkForward:
         with pytest.raises(ValueError, match="tensor shapes"):
             nn.DualBiGRUSpec(3, (2, 1, 2, 1), (0.0,) * 4, params=params)
 
+    def test_non_finite_params_rejected(self):
+        params = built_spec(units=(2, 1, 2, 1), window=3).params
+        params.cells[1].W_h[0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.DualBiGRUSpec(3, (2, 1, 2, 1), (0.0,) * 4, params=params)
+
     def test_unbuilt_spec_rejected(self):
         spec = nn.DualBiGRUSpec(4, (2, 2, 2, 2), (0.0,) * 4)
         with pytest.raises(ValueError, match="no parameters"):
@@ -441,6 +447,12 @@ class TestSerialization:
     def test_trailing_bytes_name_path(self, tmp_path):
         path = self.saved(tmp_path, lambda b: b + bytes(8))
         with pytest.raises(ValueError, match=r"model\.bin"):
+            nn.load_model(path)
+
+    def test_non_finite_values_name_path(self, tmp_path):
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        path = self.saved(tmp_path, lambda b: b[:-8] + nan)
+        with pytest.raises(ValueError, match=r"model\.bin.*non-finite"):
             nn.load_model(path)
 
     def test_concat_candidate_form_rejected(self, tmp_path):
