@@ -137,7 +137,8 @@ def spearman(
 
     With ``ranked=True`` both series are first replaced by their average
     ranks.  A constant series makes the coefficient undefined; 0.0 is
-    returned then, flagged when ``return_degenerate`` is set.
+    returned then, flagged when ``return_degenerate`` is set.  A NaN or
+    infinite value raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -145,6 +146,8 @@ def spearman(
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError("need at least 2 points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("series holds a non-finite value")
     if ranked:
         x = _average_ranks(x)
         y = _average_ranks(y)
@@ -178,6 +181,8 @@ def rank_his(
             raise ValueError(
                 f"candidate {cand.name} has length {len(cand)}, SOH has {n}"
             )
+        if not np.all(np.isfinite(cand.values)):
+            raise ValueError(f"candidate {cand.name} holds a non-finite value")
         processed = hankel_svd_denoise(min_max_normalize(cand), rank=denoise_rank)
         coeff = spearman(processed.values, soh.values, ranked=ranked_correlation)
         entries.append((cand.name, coeff))

@@ -39,13 +39,9 @@ class DivergenceError(RuntimeError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split positive/negative to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below: exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -53,9 +49,8 @@ class GRUCellParams:
     """Weights of one GRU cell.
 
     Gate matrices act on [x, h_prev]; the candidate matrix acts on
-    [x, R*h_prev].  Only shapes are checked here: gradients are built in
-    this form on every batch, so finiteness is checked once, where
-    parameters enter a :class:`DualBiGRUSpec`.
+    [x, R*h_prev].  Only shapes are checked here: finiteness is checked
+    once, where parameters enter a :class:`DualBiGRUSpec`.
     """
 
     W_U: np.ndarray
@@ -128,40 +123,6 @@ def gru_cell_forward(
     return (h_new[0] if single else h_new), cache
 
 
-def gru_cell_backward(
-    params: GRUCellParams, dh: np.ndarray, cache: tuple, grads: GRUCellParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop one step; accumulates into ``grads``, returns (dx, dh_prev)."""
-    x, h_prev, U, R, h_tilde = cache
-    n_in = params.input_size
-
-    dU = dh * (h_tilde - h_prev)
-    dh_tilde = dh * U
-    dh_prev = dh * (1.0 - U)
-
-    da_h = dh_tilde * (1.0 - h_tilde**2)
-    zc = np.concatenate([x, R * h_prev], axis=1)
-    grads.W_h += da_h.T @ zc
-    grads.b_h += da_h.sum(axis=0)
-    dzc = da_h @ params.W_h
-    dx = dzc[:, :n_in].copy()
-    dRh = dzc[:, n_in:]
-    dR = dRh * h_prev
-    dh_prev = dh_prev + dRh * R
-
-    da_U = dU * U * (1.0 - U)
-    da_R = dR * R * (1.0 - R)
-    z = np.concatenate([x, h_prev], axis=1)
-    grads.W_U += da_U.T @ z
-    grads.b_U += da_U.sum(axis=0)
-    grads.W_R += da_R.T @ z
-    grads.b_R += da_R.sum(axis=0)
-    dz = da_U @ params.W_U + da_R @ params.W_R
-    dx += dz[:, :n_in]
-    dh_prev = dh_prev + dz[:, n_in:]
-    return dx, dh_prev
-
-
 def flip(sequence: np.ndarray) -> np.ndarray:
     """Reverse the time axis (axis 0)."""
     return np.asarray(sequence)[::-1].copy()
@@ -173,7 +134,6 @@ class _BiGRUCache:
     bwd_caches: list
     mask_fwd: np.ndarray | None
     mask_bwd: np.ndarray | None
-    hidden_fwd: int
 
 
 def _dropout_mask(
@@ -183,6 +143,18 @@ def _dropout_mask(
         return None
     keep = 1.0 - rate
     return (rng.random(shape) < keep).astype(float) / keep
+
+
+def _gru_sequence_forward(params: GRUCellParams, sequence: np.ndarray) -> tuple[np.ndarray, list]:
+    """Run one direction over a (T, B, width) sequence; returns its states and step caches."""
+    out = np.empty(sequence.shape[:2] + (params.hidden_size,))
+    h = np.zeros(out.shape[1:])
+    caches = []
+    for t in range(len(sequence)):
+        h, cache = gru_cell_forward(params, sequence[t], h)
+        out[t] = h
+        caches.append(cache)
+    return out, caches
 
 
 def bigru_forward(
@@ -206,36 +178,53 @@ def bigru_forward(
     train = mode == "train"
     if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
         raise ValueError("train mode with dropout needs an rng")
-    T, B, _ = sequence.shape
-    hf, hb = forward_params.hidden_size, backward_params.hidden_size
-
-    out_f = np.empty((T, B, hf))
-    h = np.zeros((B, hf))
-    fwd_caches = []
-    for t in range(T):
-        h, cache = gru_cell_forward(forward_params, sequence[t], h)
-        out_f[t] = h
-        fwd_caches.append(cache)
-
+    out_f, fwd_caches = _gru_sequence_forward(forward_params, sequence)
     mask_f = _dropout_mask(rng, out_f.shape, dropout_fwd) if train else None
     if mask_f is not None:
         out_f = out_f * mask_f
 
-    rev = flip(sequence)
-    out_b_rev = np.empty((T, B, hb))
-    h = np.zeros((B, hb))
-    bwd_caches = []
-    for t in range(T):
-        h, cache = gru_cell_forward(backward_params, rev[t], h)
-        out_b_rev[t] = h
-        bwd_caches.append(cache)
-
+    out_b_rev, bwd_caches = _gru_sequence_forward(backward_params, flip(sequence))
     mask_b = _dropout_mask(rng, out_b_rev.shape, dropout_bwd) if train else None
     if mask_b is not None:
         out_b_rev = out_b_rev * mask_b
 
     out = np.concatenate([out_f, flip(out_b_rev)], axis=2)
-    return out, _BiGRUCache(fwd_caches, bwd_caches, mask_f, mask_b, hf)
+    return out, _BiGRUCache(fwd_caches, bwd_caches, mask_f, mask_b)
+
+
+def _gru_sequence_backward(
+    params: GRUCellParams, d_out: np.ndarray, caches: list, grads: GRUCellParams
+) -> np.ndarray:
+    """Backprop one direction over its T steps into ``grads`` (overwritten); returns dx.
+
+    Only the dh recurrence runs per step.  The gate gradients of all steps
+    are stacked as (T*B, H), so each weight gradient is one matmul.
+    """
+    T, B, H = d_out.shape
+    n_in = params.input_size
+    W_U, W_R, W_h = params.W_U, params.W_R, params.W_h
+    da_U, da_R, da_h = np.empty((3, T, B, H))
+    dh = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        _, h_prev, U, R, h_tilde = caches[t]
+        dh = d_out[t] + dh
+        da_h[t] = dh * U * (1.0 - h_tilde**2)
+        dRh = da_h[t] @ W_h[:, n_in:]
+        da_U[t] = dh * (h_tilde - h_prev) * U * (1.0 - U)
+        da_R[t] = dRh * h_prev * R * (1.0 - R)
+        dh = dh * (1.0 - U) + dRh * R + (da_U[t] @ W_U[:, n_in:] + da_R[t] @ W_R[:, n_in:])
+
+    x, h_prev, R = (np.concatenate([c[i] for c in caches]) for i in (0, 1, 3))
+    da_U, da_R, da_h = (a.reshape(T * B, H) for a in (da_U, da_R, da_h))
+    z = np.concatenate([x, h_prev], axis=1)
+    np.matmul(da_U.T, z, out=grads.W_U)
+    np.matmul(da_R.T, z, out=grads.W_R)
+    np.matmul(da_h.T, np.concatenate([x, R * h_prev], axis=1), out=grads.W_h)
+    np.sum(da_U, axis=0, out=grads.b_U)
+    np.sum(da_R, axis=0, out=grads.b_R)
+    np.sum(da_h, axis=0, out=grads.b_h)
+    dx = da_h @ W_h[:, :n_in] + da_U @ W_U[:, :n_in] + da_R @ W_R[:, :n_in]
+    return dx.reshape(T, B, n_in)
 
 
 def bigru_backward(
@@ -246,28 +235,16 @@ def bigru_backward(
     grads_fwd: GRUCellParams,
     grads_bwd: GRUCellParams,
 ) -> np.ndarray:
-    """Backprop through both directions; returns gradient wrt the input sequence."""
-    T, B, _ = dout.shape
-    hf = cache.hidden_fwd
+    """Backprop through both directions into the cells' gradients; returns d(input)."""
+    hf = forward_params.hidden_size
     d_f = dout[:, :, :hf]
     d_b_rev = flip(dout[:, :, hf:])
     if cache.mask_fwd is not None:
         d_f = d_f * cache.mask_fwd
     if cache.mask_bwd is not None:
         d_b_rev = d_b_rev * cache.mask_bwd
-
-    dseq = np.zeros((T, B, forward_params.input_size))
-    dh = np.zeros((B, hf))
-    for t in range(T - 1, -1, -1):
-        dx, dh = gru_cell_backward(forward_params, d_f[t] + dh, cache.fwd_caches[t], grads_fwd)
-        dseq[t] += dx
-
-    dseq_rev = np.zeros_like(dseq)
-    dh = np.zeros((B, backward_params.hidden_size))
-    for t in range(T - 1, -1, -1):
-        dx, dh = gru_cell_backward(backward_params, d_b_rev[t] + dh, cache.bwd_caches[t], grads_bwd)
-        dseq_rev[t] += dx
-    dseq += flip(dseq_rev)
+    dseq = _gru_sequence_backward(forward_params, d_f, cache.fwd_caches, grads_fwd)
+    dseq += flip(_gru_sequence_backward(backward_params, d_b_rev, cache.bwd_caches, grads_bwd))
     return dseq
 
 
@@ -412,14 +389,18 @@ def network_forward(
     return y, (cache1, cache2, last, out2.shape)
 
 
-def network_backward(spec: DualBiGRUSpec, dy: np.ndarray, cache: tuple) -> ModelParams:
-    """Gradients of the loss wrt every parameter, given d(loss)/d(prediction)."""
+def network_backward(
+    spec: DualBiGRUSpec, dy: np.ndarray, cache: tuple, grads: ModelParams
+) -> ModelParams:
+    """Gradients of the loss wrt every parameter, given d(loss)/d(prediction).
+
+    Every value of ``grads`` is overwritten, so one buffer serves a whole run.
+    """
     cache1, cache2, last, out2_shape = cache
     params = spec.params
-    grads = params.zeros_like()
 
-    grads.dense_w += last.T @ dy
-    grads.dense_b += dy.sum()
+    grads.dense_w[...] = last.T @ dy
+    grads.dense_b[...] = dy.sum()
     dout2 = np.zeros(out2_shape)
     dout2[-1] = np.outer(dy, params.dense_w)
 
@@ -471,15 +452,17 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """First and second moments, laid out like ``ModelParams.flat``."""
+    """First and second moments, and two scratch buffers, laid out like ``ModelParams.flat``."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        m, v, s1, s2 = (np.zeros_like(params.flat) for _ in range(4))
+        return cls(m, v, (s1, s2))
 
 
 def effective_learning_rate(config: TrainingConfig, epoch: int) -> float:
@@ -494,18 +477,24 @@ def adam_step(
     config: TrainingConfig,
     epoch: int,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place, allocating no model-sized array.
+
+    ``params -= lr * (m/c1) / (sqrt(v/c2) + eps)``, rounded in that order.
+    """
     state.t += 1
     lr = effective_learning_rate(config, epoch)
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    g = grads.flat
-    state.m *= b1
-    state.m += (1.0 - b1) * g
-    state.v *= b2
-    state.v += (1.0 - b2) * g**2
-    params.flat -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+    g, m, v = grads.flat, state.m, state.v
+    s1, s2 = state.scratch
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s1)
+    v *= b2
+    v += np.multiply(np.square(g, out=s1), 1.0 - b2, out=s1)
+    np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
+    np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2)
+    params.flat -= np.divide(s1, s2, out=s1)
     return params, state
 
 
@@ -567,6 +556,7 @@ def train(
     dropout_rng = derive_rng(config.seed, "dropout")
     shuffle_rng = derive_rng(config.seed, "shuffle")
     state = AdamState.zeros_like(params)
+    grads = params.zeros_like()
 
     n = len(data)
     losses: list[float] = []
@@ -581,7 +571,7 @@ def train(
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
-            grads = network_backward(work, dy, cache)
+            network_backward(work, dy, cache, grads)
             adam_step(params, grads, state, config, epoch)
             sq_sum += loss * idx.size
         losses.append(sq_sum / n)

@@ -1,7 +1,8 @@
 """Independent recomputations used as oracles by the test suite.
 
-Everything here is deliberately written scalar-by-scalar, separate from
-the vectorized implementations it checks.
+Everything here is deliberately written separately from the vectorized
+implementations it checks: scalar by scalar, or step by step where the
+implementation works on a whole sequence at once.
 """
 
 import math
@@ -48,6 +49,95 @@ def forward_oracle(spec, window):
     return sum(w * h for w, h in zip(p.dense_w, last)) + float(p.dense_b)
 
 
+def sigmoid_reference(x):
+    """Two-branch sigmoid: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def gru_cell_backward(params, dh, cache, grads):
+    """Backprop one GRU step; accumulates into ``grads``, returns (dx, dh_prev)."""
+    x, h_prev, U, R, h_tilde = cache
+    n_in = params.input_size
+
+    dU = dh * (h_tilde - h_prev)
+    dh_tilde = dh * U
+    dh_prev = dh * (1.0 - U)
+
+    da_h = dh_tilde * (1.0 - h_tilde**2)
+    zc = np.concatenate([x, R * h_prev], axis=1)
+    grads.W_h += da_h.T @ zc
+    grads.b_h += da_h.sum(axis=0)
+    dzc = da_h @ params.W_h
+    dx = dzc[:, :n_in].copy()
+    dRh = dzc[:, n_in:]
+    dR = dRh * h_prev
+    dh_prev = dh_prev + dRh * R
+
+    da_U = dU * U * (1.0 - U)
+    da_R = dR * R * (1.0 - R)
+    z = np.concatenate([x, h_prev], axis=1)
+    grads.W_U += da_U.T @ z
+    grads.b_U += da_U.sum(axis=0)
+    grads.W_R += da_R.T @ z
+    grads.b_R += da_R.sum(axis=0)
+    dz = da_U @ params.W_U + da_R @ params.W_R
+    dx += dz[:, :n_in]
+    dh_prev = dh_prev + dz[:, n_in:]
+    return dx, dh_prev
+
+
+def per_step_network_backward(spec, dy, cache):
+    """Network gradient with one :func:`gru_cell_backward` call per time step."""
+    cache1, cache2, last, out2_shape = cache
+    params = spec.params
+    grads = params.zeros_like()
+
+    def direction(cell, grad, d_seq, caches):
+        dx_seq = np.zeros(d_seq.shape[:2] + (cell.input_size,))
+        dh = np.zeros(d_seq.shape[1:])
+        for t in range(d_seq.shape[0] - 1, -1, -1):
+            dx_seq[t], dh = gru_cell_backward(cell, d_seq[t] + dh, caches[t], grad)
+        return dx_seq
+
+    def block(cells, grads_pair, dout, bicache):
+        hf = cells[0].hidden_size
+        d_f, d_b_rev = dout[:, :, :hf], dout[::-1, :, hf:]
+        if bicache.mask_fwd is not None:
+            d_f = d_f * bicache.mask_fwd
+        if bicache.mask_bwd is not None:
+            d_b_rev = d_b_rev * bicache.mask_bwd
+        dseq = direction(cells[0], grads_pair[0], d_f, bicache.fwd_caches)
+        return dseq + direction(cells[1], grads_pair[1], d_b_rev, bicache.bwd_caches)[::-1]
+
+    grads.dense_w += last.T @ dy
+    grads.dense_b += dy.sum()
+    dout2 = np.zeros(out2_shape)
+    dout2[-1] = np.outer(dy, params.dense_w)
+    dout1 = block(params.cells[2:], grads.cells[2:], dout2, cache2)
+    block(params.cells[:2], grads.cells[:2], dout1, cache1)
+    return grads
+
+
+def adam_reference(params, grads, state, config, epoch):
+    """Bias-corrected Adam as five whole-array lines, allocating its temporaries."""
+    state.t += 1
+    lr = nn.effective_learning_rate(config, epoch)
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    g = grads.flat
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g**2
+    params.flat -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+
+
 def gradcheck(spec, windows, targets, rng_factory, eps=1e-5):
     """Worst relative error of analytic gradients vs central differences."""
 
@@ -57,7 +147,7 @@ def gradcheck(spec, windows, targets, rng_factory, eps=1e-5):
         return loss, dy, cache
 
     _, dy, cache = loss_of()
-    grads = dict(nn.iter_arrays(nn.network_backward(spec, dy, cache)))
+    grads = dict(nn.iter_arrays(nn.network_backward(spec, dy, cache, spec.params.zeros_like())))
     worst = 0.0
     for name, arr in nn.iter_arrays(spec.params):
         g = grads[name]

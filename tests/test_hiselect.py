@@ -163,6 +163,15 @@ class TestSpearman:
         with pytest.raises(ValueError, match="length mismatch"):
             spearman(np.arange(4.0), np.arange(5.0))
 
+    @pytest.mark.parametrize("ranked", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, ranked, bad):
+        # min(1, max(-1, nan)) is -1: a NaN must not score as a perfect anti-correlation
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman([1.0, bad, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], ranked=ranked)
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, bad, 3.0], ranked=ranked)
+
     def test_bounded(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -207,6 +216,13 @@ class TestRankHIs:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             rank_his([series(np.arange(5.0))], self.soh(10))
+
+    def test_non_finite_candidate_named(self):
+        soh = self.soh()
+        values = soh.values + 0.1
+        values[7] = np.nan
+        with pytest.raises(ValueError, match="candidate PF holds a non-finite value"):
+            rank_his([series(soh.values + 0.1, "MF"), series(values, "PF")], soh)
 
 
 class TestSelectHI:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import forward_oracle, gradcheck, scalar_cell_oracle
+import tracemalloc
+
+from oracles import (
+    adam_reference,
+    forward_oracle,
+    gradcheck,
+    per_step_network_backward,
+    scalar_cell_oracle,
+    sigmoid_reference,
+)
 
 from sohpred import neuralnet as nn
 from sohpred.seeding import derive_rng
@@ -251,7 +260,7 @@ class TestBackward:
         windows = np.random.default_rng(0).normal(size=(3, 3))
         preds, cache = nn.network_forward(spec, windows)
         _, dy = nn.mse_loss(preds, np.zeros(3))
-        grads = nn.network_backward(spec, dy, cache)
+        grads = nn.network_backward(spec, dy, cache, spec.params.zeros_like())
         for name in nn.CELL_FIELDS:
             assert np.allclose(getattr(grads.cells[3], name), 0.0)
         assert not np.allclose(grads.cells[2].W_U, 0.0)
@@ -263,13 +272,95 @@ class TestBackward:
         for _ in range(2):
             preds, cache = nn.network_forward(spec, windows)
             _, dy = nn.mse_loss(preds, np.zeros(3))
-            grads = nn.network_backward(spec, dy, cache)
+            grads = nn.network_backward(spec, dy, cache, spec.params.zeros_like())
             outs.append({k: v.copy() for k, v in nn.iter_arrays(grads)})
         for key in outs[0]:
             assert np.array_equal(outs[0][key], outs[1][key])
 
 
+class TestSequenceBackward:
+    """The sequence-level backward against one oracle cell step per time step."""
+
+    @pytest.mark.parametrize("units", [(2, 1, 2, 1), (3, 3, 3, 3)])
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_matches_per_step_reference(self, units, steps, batch, dropout):
+        spec = built_spec(units=units, window=steps, dropouts=(dropout,) * 4, seed=steps + batch)
+        rng = np.random.default_rng(batch)
+        preds, cache = nn.network_forward(
+            spec, rng.normal(size=(batch, steps)), "train", derive_rng(3, "mask")
+        )
+        _, dy = nn.mse_loss(preds, rng.normal(size=batch))
+        ours = dict(nn.iter_arrays(nn.network_backward(spec, dy, cache, spec.params.zeros_like())))
+        for name, ref in nn.iter_arrays(per_step_network_backward(spec, dy, cache)):
+            assert np.max(np.abs(ours[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_dirty_buffer_fully_overwritten(self):
+        spec = built_spec(units=(3, 2, 4, 3), window=4, dropouts=(0.25,) * 4)
+        rng = np.random.default_rng(5)
+        batches = [rng.normal(size=(b, 4)) for b in (3, 1, 3)]
+
+        def backward(windows, grads):
+            preds, cache = nn.network_forward(spec, windows, "train", derive_rng(1, "mask"))
+            _, dy = nn.mse_loss(preds, np.zeros(len(windows)))
+            return nn.network_backward(spec, dy, cache, grads)
+
+        fresh = backward(batches[2], spec.params.zeros_like()).flat.copy()
+        reused = spec.params.zeros_like()
+        reused.flat[:] = np.nan
+        for windows in batches:
+            backward(windows, reused)
+        assert np.array_equal(reused.flat, fresh)
+
+
+class TestSigmoid:
+    SPECIALS = [0.0, -0.0, 1e-310, -1e-310, 36.0, -36.0, 745.0, -745.0,
+                1000.0, -1000.0, np.inf, -np.inf, np.nan]
+
+    def test_bit_identical_to_two_branch_form(self):
+        x = np.concatenate(
+            [self.SPECIALS, 50.0 * np.random.default_rng(0).normal(size=100_000)]
+        )
+        assert np.array_equal(nn.sigmoid(x), sigmoid_reference(x), equal_nan=True)
+
+    def test_no_overflow(self):
+        with np.errstate(over="raise"):
+            out = nn.sigmoid(np.array(self.SPECIALS).reshape(1, -1))
+        assert out.shape == (1, len(self.SPECIALS))
+
+
 class TestAdam:
+    def test_bit_identical_to_five_line_formula(self):
+        params = built_spec(units=(3, 2, 4, 3), window=3).params
+        ref = nn.ModelParams.from_flat(params.gru_units, params.flat.copy())
+        state, ref_state = nn.AdamState.zeros_like(params), nn.AdamState.zeros_like(ref)
+        grads = params.zeros_like()
+        config = nn.TrainingConfig(50, 0.01, 25, 0.1)  # the learning rate drops at epoch 25
+        rng = np.random.default_rng(6)
+        for epoch in range(50):
+            grads.flat[:] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grads.flat.size)
+            nn.adam_step(params, grads, state, config, epoch)
+            adam_reference(ref, grads, ref_state, config, epoch)
+            assert np.array_equal(params.flat, ref.flat)
+            assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
+        assert state.t == ref_state.t == 50
+
+    def test_step_allocates_no_model_sized_array(self):
+        params = built_spec(units=(8, 8, 8, 8), window=3).params
+        grads = params.zeros_like()
+        grads.flat[:] = np.random.default_rng(1).normal(size=grads.flat.size)
+        state = nn.AdamState.zeros_like(params)
+        config = nn.TrainingConfig(10, 0.01, 10)
+        nn.adam_step(params, grads, state, config, epoch=0)
+        tracemalloc.start()
+        try:
+            nn.adam_step(params, grads, state, config, epoch=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes
+
     def test_zero_gradient_keeps_params(self):
         spec = built_spec(units=(2, 2, 2, 2), window=3)
         params = spec.params
