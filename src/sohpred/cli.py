@@ -269,7 +269,7 @@ def _experiment_config(cfg: dict, args, network_mode: str) -> pipeline.Experimen
         window_length=window,
         ssa=ssa_cfg,
         search_space=space,
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", 1),  # train never searches, so it has no --jobs
     )
 
 
@@ -461,8 +461,10 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
         _write_table(
             out_dir / "ssa_history.csv",
             h,
-            ["iteration", "best_fitness"] + [f"pos{i}" for i in range(len(first.search_history[0].best_position))],
-            [[r.iteration, r.best_fitness, *[float(v) for v in r.best_position]]
+            ["iteration", "best_fitness", "evaluations", "failures"]
+            + [f"pos{i}" for i in range(len(first.search_history[0].best_position))],
+            [[r.iteration, r.best_fitness, r.evaluations, r.failures,
+              *[float(v) for v in r.best_position]]
              for r in first.search_history],
         )
         model = first.predictor.model
@@ -590,7 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML run configuration")
         p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
         p.add_argument("--out", help="output directory (default: runs/<cmd>-<manifest hash>)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel fitness evaluations")
+
+    def jobs(p):
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the search's fitness evaluations (default 1)")
 
     p = sub.add_parser("synth", help="write a synthetic dataset")
     common(p)
@@ -610,6 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hpo", help="sparrow-search tuning, then final training", epilog=SEARCH_BOUNDS_HELP)
     common(p)
     p.add_argument("--hi-table", help="indicator table from the extract step")
+    jobs(p)
     p.set_defaults(func=cmd_hpo)
 
     p = sub.add_parser("predict", help="load a model and predict an indicator table")
@@ -622,6 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fleet", help="train on one vehicle, predict the rest")
     common(p)
     p.add_argument("--dataset", help="directory of fleet_*.csv files")
+    jobs(p)
     p.set_defaults(func=cmd_fleet)
     return parser
 
@@ -631,7 +638,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ingest.ParseError, ValueError, FileNotFoundError, DivergenceError) as exc:
+    except (
+        ConfigError, ingest.ParseError, ValueError, FileNotFoundError, DivergenceError,
+        ssa.WorkerLostError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -171,6 +171,8 @@ class ExperimentConfig:
                 raise ValueError("'ssa-tuned' requires an SSAConfig attachment")
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def resolved_window(self) -> int:
         if isinstance(self.network, DualBiGRUSpec):

@@ -10,8 +10,8 @@ the network/training hyperparameters searched here.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -121,27 +121,73 @@ class IterationRecord:
     iteration: int
     best_fitness: float
     best_position: np.ndarray
+    evaluations: int  # candidates scored in this iteration
+    failures: int  # of those, how many were scored WORST_FITNESS
+
+
+class WorkerLostError(RuntimeError):
+    """A worker process of a parallel search died before returning a score."""
+
+
+def _score(fitness: Callable[[np.ndarray], float], space: SearchSpace, row: np.ndarray) -> float:
+    """One candidate's fitness; a failure or a non-finite value gets the sentinel."""
+    try:
+        value = float(fitness(space.quantize(row)))
+    except Exception:
+        return WORST_FITNESS
+    return value if np.isfinite(value) else WORST_FITNESS
+
+
+_worker_task = None  # (fitness, space), set by _init_worker in each forked worker
+
+
+def _init_worker(fitness: Callable[[np.ndarray], float], space: SearchSpace) -> None:
+    global _worker_task
+    _worker_task = (fitness, space)
+
+
+def _score_in_worker(row: np.ndarray) -> float:
+    return _score(*_worker_task, row)
+
+
+def _fork_pool(fitness: Callable[[np.ndarray], float], space: SearchSpace, workers: int):
+    """A process pool whose forked workers inherit ``fitness`` and ``space``.
+
+    Only position rows go out and floats come back, so the fitness need not
+    pickle, and no worker re-imports NumPy as ``spawn`` would.  ``fork``
+    needs a caller that runs no threads of its own: the pool starts every
+    worker on the first ``map``, before its management thread, and OpenBLAS
+    stops and restarts its threads around a fork.  The imports stay here:
+    a serial run never pays for them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fitness, space),
+    )
 
 
 def _evaluate(
     fitness: Callable[[np.ndarray], float],
     positions: np.ndarray,
     space: SearchSpace,
-    jobs: int = 1,
+    pool=None,
 ) -> np.ndarray:
-    """Evaluate every row; failures and non-finite values get the sentinel."""
+    """Score every row in row order, here or on ``pool`` (from :func:`_fork_pool`)."""
+    if pool is None:
+        return np.array([_score(fitness, space, row) for row in positions])
+    from concurrent.futures.process import BrokenProcessPool
 
-    def one(row: np.ndarray) -> float:
-        try:
-            value = float(fitness(space.quantize(row)))
-        except Exception:
-            return WORST_FITNESS
-        return value if np.isfinite(value) else WORST_FITNESS
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return np.array(list(pool.map(one, positions)))
-    return np.array([one(row) for row in positions])
+    try:
+        return np.array(list(pool.map(_score_in_worker, positions)))
+    except BrokenProcessPool as exc:
+        raise WorkerLostError(
+            "the search lost a worker process before it returned a score"
+        ) from exc
 
 
 def initialize_population(
@@ -149,7 +195,7 @@ def initialize_population(
     config: SSAConfig,
     fitness: Callable[[np.ndarray], float],
     rng: np.random.Generator,
-    jobs: int = 1,
+    pool=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform start (integers by rounded uniform), evaluated and sorted."""
     positions = rng.uniform(
@@ -158,7 +204,7 @@ def initialize_population(
     for j, dim in enumerate(space.dims):
         if dim.kind == "integer":
             positions[:, j] = np.rint(positions[:, j])
-    fitnesses = _evaluate(fitness, positions, space, jobs)
+    fitnesses = _evaluate(fitness, positions, space, pool)
     order = np.argsort(fitnesses, kind="stable")
     return positions[order], fitnesses[order]
 
@@ -259,29 +305,44 @@ def optimize(
     """Run the full loop; returns (best position, best fitness, history).
 
     The best position is reported quantized (how it was evaluated).  The
-    best-fitness history is monotone non-increasing by construction.
+    best-fitness history is monotone non-increasing by construction.  With
+    ``jobs > 1`` the candidates of every iteration are scored on one pool
+    of forked worker processes; the results are the same as with
+    ``jobs == 1``, provided the fitness is a pure function of the position.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     rng = derive_rng(config.seed, "ssa")
-    positions, fitnesses = initialize_population(space, config, fitness, rng, jobs)
-    best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
-    history = [IterationRecord(0, best.fitness, best.position.copy())]
 
-    for t in range(config.max_iter):
-        moved = positions.copy()
-        moved[: config.n_producers] = update_producers(positions, config, space, rng)
-        moved[config.n_producers :] = update_scroungers(
-            positions, moved[0], config, space, rng
-        )
-        worst = Sparrow(positions[-1].copy(), float(fitnesses[-1]))
-        moved, _ = update_warners(moved, fitnesses, best, worst, config, space, rng)
+    def record(t: int, best: Sparrow, fitnesses: np.ndarray) -> IterationRecord:
+        failures = int(np.count_nonzero(fitnesses == WORST_FITNESS))
+        return IterationRecord(t, best.fitness, best.position.copy(), fitnesses.size, failures)
 
-        fitnesses = _evaluate(fitness, moved, space, jobs)
-        order = np.argsort(fitnesses, kind="stable")
-        positions = moved[order]
-        fitnesses = fitnesses[order]
-        if fitnesses[0] < best.fitness:
-            best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
-        history.append(IterationRecord(t + 1, best.fitness, best.position.copy()))
+    with (
+        _fork_pool(fitness, space, min(jobs, config.pop_size))
+        if jobs > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        positions, fitnesses = initialize_population(space, config, fitness, rng, pool)
+        best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
+        history = [record(0, best, fitnesses)]
+
+        for t in range(config.max_iter):
+            moved = positions.copy()
+            moved[: config.n_producers] = update_producers(positions, config, space, rng)
+            moved[config.n_producers :] = update_scroungers(
+                positions, moved[0], config, space, rng
+            )
+            worst = Sparrow(positions[-1].copy(), float(fitnesses[-1]))
+            moved, _ = update_warners(moved, fitnesses, best, worst, config, space, rng)
+
+            fitnesses = _evaluate(fitness, moved, space, pool)
+            order = np.argsort(fitnesses, kind="stable")
+            positions = moved[order]
+            fitnesses = fitnesses[order]
+            if fitnesses[0] < best.fitness:
+                best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
+            history.append(record(t + 1, best, fitnesses))
     return best.position.copy(), best.fitness, history
 
 

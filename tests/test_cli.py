@@ -1,3 +1,4 @@
+import filecmp
 import json
 import os
 import subprocess
@@ -41,8 +42,9 @@ def tiny_config(tmp_path):
     return path
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    """SciPy is a test oracle only: importing the CLI must not load any of it."""
+@pytest.fixture(scope="module")
+def cli_import_modules(tmp_path_factory):
+    """The modules a fresh ``import sohpred.cli`` loads, from the checked-out ``src``."""
     src = Path(sohpred.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -51,15 +53,40 @@ def test_cli_import_loads_no_scipy(tmp_path):
     probe = (
         "import sys, sohpred.cli; "
         "print(sohpred.cli.__file__); "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(*sorted(sys.modules))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], cwd=tmp_path, env=env,
+        [sys.executable, "-c", probe], cwd=tmp_path_factory.mktemp("import"), env=env,
         capture_output=True, text=True, timeout=120, check=True,
     )
-    loaded_from, scipy_modules = done.stdout.splitlines()
+    loaded_from, modules = done.stdout.splitlines()
     assert Path(loaded_from).resolve().parents[1] == src
-    assert scipy_modules == ""
+    return modules.split()
+
+
+def test_cli_import_loads_no_scipy(cli_import_modules):
+    """SciPy is a test oracle only: importing the CLI must not load any of it."""
+    assert [m for m in cli_import_modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_process_pool(cli_import_modules):
+    """Only a search with ``--jobs`` above 1 pays for the process-pool imports."""
+    assert "concurrent.futures.process" not in cli_import_modules
+    assert [m for m in cli_import_modules if m.split(".")[0] == "multiprocessing"] == []
+
+
+@pytest.mark.parametrize("command", ["synth", "extract", "train", "predict"])
+def test_jobs_offered_only_where_a_search_runs(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        required = ["--model", "m.bin"] if command == "predict" else []
+        cli.build_parser().parse_args([command, *required, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hpo", "fleet"])
+def test_jobs_accepted_by_search_commands(command):
+    assert cli.build_parser().parse_args([command, "--jobs", "2"]).jobs == 2
 
 
 def chain_synth_extract(tmp_path, tiny_config):
@@ -237,8 +264,48 @@ class TestHpo:
         assert all(6 <= u <= 24 for u in units)
         assert 10 <= best["experiment"]["training"]["max_epochs"] <= 20
         history = (out / "ssa_history.csv").read_text().splitlines()
-        assert history[1].startswith("iteration,best_fitness")
+        assert history[1].startswith("iteration,best_fitness,evaluations,failures,pos0")
         assert len(history) == 2 + 2 + 1  # comment+header, init record, 2 iterations
+        assert [line.split(",")[2:4] for line in history[2:]] == [["3", "0"]] * 3
+
+    def test_jobs_do_not_change_any_output_file(self, tmp_path, tiny_config):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        outs = {}
+        for jobs in (1, 2):
+            outs[jobs] = tmp_path / f"hpo-jobs{jobs}"
+            assert run_cli("hpo", "--config", tiny_config, "--hi-table", ext / "hi_top.csv",
+                           "--jobs", jobs, "--out", outs[jobs]) == 0
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert sorted(p.name for p in outs[2].iterdir()) == names
+        for name in ("report.csv", "summary.csv", "ssa_history.csv", "model.bin",
+                     "scaler.yaml", "best_config.yaml", "manifest.json"):
+            assert name in names
+        match, mismatch, errors = filecmp.cmpfiles(outs[1], outs[2], names, shallow=False)
+        assert (mismatch, errors) == ([], [])
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, tiny_config, jobs, capsys):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        code = run_cli("hpo", "--config", tiny_config, "--hi-table", ext / "hi_top.csv",
+                       "--jobs", jobs, "--out", tmp_path / "hpo")
+        assert code == 1
+        assert f"error: jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+    def test_lost_worker_is_an_error(self, tmp_path, tiny_config, capsys, monkeypatch):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        parent = os.getpid()
+        real_train = pipeline.train
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", dies_in_workers)
+        code = run_cli("hpo", "--config", tiny_config, "--hi-table", ext / "hi_top.csv",
+                       "--jobs", "2", "--out", tmp_path / "hpo")
+        assert code == 1
+        assert "error: the search lost a worker process" in capsys.readouterr().err
 
 
 class TestFleetCommand:

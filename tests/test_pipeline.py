@@ -398,6 +398,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="SSAConfig"):
             ExperimentConfig(split=SplitSpec.fraction(0.25), network="ssa-tuned")
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            ExperimentConfig(split=SplitSpec.fraction(0.25), jobs=jobs)
+
     def test_fingerprint_stable_and_sensitive(self):
         a = ExperimentConfig(split=SplitSpec.fraction(0.25), network=small_net(), training=small_training())
         b = ExperimentConfig(split=SplitSpec.fraction(0.25), network=small_net(), training=small_training())

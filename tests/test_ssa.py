@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +30,20 @@ def box(ndim=3, lo=-5.0, hi=5.0):
 
 def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
+
+
+def odd_first_raises(x):
+    """Fails wherever the integer first coordinate is odd."""
+    if int(x[0]) % 2:
+        raise RuntimeError("odd first coordinate")
+    return sphere(x)
+
+
+def exits_on_positive_first(x):
+    """Kills the process it runs in wherever the first coordinate is positive."""
+    if x[0] > 0:
+        os._exit(3)
+    return sphere(x)
 
 
 class StubRng:
@@ -269,6 +284,38 @@ class TestOptimize:
         threaded = optimize(space, config, sphere, jobs=2)
         assert np.array_equal(serial[0], threaded[0])
         assert serial[1] == threaded[1]
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            optimize(box(2), SSAConfig(pop_size=4, max_iter=1, seed=0), sphere, jobs=jobs)
+
+    def test_evaluations_and_failures_counted_alike_in_workers(self):
+        space = SearchSpace(dims=(Dimension(0, 9, "integer"), Dimension(-2.0, 2.0)))
+        config = SSAConfig(pop_size=6, max_iter=5, seed=3)
+        raised = []
+
+        def recording(x):
+            try:
+                return odd_first_raises(x)
+            except RuntimeError:
+                raised.append(x.copy())
+                raise
+
+        serial = optimize(space, config, recording, jobs=1)
+        forked = optimize(space, config, odd_first_raises, jobs=2)
+        assert [r.evaluations for r in serial[2]] == [6] * 6
+        assert sum(r.failures for r in serial[2]) == len(raised) > 0
+        assert [(r.evaluations, r.failures) for r in forked[2]] == [
+            (r.evaluations, r.failures) for r in serial[2]
+        ]
+        assert np.array_equal(serial[0], forked[0]) and serial[1] == forked[1]
+        assert int(serial[0][0]) % 2 == 0
+
+    def test_lost_worker_is_an_error(self):
+        config = SSAConfig(pop_size=6, max_iter=3, seed=1)
+        with pytest.raises(ssa.WorkerLostError, match="lost a worker process"):
+            optimize(box(2), config, exits_on_positive_first, jobs=2)
 
 
 class TestHyperparameterCoding:
