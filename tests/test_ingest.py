@@ -414,3 +414,51 @@ class TestParserErrorsNamePlace:
         path = write(tmp_path, "huge_header.csv", "x" * 200_000 + "\n")
         with pytest.raises(ingest.ParseError, match=f"^{path}:1: field larger"):
             ingest.parse_fleet_file(path)
+
+
+def segment_columns(seg):
+    """The per-sample columns of a segment, as arrays."""
+    return {
+        name: np.array([getattr(s, name) for s in seg.samples])
+        for name in ("time", "current", "voltage", "soc")
+    }
+
+
+class TestIsoTimestamps:
+    """ISO-8601 stamps give the segments and months of the same instants as epoch seconds."""
+
+    UTC = timezone.utc
+    PLUS2 = timezone(timedelta(hours=2))
+
+    def instants(self):
+        # three charging events in each of two months, well inside both months in UTC and +02:00
+        starts = [datetime(2021, m, d, 10, tzinfo=self.UTC) for m in (3, 4) for d in (5, 12, 19)]
+        return [s.timestamp() + 8.5 * i for s in starts for i in range(40)]
+
+    def text(self, stamp):
+        lines = ["timestamp,current_a,voltage_v,soc"]
+        for k, t in enumerate(self.instants()):
+            i = k % 40
+            lines.append(f"{stamp(t)},-70.0,{350.0 + i},{20.0 + 1.5 * i}")
+        return "\n".join(lines) + "\n"
+
+    def parse(self, tmp_path, name, stamp):
+        return ingest.parse_fleet_file(write(tmp_path, name, self.text(stamp)), source_id="v")
+
+    @pytest.mark.parametrize("form, tz", [
+        (lambda d: d.isoformat().replace("+00:00", "Z"), UTC),
+        (lambda d: d.astimezone(timezone(timedelta(hours=2))).isoformat(), PLUS2),
+        (lambda d: d.replace(tzinfo=None).isoformat(), UTC),
+    ], ids=["zulu", "offset", "naive"])
+    def test_same_segments_and_months_as_epoch_seconds(self, tmp_path, form, tz):
+        epoch = self.parse(tmp_path, "epoch.csv", repr)
+        iso = self.parse(tmp_path, "iso.csv", lambda t: form(datetime.fromtimestamp(t, self.UTC)))
+        assert len(iso) == len(epoch) == 6
+        for a, b in zip(iso, epoch):
+            assert a.start_timestamp == b.start_timestamp
+            assert a.start_timestamp.utcoffset() == tz.utcoffset(None)
+            for name, column in segment_columns(a).items():
+                assert column.tobytes() == segment_columns(b)[name].tobytes(), name
+        assert ingest.monthly_aggregate(iso) == ingest.monthly_aggregate(epoch)
+        records, _ = ingest.monthly_aggregate(iso)
+        assert [r.month for r in records] == [0, 1]
