@@ -528,6 +528,9 @@ def cmd_fleet(args) -> int:
     if not files:
         raise ConfigError(f"no fleet_*.csv files under {data_dir}")
     fleet_cfg = cfg.get("fleet", {})
+    stat = fleet_cfg.get("stat", "median")
+    if stat not in ("median", "mean"):
+        raise ConfigError(f"fleet.stat must be 'median' or 'mean', got {stat!r}")
     schema = _fleet_schema(cfg)
 
     vehicle_soh: dict[str, ingest.SOHSeries] = {}
@@ -535,11 +538,8 @@ def cmd_fleet(args) -> int:
     for path in files:
         vid = path.stem.removeprefix("fleet_")
         segments = ingest.parse_fleet_file(path, schema, source_id=vid)
-        records, _ = ingest.monthly_aggregate(segments, stat=fleet_cfg.get("stat", "median"))
-        caps = [
-            r.median_capacity if fleet_cfg.get("stat", "median") == "median" else r.mean_capacity
-            for r in records
-        ]
+        records, _ = ingest.monthly_aggregate(segments)
+        caps = [r.median_capacity if stat == "median" else r.mean_capacity for r in records]
         vehicle_soh[vid] = ingest.compute_soh(
             caps, denominator="max", index=[r.month for r in records]
         )

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,36 +61,49 @@ class FleetSchema:
     gap_threshold_s: float = GAP_THRESHOLD_S
 
 
-@dataclass(frozen=True)
-class ChargeSample:
-    """One telemetry sample inside a charging event."""
-
-    time: float  # seconds since segment start
-    current: float  # amperes, negative while charging
-    voltage: float
-    soc: float  # fraction in [0, 1]
-    temperature: float | None = None
+SEGMENT_COLUMNS = ("time", "current", "voltage", "soc", "temperature")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeSegment:
-    """One contiguous charging event from a single source."""
+    """One contiguous charging event from a single source, one read-only array per column."""
 
     source_id: str
     start_timestamp: datetime
-    samples: tuple[ChargeSample, ...]
+    time: np.ndarray  # seconds since segment start
+    current: np.ndarray  # amperes, negative while charging
+    voltage: np.ndarray
+    soc: np.ndarray  # fraction in [0, 1]
+    temperature: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.samples) < 2:
+        n = np.size(self.time)
+        for name in SEGMENT_COLUMNS:
+            column = getattr(self, name)
+            if column is None:
+                continue
+            view = np.asarray(column, dtype=float).view()  # the caller's array stays writable
+            if view.shape != (n,):
+                raise ValueError(f"segment column {name} must be 1-D with {n} samples")
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if n < 2:
             raise ValueError("charge segment needs at least 2 samples")
-        times = [s.time for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff(self.time) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        socs = [s.soc for s in self.samples]
-        if any(not 0.0 <= s <= 1.0 for s in socs):
+        if not np.all((self.soc >= 0.0) & (self.soc <= 1.0)):
             raise ValueError("soc out of [0, 1]")
-        if any(b < a for a, b in zip(socs, socs[1:])):
+        if np.any(np.diff(self.soc) < 0):
             raise ValueError("soc must be non-decreasing after cleaning")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChargeSegment):
+            return NotImplemented
+        return (
+            self.source_id == other.source_id
+            and self.start_timestamp == other.start_timestamp
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in SEGMENT_COLUMNS)
+        )
 
 
 @dataclass(frozen=True)
@@ -137,32 +150,125 @@ class FleetMonthlyRecord:
     mean_capacity: float
 
 
-def _open_rows(path: Path | str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Header, then the data rows streamed with their 1-based line numbers.
+@dataclass(frozen=True)
+class _Columns:
+    """The mapped columns of a file's data rows, each converted to float64 once.
 
-    Rows with nothing but whitespace are skipped.
+    Column ``j`` of ``values`` holds the field at header position ``cols[j]``.
+    A field that is missing or is not a number reads NaN in ``values`` and
+    False in ``parsed``; ``blank`` marks the empty ones.  ``lineno`` is each
+    row's 1-based line in the file and ``fields(i)`` gives row ``i`` as split,
+    so that an error can name the line and quote the field.  ``error`` is a
+    ``csv`` failure that ended the rows early: it is raised once the rows
+    before it have passed their checks, as a streaming reader would.
+    """
+
+    path: Path
+    cols: list[int]
+    values: np.ndarray
+    parsed: np.ndarray
+    blank: np.ndarray
+    lineno: np.ndarray
+    fields: Callable[[int], list[str]]
+    error: ParseError | None = None
+
+    def check_rows(self, bad: np.ndarray, convert: Callable[[list[str]], object]) -> None:
+        """Raise for the first row flagged ``bad``, with the error ``convert`` gives on it.
+
+        ``convert`` is the field-by-field conversion of one row, so the
+        message names the first bad field exactly as a row-at-a-time reader
+        would; then the pending ``csv`` error, if any, is raised.
+        """
+        flagged = np.flatnonzero(bad)
+        if flagged.size:
+            i = flagged[0]
+            try:
+                convert(self.fields(i))
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"{self.path}:{self.lineno[i]}: bad row: {exc}") from exc
+            raise ParseError(f"{self.path}:{self.lineno[i]}: bad row")
+        if self.error is not None:
+            raise self.error
+
+
+def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -> _Columns:
+    """Read a delimited file and convert the fields of the columns ``resolve`` picks.
+
+    The delimiter is a tab if the first non-blank line holds one, else a
+    comma; the header is the first row with anything but whitespace and
+    delimiters in it, and later rows like that are skipped too.
+    ``resolve(header)`` returns the header positions to convert, or raises.
+
+    ``np.loadtxt`` converts the rows in bulk when plain splitting is what
+    ``csv`` would do: no quotes and no line over the field-size limit.  Its
+    number parser accepts the same strings as ``float`` and gives the same
+    value, and it skips empty lines as ``csv`` does.  When it refuses the
+    file (a short or blank row, a field that is not a number), the rows are
+    split with ``csv`` and converted one field at a time, which is what
+    finds and names the bad line.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: unreadable file: {exc}") from exc
+    lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")
-    reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        try:
-            for row in reader:
-                if "".join(row).strip():
-                    yield reader.line_num, row
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-
-    numbered = rows()
-    _, header = next(numbered, (0, None))
+    delimiter = "\t" if "\t" in first else ","
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        header = next((row for row in reader if "".join(row).strip()), None)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if header is None:
         raise ParseError(f"{path}: empty file")
-    return [h.strip() for h in header], numbered
+    cols = resolve([h.strip() for h in header])
+    start = reader.line_num
+    body = lines[start:]
+
+    if any(body) and '"' not in text and max(map(len, body)) <= csv.field_size_limit():
+        try:
+            values = np.loadtxt(
+                body, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2
+            )
+        except ValueError:
+            values = None
+        kept = np.arange(len(body))
+        if values is not None and len(values) != len(body):
+            kept = np.flatnonzero([ln != "" for ln in body])
+        if values is not None and len(values) == len(kept):
+            full = np.ones(values.shape, dtype=bool)
+            return _Columns(
+                path, cols, values, full, ~full, start + 1 + kept,
+                lambda i: body[kept[i]].split(delimiter),
+            )
+
+    rows: list[list[str]] = []
+    lineno: list[int] = []
+    error = None
+    reader = csv.reader(body, delimiter=delimiter)
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                lineno.append(start + reader.line_num)
+    except csv.Error as exc:
+        error = ParseError(f"{path}:{start + reader.line_num}: {exc}")
+    values = np.full((len(rows), len(cols)), np.nan)
+    parsed = np.zeros(values.shape, dtype=bool)
+    blank = np.zeros(values.shape, dtype=bool)
+    for i, row in enumerate(rows):
+        for j, c in enumerate(cols):
+            if c < len(row):
+                blank[i, j] = row[c] == ""
+                try:
+                    values[i, j] = float(row[c])
+                    parsed[i, j] = True
+                except ValueError:
+                    pass
+    return _Columns(
+        path, cols, values, parsed, blank, np.array(lineno, dtype=int), rows.__getitem__, error
+    )
 
 
 def _finite(raw: str) -> float:
@@ -193,64 +299,90 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_DATETIME_SECONDS = (-62_135_596_800, 253_402_300_799)  # years 1 and 9999, whole seconds
+
+
+def _epoch_microseconds(seconds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds as int64 microseconds, rounded as ``datetime.fromtimestamp`` rounds.
+
+    The fraction of ``modf`` is rounded half to even and carried into the
+    whole seconds.  Also returns where the result is a valid ``datetime``;
+    elsewhere (NaN, infinite or out of range) it reads 0.
+    """
+    frac, whole = np.modf(seconds)
+    micro = np.rint(frac * 1e6)
+    carry = (micro >= 1e6).astype(float) - (micro < 0)
+    micro -= carry * 1e6
+    whole += carry
+    ok = (whole >= _DATETIME_SECONDS[0]) & (whole <= _DATETIME_SECONDS[1])
+    whole, micro = (np.where(ok, x, 0).astype(np.int64) for x in (whole, micro))
+    return whole * 1_000_000 + micro, ok
+
+
 def parse_cycle_file(
     path: Path | str, schema: CycleSchema = CycleSchema()
 ) -> tuple[list[CycleRecord], int]:
     """Parse a per-cycle charge file.
 
     Returns the records sorted by cycle index together with the count of
-    rows dropped for violating the voltage window.
+    rows dropped for violating the voltage window.  Within a cycle, rows are
+    ordered by time, equal times keeping their file order.
     """
-    header, rows = _open_rows(path)
-    i_cycle = _column(header, schema.cycle, path)
-    i_time = _column(header, schema.time, path)
-    i_volt = _column(header, schema.voltage, path)
-    if schema.charge is not None:
-        i_q = _column(header, schema.charge, path)
-        i_cur = None
-    elif schema.current is not None:
-        i_cur = _column(header, schema.current, path)
-        i_q = None
-    else:
-        raise ParseError(f"{path}: schema maps neither charge nor current")
-    i_cap = _column(header, schema.capacity, path) if schema.capacity in header else None
+
+    def resolve(header: list[str]) -> list[int]:
+        names = [schema.cycle, schema.time, schema.voltage]
+        cols = [_column(header, name, path) for name in names]
+        if schema.charge is None and schema.current is None:
+            raise ParseError(f"{path}: schema maps neither charge nor current")
+        charge = schema.charge if schema.charge is not None else schema.current
+        cols.append(_column(header, charge, path))
+        if schema.capacity in header:
+            cols.append(_column(header, schema.capacity, path))
+        return cols
+
+    table = _read_columns(path, resolve)
+    cols = table.cols
+    volt = table.values[:, 2]
+    finite = np.isfinite(table.values)
 
     lo, hi = schema.voltage_window
-    dropped = 0
-    by_cycle: dict[int, list[tuple[float, float, float, float | None]]] = {}
-    for lineno, row in rows:
-        try:
-            cyc = int(_finite(row[i_cycle]))
-            t = _finite(row[i_time])
-            v = float(row[i_volt])
-            if not lo <= v <= hi:  # NaN falls outside the window too
-                dropped += 1
-                continue
-            q = _finite(row[i_q if i_q is not None else i_cur])  # current is integrated below
-            cap = _finite(row[i_cap]) if i_cap is not None and row[i_cap] != "" else None
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
-        by_cycle.setdefault(cyc, []).append((t, v, q, cap))
+    in_window = (lo <= volt) & (volt <= hi)  # NaN falls outside the window too
+    kept_bad = ~finite[:, 3]
+    if len(cols) == 5:  # an empty capacity field means "not measured"
+        kept_bad |= ~finite[:, 4] & ~table.blank[:, 4]
+    bad = ~finite[:, 0] | ~finite[:, 1] | ~table.parsed[:, 2] | (in_window & kept_bad)
 
+    def convert(row: list[str]) -> None:
+        _finite(row[cols[0]])
+        _finite(row[cols[1]])
+        if lo <= float(row[cols[2]]) <= hi:
+            _finite(row[cols[3]])
+            if len(cols) == 5 and row[cols[4]] != "":
+                _finite(row[cols[4]])
+
+    table.check_rows(bad, convert)
+    dropped = int(np.count_nonzero(~in_window))
+
+    rows = table.values[in_window]
+    key = np.trunc(rows[:, 0])  # the cycle number int() gives
+    order = np.lexsort((rows[:, 1], key))  # stable: equal times keep their file order
+    rows, key = rows[order], key[order]
+    edges = np.flatnonzero(np.diff(key, prepend=np.nan, append=np.nan) != 0)
+    measured = ~np.isnan(rows[:, 4]) if len(cols) == 5 else np.zeros(len(rows), dtype=bool)
     records = []
-    for cyc in sorted(by_cycle):
-        pts = sorted(by_cycle[cyc], key=lambda p: p[0])
-        t = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
-        if i_q is not None:
-            q = np.array([p[2] for p in pts])
-        else:
-            cur = np.array([p[2] for p in pts])
-            dt = np.diff(t, prepend=t[0])
-            q = np.cumsum(-cur * dt) / 3600.0
-        caps = [p[3] for p in pts if p[3] is not None]
-        capacity = caps[0] if caps else float(q[-1] - q[0])
-        if len(t) < 2:
+    for a, b in zip(edges[:-1], edges[1:]):
+        t, v, q = rows[a:b, 1], rows[a:b, 2], rows[a:b, 3]
+        if schema.charge is None:  # integrate the current
+            q = np.cumsum(-q * np.diff(t, prepend=t[0])) / 3600.0
+        caps = np.flatnonzero(measured[a:b])
+        capacity = float(rows[a + caps[0], 4]) if caps.size else float(q[-1] - q[0])
+        if b - a < 2:
             continue
         try:
-            records.append(CycleRecord(cyc, np.column_stack([t, v, q]), capacity))
+            records.append(CycleRecord(int(key[a]), np.column_stack([t, v, q]), capacity))
         except ValueError as exc:
-            raise ParseError(f"{path}: cycle {cyc}: {exc}") from None
+            raise ParseError(f"{path}: cycle {int(key[a])}: {exc}") from None
     if not records:
         raise ParseError(f"{path}: zero usable rows")
     return records, dropped
@@ -261,86 +393,100 @@ def parse_fleet_file(
 ) -> list[ChargeSegment]:
     """Parse a fleet charging log into charging segments.
 
-    Samples are split into segments wherever the time gap exceeds the
-    schema threshold.  Within a segment, samples whose SOC dips below the
-    running maximum are dropped as sensor jitter, and a sample that repeats
-    the previous one exactly (timestamp and values) is dropped as a logging
-    duplicate; a repeated timestamp with other values is a ``ParseError``.
-    SOC values logged in percent are converted to fractions.
+    Samples are ordered by time (equal times keep their file order) and split
+    into segments wherever the time gap exceeds the schema threshold.
+    Within a segment, samples whose SOC dips below the running maximum are
+    dropped as sensor jitter, and a sample that repeats the previous one
+    exactly (timestamp and values) is dropped as a logging duplicate; a
+    repeated timestamp with other values is a ``ParseError``.  Timestamps
+    are epoch seconds or ISO-8601 (UTC when no offset is written); SOC
+    values logged in percent are converted to fractions.
     """
-    header, rows = _open_rows(path)
-    i_ts = _column(header, schema.timestamp, path)
-    i_cur = _column(header, schema.current, path)
-    i_volt = _column(header, schema.voltage, path)
-    i_soc = _column(header, schema.soc, path)
-    i_temp = (
-        _column(header, schema.temperature, path)
-        if schema.temperature in header
-        else None
-    )
+
+    def resolve(header: list[str]) -> list[int]:
+        names = [schema.timestamp, schema.current, schema.voltage, schema.soc]
+        if schema.temperature in header:
+            names.append(schema.temperature)
+        return [_column(header, name, path) for name in names]
+
+    table = _read_columns(path, resolve)
+    cols = table.cols
     source = source_id if source_id is not None else Path(path).stem
 
-    parsed: list[tuple[datetime, float, float, float, float | None, int]] = []
-    for lineno, row in rows:
+    # epoch seconds in bulk; anything else (ISO-8601, or a bad stamp) one by one
+    micros, numeric = _epoch_microseconds(table.values[:, 0])
+    bad = ~np.all(np.isfinite(table.values[:, 1:]), axis=1)
+    written: dict[int, datetime] = {}
+    for i in np.flatnonzero(~numeric):
         try:
-            ts = _parse_timestamp(row[i_ts])
-            cur = _finite(row[i_cur])
-            volt = _finite(row[i_volt])
-            soc = _finite(row[i_soc])
-            temp = _finite(row[i_temp]) if i_temp is not None else None
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
-        if schema.soc_in_percent:
-            soc /= 100.0
-        parsed.append((ts, cur, volt, soc, temp, lineno))
-    if not parsed:
+            written[i] = _parse_timestamp(table.fields(i)[cols[0]])
+        except (ValueError, IndexError):
+            bad[i] = True
+        else:
+            micros[i] = (written[i] - _EPOCH) // timedelta(microseconds=1)
+
+    def convert(row: list[str]) -> None:
+        _parse_timestamp(row[cols[0]])
+        for c in cols[1:]:
+            _finite(row[c])
+
+    table.check_rows(bad, convert)
+    if not len(micros):
         raise ParseError(f"{path}: empty file")
-    parsed.sort(key=lambda p: p[0])
 
+    def stamp(i: int) -> datetime:
+        """Row ``i``'s timestamp as written: its own offset, or UTC."""
+        if i in written:
+            return written[i]
+        return datetime.fromtimestamp(table.values[i, 0], tz=timezone.utc)
+
+    order = np.argsort(micros, kind="stable")
+    micros = micros[order]
+    columns = table.values[order, 1:]
+    if schema.soc_in_percent:
+        columns[:, 2] /= 100.0
+    soc = columns[:, 2]
+    opens = np.r_[True, np.diff(micros) / 1e6 > schema.gap_threshold_s]
+    chunk = np.cumsum(opens) - 1
+    firsts = np.flatnonzero(opens)
+    time = (micros - micros[firsts][chunk]) / 1e6
+
+    # a sample whose SOC is below the running maximum of its segment is a dip
+    rank = np.unique(soc, return_inverse=True)[1].ravel()
+    level = chunk * (len(soc) + 1) + rank  # resets the running maximum at each segment
+    keep = level >= np.maximum.accumulate(level)
+    # a kept sample at the time of the previous kept one repeats it or conflicts with it
+    k = np.flatnonzero(keep)
+    same = (chunk[k[1:]] == chunk[k[:-1]]) & (time[k[1:]] == time[k[:-1]])
+    equal = same & np.all(columns[k[1:]] == columns[k[:-1]], axis=1)
+    keep[k[1:][equal]] = False
+    conflicts = k[1:][same & ~equal]
+    # the segments before the first conflict are built, and checked, before it is reported
+    last = chunk[conflicts[0]] if conflicts.size else chunk[-1] + 1
+
+    k = np.flatnonzero(keep & (chunk < last))
+    bounds = np.flatnonzero(np.diff(chunk[k], prepend=-1, append=-1) != 0)
+    time, columns = time[k], columns[k]
+    temperature = columns[:, 3] if columns.shape[1] == 4 else None
     segments: list[ChargeSegment] = []
-    chunk: list[tuple[datetime, float, float, float, float | None, int]] = []
-    for point in parsed:
-        if chunk and (point[0] - chunk[-1][0]).total_seconds() > schema.gap_threshold_s:
-            seg = _build_segment(source, chunk, path)
-            if seg is not None:
-                segments.append(seg)
-            chunk = []
-        chunk.append(point)
-    seg = _build_segment(source, chunk, path)
-    if seg is not None:
-        segments.append(seg)
-    return segments
-
-
-def _build_segment(
-    source: str,
-    chunk: list[tuple[datetime, float, float, float, float | None, int]],
-    path: Path | str,
-) -> ChargeSegment | None:
-    if len(chunk) < 2:
-        return None
-    start = chunk[0][0]
-    # drop SOC dips (quantization jitter) and exact repeats so the segment invariant holds
-    kept: list[ChargeSample] = []
-    soc_max = -math.inf
-    for ts, cur, volt, soc, temp, lineno in chunk:
-        if soc < soc_max:
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b - a < 2:
             continue
-        soc_max = soc
-        sample = ChargeSample((ts - start).total_seconds(), cur, volt, soc, temp)
-        if kept and sample.time <= kept[-1].time:
-            if sample == kept[-1]:
-                continue
-            raise ParseError(
-                f"{path}:{lineno}: timestamp {ts.isoformat()} repeated with different values"
-            )
-        kept.append(sample)
-    if len(kept) < 2:
-        return None
-    try:
-        return ChargeSegment(source, start, tuple(kept))
-    except ValueError as exc:
-        raise ParseError(f"{path}: segment starting {start.isoformat()}: {exc}") from None
+        start_ts = stamp(order[firsts[chunk[k[a]]]])
+        try:
+            segments.append(ChargeSegment(
+                source, start_ts, time[a:b], columns[a:b, 0], columns[a:b, 1], columns[a:b, 2],
+                None if temperature is None else temperature[a:b],
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{path}: segment starting {start_ts.isoformat()}: {exc}") from None
+    if conflicts.size:
+        row = order[conflicts[0]]
+        raise ParseError(
+            f"{path}:{table.lineno[row]}: timestamp {stamp(row).isoformat()} "
+            "repeated with different values"
+        )
+    return segments
 
 
 def compute_capacity(segment: ChargeSegment, min_soc_span: float = MIN_SOC_SPAN) -> float:
@@ -349,35 +495,30 @@ def compute_capacity(segment: ChargeSegment, min_soc_span: float = MIN_SOC_SPAN)
     Left-rectangle integration of the (negative) charging current over the
     segment, divided by the SOC gained.
     """
-    soc_span = segment.samples[-1].soc - segment.samples[0].soc
+    soc_span = float(segment.soc[-1] - segment.soc[0])
     if soc_span < min_soc_span:
         raise ValueError(
             f"SOC span {soc_span:.4f} below threshold {min_soc_span}: uninformative snippet"
         )
-    current = np.array([s.current for s in segment.samples])
+    current = segment.current
     if np.all(current >= 0.0):
         raise ValueError("non-negative current throughout: not a charging segment")
-    times = np.array([s.time for s in segment.samples])
-    charge_as = float(np.sum(-current[:-1] * np.diff(times)))
+    charge_as = float(np.sum(-current[:-1] * np.diff(segment.time)))
     return charge_as / 3600.0 / soc_span
 
 
 def monthly_aggregate(
     segments: Iterable[ChargeSegment],
-    stat: str = "median",
     min_events: int = MIN_MONTHLY_EVENTS,
     min_soc_span: float = MIN_SOC_SPAN,
 ) -> tuple[list[FleetMonthlyRecord], dict[int, int]]:
     """Aggregate per-event capacities into monthly records.
 
-    Both mean and median are populated on every record regardless of
-    ``stat`` (which callers use to pick the representative value).  Months
-    with fewer than ``min_events`` usable events are omitted; the returned
+    Both the mean and the median capacity are filled in on every record;
+    the caller picks one.  Months with fewer than ``min_events`` usable events are omitted; the returned
     mapping reports how many events each omitted month had.  Events whose
     SOC span is too small are skipped.
     """
-    if stat not in ("median", "mean"):
-        raise ValueError(f"stat must be 'median' or 'mean', got {stat!r}")
     by_month: dict[tuple[str, int, int], list[float]] = {}
     for seg in segments:
         try:

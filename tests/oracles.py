@@ -5,10 +5,14 @@ implementations it checks: scalar by scalar, or step by step where the
 implementation works on a whole sequence at once.
 """
 
+import csv
 import math
+from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
+from sohpred import ingest
 from sohpred import neuralnet as nn
 
 
@@ -195,3 +199,186 @@ def metrics_oracle(true, predicted):
     ab = sum(abs(t - p) for t, p in zip(true, predicted))
     pct = sum(abs((t - p) / t) for t, p in zip(true, predicted))
     return (sq / n) ** 0.5, ab / n, pct / n * 100.0
+
+
+# ---------------------------------------------------------------------------
+# per-row reference parsers: every row is read, converted and checked on its
+# own, in file order, and each segment is grown one sample at a time
+
+
+def _open_rows(path):
+    """Header, then the data rows streamed with their 1-based line numbers."""
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ingest.ParseError(f"{path}: unreadable file: {exc}") from exc
+    first = next((ln for ln in lines if ln.strip()), "")
+    reader = csv.reader(lines, delimiter="\t" if "\t" in first else ",")
+
+    def rows():
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise ingest.ParseError(f"{path}:{reader.line_num}: {exc}") from None
+
+    numbered = rows()
+    _, header = next(numbered, (0, None))
+    if header is None:
+        raise ingest.ParseError(f"{path}: empty file")
+    return [h.strip() for h in header], numbered
+
+
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
+def _column(header, name, path):
+    try:
+        return header.index(name)
+    except ValueError:
+        raise ingest.ParseError(f"{path}: missing mapped column {name!r}") from None
+
+
+def _parse_timestamp(raw):
+    try:
+        return datetime.fromtimestamp(float(raw), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        pass
+    try:
+        ts = datetime.fromisoformat(raw)
+    except ValueError:
+        raise ValueError(f"bad timestamp {raw!r}") from None
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts
+
+
+def parse_cycle_file_per_row(path, schema=ingest.CycleSchema()):
+    """Row-by-row :func:`ingest.parse_cycle_file`."""
+    header, rows = _open_rows(path)
+    i_cycle = _column(header, schema.cycle, path)
+    i_time = _column(header, schema.time, path)
+    i_volt = _column(header, schema.voltage, path)
+    if schema.charge is not None:
+        i_q = _column(header, schema.charge, path)
+        i_cur = None
+    elif schema.current is not None:
+        i_cur = _column(header, schema.current, path)
+        i_q = None
+    else:
+        raise ingest.ParseError(f"{path}: schema maps neither charge nor current")
+    i_cap = _column(header, schema.capacity, path) if schema.capacity in header else None
+
+    lo, hi = schema.voltage_window
+    dropped = 0
+    by_cycle = {}
+    for lineno, row in rows:
+        try:
+            cyc = int(_finite(row[i_cycle]))
+            t = _finite(row[i_time])
+            v = float(row[i_volt])
+            if not lo <= v <= hi:  # NaN falls outside the window too
+                dropped += 1
+                continue
+            q = _finite(row[i_q if i_q is not None else i_cur])
+            cap = _finite(row[i_cap]) if i_cap is not None and row[i_cap] != "" else None
+        except (ValueError, IndexError) as exc:
+            raise ingest.ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
+        by_cycle.setdefault(cyc, []).append((t, v, q, cap))
+
+    records = []
+    for cyc in sorted(by_cycle):
+        pts = sorted(by_cycle[cyc], key=lambda p: p[0])
+        t = np.array([p[0] for p in pts])
+        v = np.array([p[1] for p in pts])
+        if i_q is not None:
+            q = np.array([p[2] for p in pts])
+        else:
+            cur = np.array([p[2] for p in pts])
+            dt = np.diff(t, prepend=t[0])
+            q = np.cumsum(-cur * dt) / 3600.0
+        caps = [p[3] for p in pts if p[3] is not None]
+        capacity = caps[0] if caps else float(q[-1] - q[0])
+        if len(t) < 2:
+            continue
+        try:
+            records.append(ingest.CycleRecord(cyc, np.column_stack([t, v, q]), capacity))
+        except ValueError as exc:
+            raise ingest.ParseError(f"{path}: cycle {cyc}: {exc}") from None
+    if not records:
+        raise ingest.ParseError(f"{path}: zero usable rows")
+    return records, dropped
+
+
+def parse_fleet_file_per_row(path, schema=ingest.FleetSchema(), source_id=None):
+    """Row-by-row :func:`ingest.parse_fleet_file`."""
+    header, rows = _open_rows(path)
+    i_ts = _column(header, schema.timestamp, path)
+    i_cur = _column(header, schema.current, path)
+    i_volt = _column(header, schema.voltage, path)
+    i_soc = _column(header, schema.soc, path)
+    i_temp = _column(header, schema.temperature, path) if schema.temperature in header else None
+    source = source_id if source_id is not None else Path(path).stem
+
+    parsed = []
+    for lineno, row in rows:
+        try:
+            ts = _parse_timestamp(row[i_ts])
+            cur = _finite(row[i_cur])
+            volt = _finite(row[i_volt])
+            soc = _finite(row[i_soc])
+            temp = _finite(row[i_temp]) if i_temp is not None else None
+        except (ValueError, IndexError) as exc:
+            raise ingest.ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
+        if schema.soc_in_percent:
+            soc /= 100.0
+        parsed.append((ts, cur, volt, soc, temp, lineno))
+    if not parsed:
+        raise ingest.ParseError(f"{path}: empty file")
+    parsed.sort(key=lambda p: p[0])
+
+    segments = []
+    chunk = []
+    for point in parsed:
+        if chunk and (point[0] - chunk[-1][0]).total_seconds() > schema.gap_threshold_s:
+            segments.append(_build_segment(source, chunk, path))
+            chunk = []
+        chunk.append(point)
+    segments.append(_build_segment(source, chunk, path))
+    return [seg for seg in segments if seg is not None]
+
+
+def _build_segment(source, chunk, path):
+    if len(chunk) < 2:
+        return None
+    start = chunk[0][0]
+    # drop SOC dips and exact repeats; a sample is (time, current, voltage, soc, temperature)
+    kept = []
+    soc_max = -math.inf
+    for ts, cur, volt, soc, temp, lineno in chunk:
+        if soc < soc_max:
+            continue
+        soc_max = soc
+        sample = ((ts - start).total_seconds(), cur, volt, soc, temp)
+        if kept and sample[0] <= kept[-1][0]:
+            if sample == kept[-1]:
+                continue
+            raise ingest.ParseError(
+                f"{path}:{lineno}: timestamp {ts.isoformat()} repeated with different values"
+            )
+        kept.append(sample)
+    if len(kept) < 2:
+        return None
+    time, current, voltage, soc, temp = (np.array(col) for col in zip(*kept))
+    try:
+        return ingest.ChargeSegment(
+            source, start, time, current, voltage, soc, None if temp[0] is None else temp
+        )
+    except ValueError as exc:
+        raise ingest.ParseError(f"{path}: segment starting {start.isoformat()}: {exc}") from None

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -330,3 +331,42 @@ class TestFleetCommand:
         assert len(summary) == 2 + 2  # comment+header then V02, V03
         assert (out / "fleet_V02_report.csv").exists()
         assert (out / "monthly.csv").exists()
+
+    def fleet_run(self, tmp_path, stat):
+        cfg = {
+            "synth": {"kind": "fleet", "n_vehicles": 2, "n_months": 12, "events_per_month": 4},
+            "fleet": {"train_vehicle": "V01", "start_index": 2, "stat": stat},
+            "experiment": {
+                "window_length": 4,
+                "seeds": [0],
+                "network": {"gru_units": [4, 4, 4, 4], "dropout_rates": [0.02] * 4},
+                "training": {"max_epochs": 5, "learning_rate": 0.01, "batch_size": 8},
+            },
+        }
+        path = tmp_path / "fleet.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        data = tmp_path / "data"
+        assert run_cli("synth", "--config", path, "--out", data) == 0
+        out = tmp_path / "out"
+        return run_cli("fleet", "--config", path, "--dataset", data, "--out", out), out
+
+    def test_mean_stat_feeds_mean_capacities_into_soh(self, tmp_path):
+        code, out = self.fleet_run(tmp_path, "mean")
+        assert code == 0
+        rows = [ln.split(",") for ln in (out / "monthly.csv").read_text().splitlines()[2:]]
+        means = np.array([float(r[4]) for r in rows if r[0] == "V02"])
+        medians = np.array([float(r[3]) for r in rows if r[0] == "V02"])
+        report = [ln.split(",") for ln in (out / "fleet_V02_report.csv").read_text().splitlines()[2:]]
+        index = [int(r[0]) for r in report]
+        true_soh = np.array([float(r[1]) for r in report])
+        assert true_soh == pytest.approx((means / means.max())[index], rel=1e-12)
+        assert not np.allclose(true_soh, (medians / medians.max())[index], rtol=1e-6)
+
+    def test_unknown_stat_fails_before_any_file_is_parsed(self, tmp_path, capsys, monkeypatch):
+        def no_parsing(*args, **kwargs):
+            raise AssertionError("a fleet file was parsed")
+
+        monkeypatch.setattr(cli.ingest, "parse_fleet_file", no_parsing)
+        code, _ = self.fleet_run(tmp_path, "bogus")
+        assert code == 1
+        assert "error: fleet.stat must be 'median' or 'mean', got 'bogus'" in capsys.readouterr().err

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from sohpred import ingest
 
+import oracles
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -16,11 +18,8 @@ def write(tmp_path, name, text):
 
 def make_segment(currents, times, socs, start=None):
     start = start or datetime(2021, 3, 1, tzinfo=timezone.utc)
-    samples = tuple(
-        ingest.ChargeSample(time=t, current=i, voltage=350.0, soc=s)
-        for t, i, s in zip(times, currents, socs)
-    )
-    return ingest.ChargeSegment("veh", start, samples)
+    voltage = np.full(len(times), 350.0)
+    return ingest.ChargeSegment("veh", start, times, currents, voltage, socs)
 
 
 def constant_current_segment(cap_ah, start=None, soc0=0.2, soc1=0.7, duration_s=3600.0):
@@ -84,7 +83,7 @@ class TestParseFleetFile:
         path = write(tmp_path, "v.csv", self.fleet_text(stamps, socs))
         segments = ingest.parse_fleet_file(path)
         assert len(segments) == 1
-        assert len(segments[0].samples) == 100
+        assert len(segments[0].time) == 100
 
     def test_gap_splits_segments(self, tmp_path):
         stamps = [1_600_000_000 + 8 * i for i in range(50)]
@@ -98,14 +97,14 @@ class TestParseFleetFile:
         stamps = [0, 8]
         path = write(tmp_path, "v.csv", self.fleet_text(stamps, [85.3, 85.4]))
         segments = ingest.parse_fleet_file(path)
-        assert segments[0].samples[0].soc == pytest.approx(0.853)
+        assert segments[0].soc[0] == pytest.approx(0.853)
 
     def test_soc_dips_dropped(self, tmp_path):
         stamps = [8 * i for i in range(5)]
         socs = [20.0, 20.1, 19.9, 20.2, 20.3]  # one jitter dip
         path = write(tmp_path, "v.csv", self.fleet_text(stamps, socs))
         segments = ingest.parse_fleet_file(path)
-        soc_values = [s.soc for s in segments[0].samples]
+        soc_values = list(segments[0].soc)
         assert soc_values == sorted(soc_values)
         assert len(soc_values) == 4
 
@@ -291,18 +290,24 @@ FLEET_HEADER = "timestamp,current_a,voltage_v,soc,temp_c"
 BAD_TOKENS = ["nan", "inf", "-inf", "", "x", "1e400", "2020-13-01"]
 
 
+BLANK_ROWS = ["", "   ", "\t ", ",,,,", "\t\t\t\t", ", ,\t,"]
+
+
 @st.composite
 def delimited_file(draw, header, good_row):
     """A header plus rows that are well formed, truncated, non-finite or garbled.
 
     ``good_row(i)`` gives the fields of a valid i-th row.  Some files mix
-    tabs and commas between fields, and some rows are repeated, so duplicate
-    timestamps occur.
+    tabs and commas between fields.  Some rows are repeated, so duplicate
+    timestamps occur, and some are followed by a row with the same leading
+    fields (timestamp, or cycle and time) but another value further on.
+    Rows with only whitespace or only delimiters are scattered in, before
+    the header too, and some files have their data rows shuffled.
     """
     delimiter = draw(st.sampled_from([",", "\t"]))
     mixed = draw(st.booleans())
     damage = draw(st.sampled_from([0, 0, 1, 3]))  # tenths of the rows
-    rows = [header.replace(",", delimiter)]
+    rows = []
     for i in range(draw(st.integers(0, 12))):
         fields = good_row(i)
         if draw(st.integers(0, 9)) < damage:
@@ -314,18 +319,38 @@ def delimited_file(draw, header, good_row):
                 fields[at] = draw(st.sampled_from(BAD_TOKENS))
             else:
                 fields[at] = repr(draw(st.floats(-1e3, 1e10)))
-        gaps = [draw(st.sampled_from([",", "\t"])) if mixed else delimiter for _ in fields]
-        row = "".join(g + f for g, f in zip(gaps, fields))[1:]
-        rows += [row] * draw(st.sampled_from([1, 1, 1, 2]))
-    return "\n".join(rows) + "\n"
+        variants = [fields] * draw(st.sampled_from([1, 1, 1, 2]))
+        if len(fields) > 2 and draw(st.integers(0, 9)) == 0:
+            other = list(fields)
+            other[draw(st.integers(2, len(fields) - 1))] = repr(draw(st.floats(0.0, 100.0)))
+            variants.append(other)
+        for fields in variants:
+            gaps = [draw(st.sampled_from([",", "\t"])) if mixed else delimiter for _ in fields]
+            rows.append("".join(g + f for g, f in zip(gaps, fields))[1:])
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
+    lead = draw(st.sampled_from(["", "", "   \n"]))
+    return lead + "\n".join([header.replace(",", delimiter)] + rows) + "\n"
 
 
 def cycle_row(i):
     return [str(1 + i // 4), str(i % 4), repr(3.5 + 0.1 * (i % 4)), repr(0.1 * (i % 4)), "0.74"]
 
 
+def fleet_seconds(i):
+    return 1.5e9 + 8.0 * i + 100.0 * (i // 5)  # a gap after every fifth sample
+
+
 def fleet_row(i):
-    return [repr(1.5e9 + 8.0 * i), "-70.0", "350.0", repr(20.0 + i), "25.0"]
+    soc = 20.0 + i - 2.5 * (i % 3 == 2)  # every third sample dips
+    return [repr(fleet_seconds(i)), "-70.0", "350.0", repr(soc), "25.0"]
+
+
+def fleet_iso_row(i):
+    stamp = datetime.fromtimestamp(fleet_seconds(i), timezone(timedelta(hours=2)))
+    return [stamp.isoformat()] + fleet_row(i)[1:]
 
 
 class TestParserProperties:
@@ -405,6 +430,12 @@ class TestParserErrorsNamePlace:
         with pytest.raises(ingest.ParseError, match=f"^{path}: segment starting .*soc out of"):
             ingest.parse_fleet_file(path)
 
+    def test_bad_row_before_oversized_field_is_named_first(self, tmp_path):
+        text = f"{CYCLE_HEADER}\n1,0,3.5,x,0.7\n1,1,3.6,{'9' * 200_000},0.7\n"
+        path = write(tmp_path, "first.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:2: bad row: could not convert"):
+            ingest.parse_cycle_file(path)
+
     def test_oversized_field_names_line(self, tmp_path):
         # the csv module refuses a field above its size limit
         text = f"{CYCLE_HEADER}\n1,0,3.5,0.0,0.7\n1,1,3.6,{'9' * 200_000},0.7\n"
@@ -418,10 +449,7 @@ class TestParserErrorsNamePlace:
 
 def segment_columns(seg):
     """The per-sample columns of a segment, as arrays."""
-    return {
-        name: np.array([getattr(s, name) for s in seg.samples])
-        for name in ("time", "current", "voltage", "soc")
-    }
+    return {name: getattr(seg, name) for name in ("time", "current", "voltage", "soc")}
 
 
 class TestIsoTimestamps:
@@ -462,3 +490,114 @@ class TestIsoTimestamps:
         assert ingest.monthly_aggregate(iso) == ingest.monthly_aggregate(epoch)
         records, _ = ingest.monthly_aggregate(iso)
         assert [r.month for r in records] == [0, 1]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ingest.ParseError as exc:
+        return exc
+
+
+def assert_same_outcome(new, reference):
+    """Both raised a ParseError with the same message, or both returned the same bits."""
+    if isinstance(reference, ingest.ParseError) or isinstance(new, ingest.ParseError):
+        assert type(new) is type(reference), (new, reference)
+        assert str(new) == str(reference)
+        return
+    if isinstance(reference, tuple):  # cycle records and the dropped count
+        (new, dropped), (reference, ref_dropped) = new, reference
+        assert dropped == ref_dropped
+        assert len(new) == len(reference)
+        for a, b in zip(new, reference):
+            assert a.cycle_index == b.cycle_index
+            assert same_bits(a.charge_curve, b.charge_curve)
+            assert same_bits(a.measured_capacity, b.measured_capacity)
+        return
+    assert len(new) == len(reference)
+    for a, b in zip(new, reference):
+        assert (a.source_id, a.start_timestamp.isoformat()) == (
+            b.source_id, b.start_timestamp.isoformat()
+        )
+        for name in ingest.SEGMENT_COLUMNS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or same_bits(x, y), name
+
+
+CYCLE_SCHEMAS = [ingest.CycleSchema(), ingest.CycleSchema(charge=None, current="charge_ah")]
+
+
+class TestColumnarMatchesPerRow:
+    """The columnar parsers agree with the per-row reference in ``tests/oracles.py``."""
+
+    @given(text=delimited_file(CYCLE_HEADER, cycle_row), schema=st.sampled_from(CYCLE_SCHEMAS))
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_files(self, tmp_path_factory, text, schema):
+        path = write(tmp_path_factory.mktemp("cycles"), "cycles.csv", text)
+        assert_same_outcome(
+            outcome(ingest.parse_cycle_file, path, schema),
+            outcome(oracles.parse_cycle_file_per_row, path, schema),
+        )
+
+    @given(text=st.sampled_from([fleet_row, fleet_iso_row]).flatmap(
+        lambda row: delimited_file(FLEET_HEADER, row)
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_fleet_files(self, tmp_path_factory, text):
+        path = write(tmp_path_factory.mktemp("fleet"), "fleet.csv", text)
+        schema = ingest.FleetSchema(temperature="temp_c", gap_threshold_s=15.0)
+        assert_same_outcome(
+            outcome(ingest.parse_fleet_file, path, schema),
+            outcome(oracles.parse_fleet_file_per_row, path, schema),
+        )
+
+    @staticmethod
+    def assert_stamp_matches(directory, seconds):
+        # the second stamp is whole, so the first one's rounding shows in the sample times
+        later = float(round(seconds) + 2) if np.isfinite(seconds) else seconds
+        text = f"{FLEET_HEADER}\n{seconds!r},-70,350,20,25\n{later!r},-70,350,21,25\n"
+        path = write(directory, "stamp.csv", text)
+        schema = ingest.FleetSchema(gap_threshold_s=15.0)
+        assert_same_outcome(
+            outcome(ingest.parse_fleet_file, path, schema),
+            outcome(oracles.parse_fleet_file_per_row, path, schema),
+        )
+
+    @given(seconds=st.floats(-7e10, 3e11))
+    @settings(max_examples=300, deadline=None)
+    def test_epoch_seconds_round_as_datetime(self, tmp_path_factory, seconds):
+        self.assert_stamp_matches(tmp_path_factory.mktemp("stamp"), seconds)
+
+    # 2**-7 s is 7812.5 us exactly: datetime rounds such halves to even
+    @pytest.mark.parametrize("seconds", [
+        0.0078125, 1.5e9 + 0.0390625, -0.0078125, 1.5e9 + 0.9999995, -62135596800.0,
+        253402300799.0, 253402300799.9999995, -62135596800.5, 1e300, float("nan"),
+    ])
+    def test_epoch_seconds_at_halves_and_range_ends(self, tmp_path, seconds):
+        self.assert_stamp_matches(tmp_path, seconds)
+
+    def test_empty_capacity_field_means_not_measured(self, tmp_path):
+        text = (
+            f"{CYCLE_HEADER}\n1,1,3.6,0.1,\n1,0,3.5,0.0,\n1,2,3.7,0.2,0.71\n"
+            "2,0,3.5,0.0,\n2,1,3.6,0.15,\n"
+        )
+        path = write(tmp_path, "caps.csv", text)
+        records, _ = ingest.parse_cycle_file(path)
+        assert [r.measured_capacity for r in records] == [0.71, 0.15]
+        assert_same_outcome((records, 0), oracles.parse_cycle_file_per_row(path))
+
+    def test_generated_logs(self, tmp_path):
+        from sohpred import pipeline
+
+        cells = pipeline.synthesize_cycles(pipeline.CycleSynthesisParams(n_cycles=12), 3, tmp_path / "c.csv")
+        assert_same_outcome(ingest.parse_cycle_file(cells), oracles.parse_cycle_file_per_row(cells))
+        params = pipeline.FleetSynthesisParams(n_vehicles=2, n_months=4, events_per_month=3)
+        for path in pipeline.synthesize_fleet(params, 3, tmp_path / "fleet"):
+            assert_same_outcome(
+                ingest.parse_fleet_file(path), oracles.parse_fleet_file_per_row(path)
+            )
