@@ -372,13 +372,13 @@ def parse_cycle_file(
     measured = ~np.isnan(rows[:, 4]) if len(cols) == 5 else np.zeros(len(rows), dtype=bool)
     records = []
     for a, b in zip(edges[:-1], edges[1:]):
+        if b - a < 2:
+            continue
         t, v, q = rows[a:b, 1], rows[a:b, 2], rows[a:b, 3]
         if schema.charge is None:  # integrate the current
             q = np.cumsum(-q * np.diff(t, prepend=t[0])) / 3600.0
         caps = np.flatnonzero(measured[a:b])
         capacity = float(rows[a + caps[0], 4]) if caps.size else float(q[-1] - q[0])
-        if b - a < 2:
-            continue
         try:
             records.append(CycleRecord(int(key[a]), np.column_stack([t, v, q]), capacity))
         except ValueError as exc:
