@@ -202,10 +202,10 @@ def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -
     ``np.loadtxt`` converts the rows in bulk when plain splitting is what
     ``csv`` would do: no quotes and no line over the field-size limit.  Its
     number parser accepts the same strings as ``float`` and gives the same
-    value, and it skips empty lines as ``csv`` does.  When it refuses the
-    file (a short or blank row, a field that is not a number), the rows are
-    split with ``csv`` and converted one field at a time, which is what
-    finds and names the bad line.
+    value.  When it refuses the rows, they are tried once more without the
+    blank ones; when it refuses those (a short row, a field that is not a
+    number), the rows are split with ``csv`` and converted one field at a
+    time, which is what finds and names the bad line.
     """
     path = Path(path)
     try:
@@ -226,16 +226,21 @@ def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -
     start = reader.line_num
     body = lines[start:]
 
-    if any(body) and '"' not in text and max(map(len, body)) <= csv.field_size_limit():
+    def bulk(rows: list[str]) -> np.ndarray | None:
         try:
-            values = np.loadtxt(
-                body, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2
+            return np.loadtxt(
+                rows, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2
             )
         except ValueError:
-            values = None
+            return None
+
+    quoted = '"' in text and any('"' in ln for ln in body)  # a quoted header is fine
+    if any(body) and not quoted and max(map(len, body)) <= csv.field_size_limit():
         kept = np.arange(len(body))
-        if values is not None and len(values) != len(body):
-            kept = np.flatnonzero([ln != "" for ln in body])
+        values = bulk(body)
+        if values is None or len(values) != len(body):  # skip the blank rows, then retry
+            kept = np.flatnonzero([ln.replace(delimiter, "").strip() != "" for ln in body])
+            values = bulk([body[i] for i in kept]) if kept.size else None
         if values is not None and len(values) == len(kept):
             full = np.ones(values.shape, dtype=bool)
             return _Columns(

@@ -302,11 +302,13 @@ def delimited_file(draw, header, good_row):
     timestamps occur, and some are followed by a row with the same leading
     fields (timestamp, or cycle and time) but another value further on.
     Rows with only whitespace or only delimiters are scattered in, before
-    the header too, and some files have their data rows shuffled.
+    the header too, some files have their data rows shuffled, and some
+    quote the header or some fields as CSV allows.
     """
     delimiter = draw(st.sampled_from([",", "\t"]))
     mixed = draw(st.booleans())
     damage = draw(st.sampled_from([0, 0, 1, 3]))  # tenths of the rows
+    quote = draw(st.sampled_from(["none", "none", "header", "fields"]))
     rows = []
     for i in range(draw(st.integers(0, 12))):
         fields = good_row(i)
@@ -325,14 +327,19 @@ def delimited_file(draw, header, good_row):
             other[draw(st.integers(2, len(fields) - 1))] = repr(draw(st.floats(0.0, 100.0)))
             variants.append(other)
         for fields in variants:
+            if quote == "fields":
+                fields = [f'"{f}"' if draw(st.booleans()) else f for f in fields]
             gaps = [draw(st.sampled_from([",", "\t"])) if mixed else delimiter for _ in fields]
             rows.append("".join(g + f for g, f in zip(gaps, fields))[1:])
     if draw(st.booleans()):
         rows = draw(st.permutations(rows))
     for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
+    names = header.split(",")
+    if quote == "header":
+        names = [f'"{name}"' for name in names]
     lead = draw(st.sampled_from(["", "", "   \n"]))
-    return lead + "\n".join([header.replace(",", delimiter)] + rows) + "\n"
+    return lead + "\n".join([delimiter.join(names)] + rows) + "\n"
 
 
 def cycle_row(i):
