@@ -226,10 +226,10 @@ def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -
     start = reader.line_num
     body = lines[start:]
 
-    def bulk(rows: list[str]) -> np.ndarray | None:
+    def bulk(data_lines: list[str]) -> np.ndarray | None:
         try:
             return np.loadtxt(
-                rows, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2
+                data_lines, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2
             )
         except ValueError:
             return None

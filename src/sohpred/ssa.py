@@ -141,10 +141,19 @@ def _score(fitness: Callable[[np.ndarray], float], space: SearchSpace, row: np.n
 _worker_task = None  # (fitness, space), set by _init_worker in each forked worker
 
 
-def _blas_thread_setter():
-    """OpenBLAS's own thread-count setter in NumPy's bundled library, or None.
+def _init_worker(fitness: Callable[[np.ndarray], float], space: SearchSpace) -> None:
+    global _worker_task
+    _worker_task = (fitness, space)
 
-    The symbol's name depends on how the NumPy wheel built OpenBLAS, so the
+
+def _score_in_worker(row: np.ndarray) -> float:
+    return _score(*_worker_task, row)
+
+
+def _openblas_threads():
+    """OpenBLAS's own thread-count getter and setter in NumPy's bundled library, or None.
+
+    The symbols' names depend on how the NumPy wheel built OpenBLAS, so the
     known names are tried in turn.
     """
     import ctypes
@@ -152,34 +161,19 @@ def _blas_thread_setter():
 
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         dll = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            setter = getattr(dll, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(dll, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(dll, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype = ctypes.c_int
+                    set_.argtypes = [ctypes.c_int]
+                    set_.restype = None
+                    return get, set_
     return None
 
 
-def _init_worker(fitness: Callable[[np.ndarray], float], space: SearchSpace) -> None:
-    """Keep the task in this forked worker, and run its BLAS on one thread.
-
-    The workers already share the cores; BLAS threads of their own only make
-    them compete (two workers with two threads each on 2 cores made a
-    128-unit search 3.5 times slower than one worker).
-    """
-    global _worker_task
-    _worker_task = (fitness, space)
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
-
-
-def _score_in_worker(row: np.ndarray) -> float:
-    return _score(*_worker_task, row)
-
-
+@contextlib.contextmanager
 def _fork_pool(fitness: Callable[[np.ndarray], float], space: SearchSpace, workers: int):
     """A process pool whose forked workers inherit ``fitness`` and ``space``.
 
@@ -189,16 +183,33 @@ def _fork_pool(fitness: Callable[[np.ndarray], float], space: SearchSpace, worke
     worker on the first ``map``, before its management thread, and OpenBLAS
     stops and restarts its threads around a fork.  The imports stay here:
     a serial run never pays for them.
+
+    The workers already share the cores, so each runs its BLAS on one
+    thread: two workers with two OpenBLAS threads each on 2 cores made a
+    128-unit search 3.5 times slower than one worker.  OpenBLAS is set to
+    one thread here, for the life of the pool, and the workers inherit it
+    when they fork; setting it inside each worker instead made a pool of
+    desk-sized fits about a quarter slower than not setting it at all.
+    Where no OpenBLAS setter is found the thread count is left alone.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(fitness, space),
-    )
+    blas = _openblas_threads()
+    previous = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(fitness, space),
+        ) as pool:
+            yield pool
+    finally:
+        if blas:
+            blas[1](previous)
 
 
 def _evaluate(

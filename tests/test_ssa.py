@@ -25,19 +25,9 @@ from sohpred.ssa import (
 
 
 def openblas_threads(_=None):
-    """The thread count NumPy's OpenBLAS reports in this process, or None."""
-    import ctypes
-    from pathlib import Path
-
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        dll = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            getter = getattr(dll, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return getter()
-    return None
+    """The thread count NumPy's OpenBLAS reports in this process."""
+    get, _ = ssa._openblas_threads()
+    return get()
 
 
 def box(ndim=3, lo=-5.0, hi=5.0):
@@ -329,7 +319,7 @@ class TestOptimize:
         assert int(serial[0][0]) % 2 == 0
 
     def test_forked_workers_run_blas_on_one_thread(self):
-        if ssa._blas_thread_setter() is None or openblas_threads() is None:
+        if ssa._openblas_threads() is None:
             pytest.skip("NumPy's OpenBLAS offers no thread setter here")
         before = openblas_threads()
         with ssa._fork_pool(sphere, box(2), 2) as pool:
