@@ -203,9 +203,10 @@ def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -
     ``csv`` would do: no quotes and no line over the field-size limit.  Its
     number parser accepts the same strings as ``float`` and gives the same
     value.  When it refuses the rows, they are tried once more without the
-    blank ones; when it refuses those (a short row, a field that is not a
-    number), the rows are split with ``csv`` and converted one field at a
-    time, which is what finds and names the bad line.
+    blank ones; when it refuses those (quotes, a short row, a field that is
+    not a number), the rows are split with ``csv`` and each column converted
+    with ``float``'s rules, field by field where a column holds a bad
+    field, which is what finds and names the bad line.
     """
     path = Path(path)
     try:
@@ -262,12 +263,20 @@ def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -
     values = np.full((len(rows), len(cols)), np.nan)
     parsed = np.zeros(values.shape, dtype=bool)
     blank = np.zeros(values.shape, dtype=bool)
-    for i, row in enumerate(rows):
-        for j, c in enumerate(cols):
-            if c < len(row):
-                blank[i, j] = row[c] == ""
+    for j, c in enumerate(cols):
+        fields = [row[c] if c < len(row) else None for row in rows]  # None: the row is short
+        blank[:, j] = [f == "" for f in fields]
+        if None not in fields:
+            try:  # a whole column of numbers converts at once, as float() reads them
+                values[:, j] = np.array(fields, dtype=float)
+                parsed[:, j] = True
+                continue
+            except ValueError:
+                pass
+        for i, f in enumerate(fields):
+            if f is not None:
                 try:
-                    values[i, j] = float(row[c])
+                    values[i, j] = float(f)
                     parsed[i, j] = True
                 except ValueError:
                     pass
