@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -82,11 +83,11 @@ class ChargeSegment:
             column = getattr(self, name)
             if column is None:
                 continue
-            view = np.asarray(column, dtype=float).view()  # the caller's array stays writable
-            if view.shape != (n,):
+            own = np.array(column, dtype=float)  # a copy: the caller cannot change it later
+            if own.shape != (n,):
                 raise ValueError(f"segment column {name} must be 1-D with {n} samples")
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            own.flags.writeable = False
+            object.__setattr__(self, name, own)
         if n < 2:
             raise ValueError("charge segment needs at least 2 samples")
         if np.any(np.diff(self.time) <= 0):
@@ -104,6 +105,9 @@ class ChargeSegment:
             and self.start_timestamp == other.start_timestamp
             and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in SEGMENT_COLUMNS)
         )
+
+    def __hash__(self) -> int:
+        return hash((self.source_id, self.start_timestamp, len(self.time)))
 
 
 @dataclass(frozen=True)
@@ -191,22 +195,25 @@ class _Columns:
             raise self.error
 
 
-def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -> _Columns:
+def _read_columns(
+    path: Path | str, resolve: Callable[[list[str]], list[int]], optional: int | None = None
+) -> _Columns:
     """Read a delimited file and convert the fields of the columns ``resolve`` picks.
 
     The delimiter is a tab if the first non-blank line holds one, else a
     comma; the header is the first row with anything but whitespace and
     delimiters in it, and later rows like that are skipped too.
-    ``resolve(header)`` returns the header positions to convert, or raises.
+    ``resolve(header)`` returns the header positions to convert, or raises;
+    ``cols[optional]``, when there is one, may hold empty fields.
 
     ``np.loadtxt`` converts the rows in bulk when plain splitting is what
     ``csv`` would do: no quotes and no line over the field-size limit.  Its
     number parser accepts the same strings as ``float`` and gives the same
-    value.  When it refuses the rows, they are tried once more without the
-    blank ones; when it refuses those (quotes, a short row, a field that is
-    not a number), the rows are split with ``csv`` and each column converted
-    with ``float``'s rules, field by field where a column holds a bad
-    field, which is what finds and names the bad line.
+    value.  When it refuses them, it is asked once more with the optional
+    column read by ``_empty_as_nan``.  When that fails too (a blank or short
+    row, a field that is not a number), the rows are split with ``csv`` and
+    each column is converted with ``float``, field by field where a column
+    holds a bad field, which is what finds and names the bad line.
     """
     path = Path(path)
     try:
@@ -227,62 +234,82 @@ def _read_columns(path: Path | str, resolve: Callable[[list[str]], list[int]]) -
     start = reader.line_num
     body = lines[start:]
 
-    def bulk(data_lines: list[str]) -> np.ndarray | None:
+    def bulk(converters: dict[int, Callable[[str], float]] | None) -> np.ndarray | None:
         try:
             return np.loadtxt(
-                data_lines, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2
+                body, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2,
+                converters=converters,
             )
         except ValueError:
             return None
 
-    quoted = '"' in text and any('"' in ln for ln in body)  # a quoted header is fine
-    if any(body) and not quoted and max(map(len, body)) <= csv.field_size_limit():
-        kept = np.arange(len(body))
-        values = bulk(body)
-        if values is None or len(values) != len(body):  # skip the blank rows, then retry
-            kept = np.flatnonzero([ln.replace(delimiter, "").strip() != "" for ln in body])
-            values = bulk([body[i] for i in kept]) if kept.size else None
-        if values is not None and len(values) == len(kept):
-            full = np.ones(values.shape, dtype=bool)
+    has_optional = optional is not None and optional < len(cols)
+    if any(body) and '"' not in text and max(map(len, body)) <= csv.field_size_limit():
+        values = bulk(None)
+        if values is None and has_optional:  # refused at the first empty field, most likely
+            values = bulk({cols[optional]: _empty_as_nan})
+        if values is not None and len(values) == len(body):
+            blank = np.zeros(values.shape, dtype=bool)
+            if has_optional:
+                blank[:, optional] = np.isnan(values[:, optional])
             return _Columns(
-                path, cols, values, full, ~full, start + 1 + kept,
-                lambda i: body[kept[i]].split(delimiter),
+                path, cols, values, ~blank, blank, np.arange(start + 1, start + 1 + len(body)),
+                lambda i: body[i].split(delimiter),
             )
 
-    rows: list[list[str]] = []
+    picked: list[str | None] = []  # the fields of ``cols``, row after row
+    begin: list[int] = []  # the first line of each row, as an index into ``body``
     lineno: list[int] = []
     error = None
+    pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
     reader = csv.reader(body, delimiter=delimiter)
     try:
+        end = 0
         for row in reader:
             if "".join(row).strip():
-                rows.append(row)
+                try:
+                    picked.extend(pick(row))
+                except IndexError:  # a short row: its missing fields read None
+                    picked.extend(row[c] if c < len(row) else None for c in cols)
+                begin.append(end)
                 lineno.append(start + reader.line_num)
+            end = reader.line_num
     except csv.Error as exc:
         error = ParseError(f"{path}:{start + reader.line_num}: {exc}")
-    values = np.full((len(rows), len(cols)), np.nan)
+    values = np.full((len(lineno), len(cols)), np.nan)
     parsed = np.zeros(values.shape, dtype=bool)
     blank = np.zeros(values.shape, dtype=bool)
-    for j, c in enumerate(cols):
-        fields = [row[c] if c < len(row) else None for row in rows]  # None: the row is short
-        blank[:, j] = [f == "" for f in fields]
-        if None not in fields:
-            try:  # a whole column of numbers converts at once, as float() reads them
-                values[:, j] = np.array(fields, dtype=float)
-                parsed[:, j] = True
-                continue
-            except ValueError:
-                pass
+    for j in range(len(cols)):
+        fields = picked[j :: len(cols)]
+        try:  # a whole column of numbers converts at once
+            values[:, j] = [float(f) for f in fields]
+            parsed[:, j] = True
+            continue
+        except (ValueError, TypeError):
+            pass
         for i, f in enumerate(fields):
             if f is not None:
+                blank[i, j] = f == ""
                 try:
                     values[i, j] = float(f)
                     parsed[i, j] = True
                 except ValueError:
                     pass
-    return _Columns(
-        path, cols, values, parsed, blank, np.array(lineno, dtype=int), rows.__getitem__, error
-    )
+
+    def fields(i: int) -> list[str]:
+        first, stop = begin[i], lineno[i] - start
+        if stop == first + 1 and '"' not in body[first]:  # split as csv would
+            return body[first].split(delimiter)
+        return next(csv.reader(body[first:stop], delimiter=delimiter))
+
+    return _Columns(path, cols, values, parsed, blank, np.array(lineno, dtype=int), fields, error)
+
+
+def _empty_as_nan(raw: str) -> float:
+    """An optional field: NaN when empty, else a finite number (the bulk read refuses others)."""
+    if not raw:
+        return math.nan
+    return _finite(raw)
 
 
 def _finite(raw: str) -> float:
@@ -355,7 +382,7 @@ def parse_cycle_file(
             cols.append(_column(header, schema.capacity, path))
         return cols
 
-    table = _read_columns(path, resolve)
+    table = _read_columns(path, resolve, optional=4)
     cols = table.cols
     volt = table.values[:, 2]
     finite = np.isfinite(table.values)
@@ -431,13 +458,14 @@ def parse_fleet_file(
     micros, numeric = _epoch_microseconds(table.values[:, 0])
     bad = ~np.all(np.isfinite(table.values[:, 1:]), axis=1)
     written: dict[int, datetime] = {}
-    for i in np.flatnonzero(~numeric):
+    for i in np.flatnonzero(~numeric).tolist():
         try:
             written[i] = _parse_timestamp(table.fields(i)[cols[0]])
         except (ValueError, IndexError):
             bad[i] = True
-        else:
-            micros[i] = (written[i] - _EPOCH) // timedelta(microseconds=1)
+    if written:
+        step = timedelta(microseconds=1)
+        micros[list(written)] = [(ts - _EPOCH) // step for ts in written.values()]
 
     def convert(row: list[str]) -> None:
         _parse_timestamp(row[cols[0]])

@@ -275,6 +275,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             make_segment([-1.0, -1.0], [0.0, 8.0], [0.5, 0.4])
 
+    def test_segment_keeps_its_own_read_only_columns(self):
+        times, socs = np.array([0.0, 8.0]), np.array([0.4, 0.5])
+        seg = make_segment([-1.0, -1.0], times, socs)
+        times[1], socs[1] = -1.0, 0.1  # the checked invariants must still hold
+        assert list(seg.time) == [0.0, 8.0] and list(seg.soc) == [0.4, 0.5]
+        with pytest.raises(ValueError):
+            seg.soc[0] = 0.9
+        twin = make_segment([-1.0, -1.0], [0.0, 8.0], [0.4, 0.5])
+        assert seg == twin and len({seg, twin}) == 1
+
     def test_cycle_record_rejects_decreasing_charge(self):
         curve = np.array([[0.0, 3.5, 0.2], [1.0, 3.6, 0.1]])
         with pytest.raises(ValueError):
@@ -344,6 +354,11 @@ def delimited_file(draw, header, good_row):
 
 def cycle_row(i):
     return [str(1 + i // 4), str(i % 4), repr(3.5 + 0.1 * (i % 4)), repr(0.1 * (i % 4)), "0.74"]
+
+
+def cycle_row_measured_once(i):
+    """Capacity logged on the first row of each cycle only, empty on the others."""
+    return cycle_row(i)[:4] + ["0.74" if i % 4 == 0 else ""]
 
 
 def fleet_seconds(i):
@@ -542,7 +557,12 @@ CYCLE_SCHEMAS = [ingest.CycleSchema(), ingest.CycleSchema(charge=None, current="
 class TestColumnarMatchesPerRow:
     """The columnar parsers agree with the per-row reference in ``tests/oracles.py``."""
 
-    @given(text=delimited_file(CYCLE_HEADER, cycle_row), schema=st.sampled_from(CYCLE_SCHEMAS))
+    @given(
+        text=st.sampled_from([cycle_row, cycle_row_measured_once]).flatmap(
+            lambda row: delimited_file(CYCLE_HEADER, row)
+        ),
+        schema=st.sampled_from(CYCLE_SCHEMAS),
+    )
     @settings(max_examples=300, deadline=None)
     def test_cycle_files(self, tmp_path_factory, text, schema):
         path = write(tmp_path_factory.mktemp("cycles"), "cycles.csv", text)
@@ -597,6 +617,15 @@ class TestColumnarMatchesPerRow:
         records, _ = ingest.parse_cycle_file(path)
         assert [r.measured_capacity for r in records] == [0.71, 0.15]
         assert_same_outcome((records, 0), oracles.parse_cycle_file_per_row(path))
+
+    @pytest.mark.parametrize("capacity", ["nan", "inf", " ", "x"])
+    @pytest.mark.parametrize("voltage", ["3.6", "5.0"])  # inside and outside the window
+    def test_bad_capacity_among_empty_ones(self, tmp_path, capacity, voltage):
+        text = f"{CYCLE_HEADER}\n1,0,3.5,0.0,0.7\n1,1,{voltage},0.1,{capacity}\n1,2,3.7,0.2,\n"
+        path = write(tmp_path, "caps.csv", text)
+        assert_same_outcome(
+            outcome(ingest.parse_cycle_file, path), outcome(oracles.parse_cycle_file_per_row, path)
+        )
 
     def test_generated_logs(self, tmp_path):
         from sohpred import pipeline
