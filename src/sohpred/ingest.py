@@ -261,7 +261,7 @@ def _read_columns(
     begin: list[int] = []  # the first line of each row, as an index into ``body``
     lineno: list[int] = []
     error = None
-    pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+    pick = operator.itemgetter(*cols)  # a tuple: both parsers map at least four columns
     reader = csv.reader(body, delimiter=delimiter)
     try:
         end = 0
