@@ -462,9 +462,10 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
             out_dir / "ssa_history.csv",
             h,
             ["iteration", "best_fitness", "evaluations", "failures"]
-            + [f"pos{i}" for i in range(len(first.search_history[0].best_position))],
+            + [f"pos{i}" for i in range(len(first.search_history[0].best_position))]
+            + ["repeats"],
             [[r.iteration, r.best_fitness, r.evaluations, r.failures,
-              *[float(v) for v in r.best_position]]
+              *[float(v) for v in r.best_position], r.repeats]
              for r in first.search_history],
         )
         model = first.predictor.model

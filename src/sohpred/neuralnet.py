@@ -98,40 +98,29 @@ def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -
     )
 
 
-def gru_cell_forward(
-    params: GRUCellParams, x: np.ndarray, h_prev: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    """One GRU step.  Accepts (batch, dim) arrays or single vectors."""
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-        h_prev = h_prev[None, :]
-    if x.shape[1] != params.input_size or h_prev.shape[1] != params.hidden_size:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, h {h_prev.shape} for cell "
-            f"({params.input_size} -> {params.hidden_size})"
-        )
-    z = np.concatenate([x, h_prev], axis=1)
-    U = sigmoid(z @ params.W_U.T + params.b_U)
-    R = sigmoid(z @ params.W_R.T + params.b_R)
-    zc = np.concatenate([x, R * h_prev], axis=1)
-    h_tilde = np.tanh(zc @ params.W_h.T + params.b_h)
-    h_new = (1.0 - U) * h_prev + U * h_tilde
-    if not np.all(np.isfinite(h_new)):
-        raise DivergenceError("non-finite hidden state")
-    cache = (x, h_prev, U, R, h_tilde)
-    return (h_new[0] if single else h_new), cache
-
-
 def flip(sequence: np.ndarray) -> np.ndarray:
     """Reverse the time axis (axis 0)."""
     return np.asarray(sequence)[::-1].copy()
 
 
 @dataclass
+class _SequenceCache:
+    """One direction's values at every step, each array indexed by step first.
+
+    ``z`` holds [x, h_prev] and ``zc`` holds [x, R * h_prev], (T, B, n_in + H);
+    ``gates`` holds U and R, (T, 2, B, H); ``h_tilde`` is (T, B, H).
+    """
+
+    z: np.ndarray
+    zc: np.ndarray
+    gates: np.ndarray
+    h_tilde: np.ndarray
+
+
+@dataclass
 class _BiGRUCache:
-    fwd_caches: list
-    bwd_caches: list
+    fwd: _SequenceCache
+    bwd: _SequenceCache
     mask_fwd: np.ndarray | None
     mask_bwd: np.ndarray | None
 
@@ -145,16 +134,44 @@ def _dropout_mask(
     return (rng.random(shape) < keep).astype(float) / keep
 
 
-def _gru_sequence_forward(params: GRUCellParams, sequence: np.ndarray) -> tuple[np.ndarray, list]:
-    """Run one direction over a (T, B, width) sequence; returns its states and step caches."""
-    out = np.empty(sequence.shape[:2] + (params.hidden_size,))
-    h = np.zeros(out.shape[1:])
-    caches = []
-    for t in range(len(sequence)):
-        h, cache = gru_cell_forward(params, sequence[t], h)
-        out[t] = h
-        caches.append(cache)
-    return out, caches
+def _gru_sequence_forward(
+    params: GRUCellParams, sequence: np.ndarray
+) -> tuple[np.ndarray, _SequenceCache]:
+    """Run one direction over a (T, B, width) sequence; returns its states and cache.
+
+    Every step writes into arrays allocated once per sequence, whose input
+    part is filled once.  Each product, sum and activation is the one a
+    single step on fresh arrays computes, so the values are the same bits.
+    """
+    T, B, n_in = sequence.shape
+    H = params.hidden_size
+    z = np.empty((T, B, n_in + H))
+    zc = np.empty_like(z)
+    z[:, :, :n_in] = zc[:, :, :n_in] = sequence
+    gates = np.empty((T, 2, B, H))
+    h_tilde = np.empty((T, B, H))
+    out = np.empty((T, B, H))
+    W_U, W_R, W_h = params.W_U.T, params.W_R.T, params.W_h.T
+    b_UR = np.stack([params.b_U, params.b_R])[:, None, :]
+    h = np.zeros((B, H))
+    for t in range(T):
+        z[t, :, n_in:] = h
+        a, c = gates[t], h_tilde[t]
+        np.matmul(z[t], W_U, out=a[0])
+        np.matmul(z[t], W_R, out=a[1])
+        a += b_UR
+        a[...] = sigmoid(a)
+        U, R = a
+        np.multiply(R, h, out=zc[t, :, n_in:])
+        np.matmul(zc[t], W_h, out=c)
+        c += params.b_h
+        np.tanh(c, out=c)
+        np.multiply(1.0 - U, h, out=out[t])
+        out[t] += U * c
+        h = out[t]
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("non-finite hidden state")
+    return out, _SequenceCache(z, zc, gates, h_tilde)
 
 
 def bigru_forward(
@@ -178,22 +195,22 @@ def bigru_forward(
     train = mode == "train"
     if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
         raise ValueError("train mode with dropout needs an rng")
-    out_f, fwd_caches = _gru_sequence_forward(forward_params, sequence)
+    out_f, fwd_cache = _gru_sequence_forward(forward_params, sequence)
     mask_f = _dropout_mask(rng, out_f.shape, dropout_fwd) if train else None
     if mask_f is not None:
-        out_f = out_f * mask_f
+        out_f *= mask_f
 
-    out_b_rev, bwd_caches = _gru_sequence_forward(backward_params, flip(sequence))
+    out_b_rev, bwd_cache = _gru_sequence_forward(backward_params, sequence[::-1])
     mask_b = _dropout_mask(rng, out_b_rev.shape, dropout_bwd) if train else None
     if mask_b is not None:
-        out_b_rev = out_b_rev * mask_b
+        out_b_rev *= mask_b
 
-    out = np.concatenate([out_f, flip(out_b_rev)], axis=2)
-    return out, _BiGRUCache(fwd_caches, bwd_caches, mask_f, mask_b)
+    out = np.concatenate([out_f, out_b_rev[::-1]], axis=2)
+    return out, _BiGRUCache(fwd_cache, bwd_cache, mask_f, mask_b)
 
 
 def _gru_sequence_backward(
-    params: GRUCellParams, d_out: np.ndarray, caches: list, grads: GRUCellParams
+    params: GRUCellParams, d_out: np.ndarray, cache: _SequenceCache, grads: GRUCellParams
 ) -> np.ndarray:
     """Backprop one direction over its T steps into ``grads`` (overwritten); returns dx.
 
@@ -203,23 +220,27 @@ def _gru_sequence_backward(
     T, B, H = d_out.shape
     n_in = params.input_size
     W_U, W_R, W_h = params.W_U, params.W_R, params.W_h
+    h_prev = cache.z[:, :, n_in:]
+    U, R = cache.gates[:, 0], cache.gates[:, 1]
+    h_tilde = cache.h_tilde
+    one_minus_U, one_minus_R = 1.0 - U, 1.0 - R
+    d_tanh = 1.0 - h_tilde**2
+    h_step = h_tilde - h_prev
     da_U, da_R, da_h = np.empty((3, T, B, H))
     dh = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        _, h_prev, U, R, h_tilde = caches[t]
         dh = d_out[t] + dh
-        da_h[t] = dh * U * (1.0 - h_tilde**2)
+        da_h[t] = dh * U[t] * d_tanh[t]
         dRh = da_h[t] @ W_h[:, n_in:]
-        da_U[t] = dh * (h_tilde - h_prev) * U * (1.0 - U)
-        da_R[t] = dRh * h_prev * R * (1.0 - R)
-        dh = dh * (1.0 - U) + dRh * R + (da_U[t] @ W_U[:, n_in:] + da_R[t] @ W_R[:, n_in:])
+        da_U[t] = dh * h_step[t] * U[t] * one_minus_U[t]
+        da_R[t] = dRh * h_prev[t] * R[t] * one_minus_R[t]
+        dh = dh * one_minus_U[t] + dRh * R[t] + (da_U[t] @ W_U[:, n_in:] + da_R[t] @ W_R[:, n_in:])
 
-    x, h_prev, R = (np.concatenate([c[i] for c in caches]) for i in (0, 1, 3))
     da_U, da_R, da_h = (a.reshape(T * B, H) for a in (da_U, da_R, da_h))
-    z = np.concatenate([x, h_prev], axis=1)
+    z, zc = (a.reshape(T * B, n_in + H) for a in (cache.z, cache.zc))
     np.matmul(da_U.T, z, out=grads.W_U)
     np.matmul(da_R.T, z, out=grads.W_R)
-    np.matmul(da_h.T, np.concatenate([x, R * h_prev], axis=1), out=grads.W_h)
+    np.matmul(da_h.T, zc, out=grads.W_h)
     np.sum(da_U, axis=0, out=grads.b_U)
     np.sum(da_R, axis=0, out=grads.b_R)
     np.sum(da_h, axis=0, out=grads.b_h)
@@ -243,8 +264,8 @@ def bigru_backward(
         d_f = d_f * cache.mask_fwd
     if cache.mask_bwd is not None:
         d_b_rev = d_b_rev * cache.mask_bwd
-    dseq = _gru_sequence_backward(forward_params, d_f, cache.fwd_caches, grads_fwd)
-    dseq += flip(_gru_sequence_backward(backward_params, d_b_rev, cache.bwd_caches, grads_bwd))
+    dseq = _gru_sequence_backward(forward_params, d_f, cache.fwd, grads_fwd)
+    dseq += flip(_gru_sequence_backward(backward_params, d_b_rev, cache.bwd, grads_bwd))
     return dseq
 
 

@@ -153,7 +153,6 @@ class ExperimentConfig:
     split: SplitSpec
     network: DualBiGRUSpec | str = "baseline"  # spec, "baseline", or "ssa-tuned"
     training: TrainingConfig | None = None
-    hi_choice: str = "auto"
     denoise: bool = True
     denoise_rank: float | int = 2  # model-input conditioning; ramps need rank 2
     scale_band: float = 0.25
@@ -499,7 +498,7 @@ def run_hi_ablation(
     for split in splits:
         split_rows = []
         for series, denoised in prepared:
-            config = replace(base, split=split, denoise=False, hi_choice=series.name)
+            config = replace(base, split=split, denoise=False)
             report = run_single_battery(config, series, soh)
             split_rows.append(AblationRow(series.name, denoised, split.label(), report))
         split_rows.sort(key=lambda r: r.report.rmse)

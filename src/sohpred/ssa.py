@@ -123,6 +123,7 @@ class IterationRecord:
     best_position: np.ndarray
     evaluations: int  # candidates scored in this iteration
     failures: int  # of those, how many were scored WORST_FITNESS
+    repeats: int  # of those, how many took the stored score of an earlier candidate
 
 
 class WorkerLostError(RuntimeError):
@@ -217,18 +218,32 @@ def _evaluate(
     positions: np.ndarray,
     space: SearchSpace,
     pool=None,
+    scores: dict[bytes, float] | None = None,
 ) -> np.ndarray:
-    """Score every row in row order, here or on ``pool`` (from :func:`_fork_pool`)."""
-    if pool is None:
-        return np.array([_score(fitness, space, row) for row in positions])
-    from concurrent.futures.process import BrokenProcessPool
+    """Score every row, here or on ``pool`` (from :func:`_fork_pool`).
 
-    try:
-        return np.array(list(pool.map(_score_in_worker, positions)))
-    except BrokenProcessPool as exc:
-        raise WorkerLostError(
-            "the search lost a worker process before it returned a score"
-        ) from exc
+    ``scores`` maps a quantized position's bytes to its score.  Only rows
+    whose quantized position it lacks are scored, once each and in row
+    order; their scores are added to it.
+    """
+    scores = {} if scores is None else scores
+    keys = [space.quantize(row).tobytes() for row in positions]
+    unseen = {}
+    for key, row in zip(keys, positions):
+        if key not in scores:
+            unseen.setdefault(key, row)
+    if pool is None:
+        scores.update((key, _score(fitness, space, row)) for key, row in unseen.items())
+    elif unseen:
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            scores.update(zip(unseen, pool.map(_score_in_worker, unseen.values())))
+        except BrokenProcessPool as exc:
+            raise WorkerLostError(
+                "the search lost a worker process before it returned a score"
+            ) from exc
+    return np.array([scores[key] for key in keys])
 
 
 def initialize_population(
@@ -237,6 +252,7 @@ def initialize_population(
     fitness: Callable[[np.ndarray], float],
     rng: np.random.Generator,
     pool=None,
+    scores: dict[bytes, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform start (integers by rounded uniform), evaluated and sorted."""
     positions = rng.uniform(
@@ -245,7 +261,7 @@ def initialize_population(
     for j, dim in enumerate(space.dims):
         if dim.kind == "integer":
             positions[:, j] = np.rint(positions[:, j])
-    fitnesses = _evaluate(fitness, positions, space, pool)
+    fitnesses = _evaluate(fitness, positions, space, pool, scores)
     order = np.argsort(fitnesses, kind="stable")
     return positions[order], fitnesses[order]
 
@@ -346,27 +362,35 @@ def optimize(
     """Run the full loop; returns (best position, best fitness, history).
 
     The best position is reported quantized (how it was evaluated).  The
-    best-fitness history is monotone non-increasing by construction.  With
-    ``jobs > 1`` the candidates of every iteration are scored on one pool
-    of forked worker processes; the results are the same as with
-    ``jobs == 1``, provided the fitness is a pure function of the position.
+    best-fitness history is monotone non-increasing by construction.
+
+    The fitness must be a pure function of the quantized position, whatever
+    ``jobs`` is: each distinct quantized position is scored once per search,
+    and a candidate that lands on it again takes the stored score (a stored
+    failure counts as a failure again).  With ``jobs > 1`` the candidates of
+    every iteration are scored on one pool of forked worker processes, with
+    the same results as with ``jobs == 1``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     rng = derive_rng(config.seed, "ssa")
+    scores: dict[bytes, float] = {}
 
-    def record(t: int, best: Sparrow, fitnesses: np.ndarray) -> IterationRecord:
+    def record(t: int, best: Sparrow, fitnesses: np.ndarray, known: int) -> IterationRecord:
         failures = int(np.count_nonzero(fitnesses == WORST_FITNESS))
-        return IterationRecord(t, best.fitness, best.position.copy(), fitnesses.size, failures)
+        repeats = fitnesses.size - (len(scores) - known)
+        return IterationRecord(
+            t, best.fitness, best.position.copy(), fitnesses.size, failures, repeats
+        )
 
     with (
         _fork_pool(fitness, space, min(jobs, config.pop_size))
         if jobs > 1
         else contextlib.nullcontext()
     ) as pool:
-        positions, fitnesses = initialize_population(space, config, fitness, rng, pool)
+        positions, fitnesses = initialize_population(space, config, fitness, rng, pool, scores)
         best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
-        history = [record(0, best, fitnesses)]
+        history = [record(0, best, fitnesses, 0)]
 
         for t in range(config.max_iter):
             moved = positions.copy()
@@ -377,13 +401,14 @@ def optimize(
             worst = Sparrow(positions[-1].copy(), float(fitnesses[-1]))
             moved, _ = update_warners(moved, fitnesses, best, worst, config, space, rng)
 
-            fitnesses = _evaluate(fitness, moved, space, pool)
+            known = len(scores)
+            fitnesses = _evaluate(fitness, moved, space, pool, scores)
             order = np.argsort(fitnesses, kind="stable")
             positions = moved[order]
             fitnesses = fitnesses[order]
             if fitnesses[0] < best.fitness:
                 best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
-            history.append(record(t + 1, best, fitnesses))
+            history.append(record(t + 1, best, fitnesses, known))
     return best.position.copy(), best.fitness, history
 
 

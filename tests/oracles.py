@@ -63,6 +63,52 @@ def sigmoid_reference(x):
     return out
 
 
+def gru_cell_forward(params, x, h_prev):
+    """One GRU step on fresh arrays; returns (h, cache).  Accepts (batch, dim) arrays or vectors."""
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+        h_prev = h_prev[None, :]
+    if x.shape[1] != params.input_size or h_prev.shape[1] != params.hidden_size:
+        raise ValueError(
+            f"dimension mismatch: x {x.shape}, h {h_prev.shape} for cell "
+            f"({params.input_size} -> {params.hidden_size})"
+        )
+    z = np.concatenate([x, h_prev], axis=1)
+    U = nn.sigmoid(z @ params.W_U.T + params.b_U)
+    R = nn.sigmoid(z @ params.W_R.T + params.b_R)
+    zc = np.concatenate([x, R * h_prev], axis=1)
+    h_tilde = np.tanh(zc @ params.W_h.T + params.b_h)
+    h_new = (1.0 - U) * h_prev + U * h_tilde
+    if not np.all(np.isfinite(h_new)):
+        raise nn.DivergenceError("non-finite hidden state")
+    cache = (x, h_prev, U, R, h_tilde)
+    return (h_new[0] if single else h_new), cache
+
+
+def per_step_bigru_forward(forward_params, backward_params, dropout_fwd, dropout_bwd,
+                           sequence, mode="eval", rng=None):
+    """:func:`nn.bigru_forward` with one :func:`gru_cell_forward` call per step."""
+    train = mode == "train"
+
+    def direction(cell, seq):
+        out, h = [], np.zeros((seq.shape[1], cell.hidden_size))
+        for x in seq:
+            h, _ = gru_cell_forward(cell, x, h)
+            out.append(h)
+        return np.array(out)
+
+    out_f = direction(forward_params, sequence)
+    mask_f = nn._dropout_mask(rng, out_f.shape, dropout_fwd) if train else None
+    if mask_f is not None:
+        out_f = out_f * mask_f
+    out_b_rev = direction(backward_params, sequence[::-1])
+    mask_b = nn._dropout_mask(rng, out_b_rev.shape, dropout_bwd) if train else None
+    if mask_b is not None:
+        out_b_rev = out_b_rev * mask_b
+    return np.concatenate([out_f, out_b_rev[::-1]], axis=2)
+
+
 def gru_cell_backward(params, dh, cache, grads):
     """Backprop one GRU step; accumulates into ``grads``, returns (dx, dh_prev)."""
     x, h_prev, U, R, h_tilde = cache
@@ -101,11 +147,14 @@ def per_step_network_backward(spec, dy, cache):
     params = spec.params
     grads = params.zeros_like()
 
-    def direction(cell, grad, d_seq, caches):
-        dx_seq = np.zeros(d_seq.shape[:2] + (cell.input_size,))
+    def direction(cell, grad, d_seq, seq_cache):
+        n_in = cell.input_size
+        dx_seq = np.zeros(d_seq.shape[:2] + (n_in,))
         dh = np.zeros(d_seq.shape[1:])
         for t in range(d_seq.shape[0] - 1, -1, -1):
-            dx_seq[t], dh = gru_cell_backward(cell, d_seq[t] + dh, caches[t], grad)
+            z, (U, R) = seq_cache.z[t], seq_cache.gates[t]
+            step = (z[:, :n_in], z[:, n_in:], U, R, seq_cache.h_tilde[t])
+            dx_seq[t], dh = gru_cell_backward(cell, d_seq[t] + dh, step, grad)
         return dx_seq
 
     def block(cells, grads_pair, dout, bicache):
@@ -115,8 +164,8 @@ def per_step_network_backward(spec, dy, cache):
             d_f = d_f * bicache.mask_fwd
         if bicache.mask_bwd is not None:
             d_b_rev = d_b_rev * bicache.mask_bwd
-        dseq = direction(cells[0], grads_pair[0], d_f, bicache.fwd_caches)
-        return dseq + direction(cells[1], grads_pair[1], d_b_rev, bicache.bwd_caches)[::-1]
+        dseq = direction(cells[0], grads_pair[0], d_f, bicache.fwd)
+        return dseq + direction(cells[1], grads_pair[1], d_b_rev, bicache.bwd)[::-1]
 
     grads.dense_w += last.T @ dy
     grads.dense_b += dy.sum()

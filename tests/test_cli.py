@@ -266,6 +266,7 @@ class TestHpo:
         assert 10 <= best["experiment"]["training"]["max_epochs"] <= 20
         history = (out / "ssa_history.csv").read_text().splitlines()
         assert history[1].startswith("iteration,best_fitness,evaluations,failures,pos0")
+        assert history[1].endswith(",pos10,repeats")
         assert len(history) == 2 + 2 + 1  # comment+header, init record, 2 iterations
         assert [line.split(",")[2:4] for line in history[2:]] == [["3", "0"]] * 3
 

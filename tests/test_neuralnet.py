@@ -10,6 +10,8 @@ from oracles import (
     adam_reference,
     forward_oracle,
     gradcheck,
+    gru_cell_forward,
+    per_step_bigru_forward,
     per_step_network_backward,
     scalar_cell_oracle,
     sigmoid_reference,
@@ -38,17 +40,19 @@ ONLY_FORM = pytest.mark.parametrize("form", ["reset_gated"])
 
 
 class TestGRUCell:
+    """The per-step reference cell that the sequence forward is checked against."""
+
     def test_zero_weights_give_half_decay(self):
         cell = zeroed_cell(1, 3)
         h_prev = np.array([0.4, -0.2, 1.0])
-        h, cache = nn.gru_cell_forward(cell, np.array([0.7]), h_prev)
+        h, cache = gru_cell_forward(cell, np.array([0.7]), h_prev)
         assert np.allclose(h, 0.5 * h_prev)
         _, _, U, R, h_tilde = cache
         assert np.allclose(U, 0.5) and np.allclose(R, 0.5) and np.allclose(h_tilde, 0.0)
 
     def test_zero_input_zero_state(self):
         cell = nn.init_gru_cell(2, 3, np.random.default_rng(1))
-        h, _ = nn.gru_cell_forward(cell, np.zeros(2), np.zeros(3))
+        h, _ = gru_cell_forward(cell, np.zeros(2), np.zeros(3))
         assert np.allclose(h, 0.0)
 
     @ONLY_FORM
@@ -60,20 +64,20 @@ class TestGRUCell:
         cell.b_h[:] = rng.normal(size=3)
         x = rng.normal(size=2)
         h_prev = rng.normal(size=3)
-        h, _ = nn.gru_cell_forward(cell, x, h_prev)
+        h, _ = gru_cell_forward(cell, x, h_prev)
         expected = scalar_cell_oracle(cell, x, h_prev)
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         cell = nn.init_gru_cell(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            nn.gru_cell_forward(cell, np.zeros(5), np.zeros(3))
+            gru_cell_forward(cell, np.zeros(5), np.zeros(3))
 
     def test_update_gate_forced_closed_keeps_state(self):
         cell = nn.init_gru_cell(1, 4, np.random.default_rng(3))
         cell.b_U[:] = -1e3  # update gate exactly 0 in float64
         h_prev = np.array([0.3, -0.8, 0.1, 0.9])
-        h, _ = nn.gru_cell_forward(cell, np.array([0.5]), h_prev)
+        h, _ = gru_cell_forward(cell, np.array([0.5]), h_prev)
         assert np.array_equal(h, h_prev)
 
     def test_update_gate_forced_open_takes_candidate(self):
@@ -81,7 +85,7 @@ class TestGRUCell:
         cell.b_U[:] = 1e3  # update gate exactly 1
         h_prev = np.array([0.3, -0.8, 0.1, 0.9])
         x = np.array([0.5])
-        h, cache = nn.gru_cell_forward(cell, x, h_prev)
+        h, cache = gru_cell_forward(cell, x, h_prev)
         assert np.array_equal(h, cache[4][0])
 
     @given(seed=st.integers(0, 9999))
@@ -91,7 +95,7 @@ class TestGRUCell:
         cell = nn.init_gru_cell(1, 3, rng)
         h = np.zeros(3)
         for t in range(6):
-            h, _ = nn.gru_cell_forward(cell, rng.normal(size=1) * 5.0, h)
+            h, _ = gru_cell_forward(cell, rng.normal(size=1) * 5.0, h)
             assert np.all(np.abs(h) <= 1.0)
 
     def test_shape_validation(self):
@@ -157,6 +161,25 @@ class TestBiGRU:
         with pytest.raises(ValueError, match="needs an rng"):
             nn.bigru_forward(cell, cell, 0.2, 0.0, seq, "train", None)
 
+    @pytest.mark.parametrize("units", [(2, 1, 2, 1), (3, 3, 3, 3), (5, 7, 4, 6)])
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_bit_identical_to_per_step_reference(self, units, steps, batch, dropout):
+        cells = built_spec(units=units, window=steps, seed=steps + batch).params.cells
+        rng = np.random.default_rng(batch)
+        for cell in cells:
+            for bias in (cell.b_U, cell.b_R, cell.b_h):
+                bias[:] = rng.normal(size=cell.hidden_size) * 0.3
+        seq = rng.normal(size=(steps, batch, 1))
+        for pair in (cells[:2], cells[2:]):  # block 2 reads block 1's output
+            ours, _ = nn.bigru_forward(*pair, dropout, dropout, seq, "train", derive_rng(4, "mask"))
+            ref = per_step_bigru_forward(
+                *pair, dropout, dropout, seq, "train", derive_rng(4, "mask")
+            )
+            assert np.array_equal(ours, ref)
+            seq = ours
+
 
 class TestNetworkForward:
     def test_zero_dense_gives_bias(self):
@@ -208,6 +231,12 @@ class TestNetworkForward:
         spec = nn.DualBiGRUSpec(4, (2, 2, 2, 2), (0.0,) * 4)
         with pytest.raises(ValueError, match="no parameters"):
             nn.network_forward(spec, np.zeros((1, 4)))
+
+    def test_nan_window_diverges(self):
+        windows = np.zeros((3, 4))
+        windows[1, 2] = np.nan
+        with pytest.raises(nn.DivergenceError, match="non-finite hidden state"):
+            nn.network_forward(built_spec(), windows)
 
 
 class TestMSELoss:

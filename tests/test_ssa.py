@@ -332,6 +332,71 @@ class TestOptimize:
             optimize(box(2), config, exits_on_positive_first, jobs=2)
 
 
+class TestScoreMemo:
+    """Each distinct quantized position is scored once per search."""
+
+    # integer dimensions on a small grid: producers shrink onto the lower bound
+    SPACE = SearchSpace(dims=(Dimension(1, 6, "integer"), Dimension(2, 5, "integer")))
+    CONFIG = SSAConfig(pop_size=8, max_iter=12, seed=4)
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Per ``_evaluate`` call: the quantized rows it got and the fitness calls it made."""
+        log, calls = [], []
+        real = ssa._evaluate
+
+        def recording(fitness, positions, space, *rest):
+            before = len(calls)
+            out = real(fitness, positions, space, *rest)
+            log.append(([tuple(space.quantize(r)) for r in positions], len(calls) - before))
+            return out
+
+        monkeypatch.setattr(ssa, "_evaluate", recording)
+        return log, calls
+
+    def counting(self, calls, fails_at=()):
+        def fitness(x):
+            calls.append(tuple(x))
+            if tuple(x) in fails_at:
+                raise RuntimeError("failing corner")
+            return sphere(x)
+
+        return fitness
+
+    def test_each_distinct_position_scored_once(self, evaluations):
+        log, calls = evaluations
+        _, _, history = optimize(self.SPACE, self.CONFIG, self.counting(calls))
+        candidates = [row for rows, _ in log for row in rows]
+        assert sorted(calls) == sorted(set(candidates))
+        assert len(candidates) - len(calls) == sum(r.repeats for r in history) > 0
+        assert candidates.count((1.0, 2.0)) > 1
+
+    def test_repeats_are_candidates_minus_calls_per_iteration(self, evaluations):
+        log, calls = evaluations
+        _, _, history = optimize(self.SPACE, self.CONFIG, self.counting(calls))
+        assert [r.repeats for r in history] == [len(rows) - n for rows, n in log]
+        assert [r.evaluations for r in history] == [self.CONFIG.pop_size] * len(history)
+
+    def test_jobs_give_equal_histories(self):
+        serial, forked = (optimize(self.SPACE, self.CONFIG, sphere, jobs=j)[2] for j in (1, 2))
+
+        def rows(history):
+            return [(r.iteration, r.best_fitness, tuple(r.best_position), r.evaluations,
+                     r.failures, r.repeats) for r in history]
+
+        assert rows(forked) == rows(serial)
+        assert sum(r.repeats for r in serial) > 0
+
+    def test_repeated_failure_raises_once_and_counts_each_time(self, evaluations):
+        log, calls = evaluations
+        corner = (1.0, 2.0)
+        _, best, history = optimize(self.SPACE, self.CONFIG, self.counting(calls, (corner,)))
+        appearances = sum(rows.count(corner) for rows, _ in log)
+        assert calls.count(corner) == 1 and appearances > 1
+        assert sum(r.failures for r in history) == appearances
+        assert best < ssa.WORST_FITNESS
+
+
 class TestHyperparameterCoding:
     def test_space_shape(self):
         space = encode_hyperparameters()
