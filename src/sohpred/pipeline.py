@@ -197,8 +197,11 @@ def config_fingerprint(config: ExperimentConfig) -> str:
             return [describe(v) for v in obj]
         return obj
 
-    # jobs is a run setting: it never changes a result
+    # jobs is a run setting: it never changes a result.  hi_choice, a field
+    # no longer held, keeps the value every CLI run had, so the fingerprints
+    # of unchanged hyperparameters stay what earlier versions wrote.
     payload = {k: describe(v) for k, v in vars(config).items() if k != "jobs"}
+    payload["hi_choice"] = "auto"
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

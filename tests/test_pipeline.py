@@ -411,3 +411,12 @@ class TestExperimentConfig:
         assert pipeline.config_fingerprint(a) != pipeline.config_fingerprint(c)
         # jobs is a run setting, not a hyperparameter
         assert pipeline.config_fingerprint(replace(a, jobs=2)) == pipeline.config_fingerprint(a)
+
+    def test_fingerprint_matches_earlier_versions(self):
+        """Values written by the releases that still held ``ExperimentConfig.hi_choice``."""
+        training = TrainingConfig(20, 0.01, 14, batch_size=8, seed=0)
+        nets = {"baseline": "bff74c4a4b54672e",
+                DualBiGRUSpec(5, (3, 2, 4, 3), (0.0, 0.1, 0.0, 0.2)): "be5a7167612d9911"}
+        for net, fingerprint in nets.items():
+            config = ExperimentConfig(SplitSpec.fraction(0.25), network=net, training=training)
+            assert pipeline.config_fingerprint(config) == fingerprint
