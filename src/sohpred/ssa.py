@@ -234,7 +234,7 @@ def _evaluate(
             unseen.setdefault(key, row)
     if pool is None:
         scores.update((key, _score(fitness, space, row)) for key, row in unseen.items())
-    elif unseen:
+    else:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
