@@ -152,7 +152,7 @@ def _gru_sequence_forward(
     h_tilde = np.empty((T, B, H))
     out = np.empty((T, B, H))
     W_U, W_R, W_h = params.W_U.T, params.W_R.T, params.W_h.T
-    b_UR = np.stack([params.b_U, params.b_R])[:, None, :]
+    b_UR = np.array((params.b_U, params.b_R))[:, None, :]
     h = np.zeros((B, H))
     for t in range(T):
         z[t, :, n_in:] = h
@@ -169,7 +169,7 @@ def _gru_sequence_forward(
         np.multiply(1.0 - U, h, out=out[t])
         out[t] += U * c
         h = out[t]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceError("non-finite hidden state")
     return out, _SequenceCache(z, zc, gates, h_tilde)
 
@@ -241,9 +241,9 @@ def _gru_sequence_backward(
     np.matmul(da_U.T, z, out=grads.W_U)
     np.matmul(da_R.T, z, out=grads.W_R)
     np.matmul(da_h.T, zc, out=grads.W_h)
-    np.sum(da_U, axis=0, out=grads.b_U)
-    np.sum(da_R, axis=0, out=grads.b_R)
-    np.sum(da_h, axis=0, out=grads.b_h)
+    da_U.sum(axis=0, out=grads.b_U)
+    da_R.sum(axis=0, out=grads.b_R)
+    da_h.sum(axis=0, out=grads.b_h)
     dx = da_h @ W_h[:, :n_in] + da_U @ W_U[:, :n_in] + da_R @ W_R[:, :n_in]
     return dx.reshape(T, B, n_in)
 
