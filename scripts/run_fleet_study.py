@@ -49,9 +49,11 @@ def main():
         training=TrainingConfig(args.epochs, 0.01, int(0.7 * args.epochs), 0.01, batch_size=8),
         seeds=(0,),
     )
+    # the predictors do not depend on the starting month: fit them once
+    predictors = pipeline.fit_fleet_predictors(config, vehicle_soh[args.train_vehicle])
     for start in args.starts:
         results = pipeline.run_fleet(
-            args.train_vehicle, vehicle_soh, pipeline.SplitSpec.index(start), config
+            args.train_vehicle, vehicle_soh, pipeline.SplitSpec.index(start), config, predictors
         )
         rmses = [report.rmse for _, report in results]
         print(f"\nprediction starting month {start}:")

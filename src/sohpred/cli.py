@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -65,12 +66,21 @@ def _file_sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(subcommand: str, config: dict, datasets: list[Path], seeds: list[int]) -> dict:
+def build_manifest(
+    subcommand: str,
+    config: dict,
+    datasets: list[Path],
+    seeds: list[int],
+    digests: list[str] | None = None,
+) -> dict:
+    """The run's manifest; ``digests`` are the datasets' sha256 when already known."""
+    if digests is None:
+        digests = [_file_sha256(p) for p in datasets]
     # datasets are keyed by basename so the hash tracks content, not location
     manifest = {
         "subcommand": subcommand,
         "config": config,
-        "datasets": {p.name: _file_sha256(p) for p in sorted(datasets)},
+        "datasets": {p.name: d for p, d in sorted(zip(datasets, digests))},
         "version": __version__,
         "seeds": seeds,
     }
@@ -522,6 +532,86 @@ def cmd_predict(args) -> int:
     return 0
 
 
+class _VehicleLog(NamedTuple):
+    """What the fleet run keeps of one vehicle's log."""
+
+    soh: ingest.SOHSeries
+    monthly_rows: list[list]
+    sha256: str
+
+
+def _vehicle_id(path: Path) -> str:
+    return path.stem.removeprefix("fleet_")
+
+
+def _read_vehicle(path: Path, schema: ingest.FleetSchema, stat: str) -> _VehicleLog:
+    """Parse one vehicle's log into its monthly SOH series and ``monthly.csv`` rows."""
+    vid = _vehicle_id(path)
+    segments = ingest.parse_fleet_file(path, schema, source_id=vid)
+    records, _ = ingest.monthly_aggregate(segments)
+    caps = [r.median_capacity if stat == "median" else r.mean_capacity for r in records]
+    soh = ingest.compute_soh(caps, denominator="max", index=[r.month for r in records])
+    rows = [[vid, r.month, len(r.capacities), r.median_capacity, r.mean_capacity] for r in records]
+    return _VehicleLog(soh, rows, _file_sha256(path))
+
+
+def _read_fleet_while_training(files, train_index, schema, stat, settings, workers):
+    """Read every log and fit the training vehicle's predictors at the same time.
+
+    ``workers`` forked processes read the logs of the other vehicles, while
+    this process reads the training vehicle's log, resolves ``settings()``
+    (the split start and the experiment config) and fits the predictors;
+    then it reads, from the last file back, the logs no worker has started.
+    Returns the logs in file order, the start, the config and a future of
+    the predictors.  Errors come out in the order of a serial run: a read
+    error of an earlier file before that of a later one, any read error
+    before a settings error, and a fitting error only once the caller asks
+    the future for the predictors.
+
+    The workers are forked, not spawned: a spawned worker would import
+    NumPy and the package again, which takes about as long as the parse it
+    takes over.  The pool forks every worker on the first submit, before
+    its own threads start.  The workers parse and make no BLAS calls, so
+    their BLAS threads are left alone.
+    """
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def settle(fn, *fn_args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*fn_args))
+        except Exception as exc:  # raised where a serial run would raise it
+            future.set_exception(exc)
+        return future
+
+    def fit() -> list[pipeline.Predictor]:
+        _, config = settled.result()
+        return pipeline.fit_fleet_predictors(config, reads[train_index].result().soh)
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        reads = [
+            None if i == train_index else pool.submit(_read_vehicle, path, schema, stat)
+            for i, path in enumerate(files)
+        ]
+        reads[train_index] = settle(_read_vehicle, files[train_index], schema, stat)
+        settled = settle(settings)
+        fitted = settle(fit)
+        for i in reversed(range(len(files))):
+            if reads[i].cancel():  # no worker has started it
+                reads[i] = settle(_read_vehicle, files[i], schema, stat)
+        logs = [read.result() for read in reads]
+    except BrokenProcessPool as exc:
+        raise ssa.WorkerLostError(
+            "the fleet lost a worker process before it returned a vehicle's log"
+        ) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return (logs, *settled.result(), fitted)
+
+
 def cmd_fleet(args) -> int:
     cfg = _load_config(args.config)
     data_dir = Path(args.dataset or cfg.get("dataset", {}).get("path", ""))
@@ -533,38 +623,39 @@ def cmd_fleet(args) -> int:
     if stat not in ("median", "mean"):
         raise ConfigError(f"fleet.stat must be 'median' or 'mean', got {stat!r}")
     schema = _fleet_schema(cfg)
+    vids = [_vehicle_id(p) for p in files]
+    train_vehicle = fleet_cfg.get("train_vehicle", min(vids))
+    searched = cfg.get("experiment", {}).get("network") == "ssa-tuned"
 
-    vehicle_soh: dict[str, ingest.SOHSeries] = {}
-    monthly_rows = []
-    for path in files:
-        vid = path.stem.removeprefix("fleet_")
-        segments = ingest.parse_fleet_file(path, schema, source_id=vid)
-        records, _ = ingest.monthly_aggregate(segments)
-        caps = [r.median_capacity if stat == "median" else r.mean_capacity for r in records]
-        vehicle_soh[vid] = ingest.compute_soh(
-            caps, denominator="max", index=[r.month for r in records]
+    def settings() -> tuple[pipeline.SplitSpec, pipeline.ExperimentConfig]:
+        start = pipeline.SplitSpec.index(int(fleet_cfg.get("start_index", 2)))
+        return start, _experiment_config(cfg, args, "ssa-tuned" if searched else "explicit")
+
+    # --jobs counts this process too; a search keeps the cores for its own pool
+    workers = min(args.jobs - 1, len(files) - 1)
+    if workers > 0 and not searched and train_vehicle in vids:
+        logs, start, config, fitted = _read_fleet_while_training(
+            files, vids.index(train_vehicle), schema, stat, settings, workers
         )
-        for r in records:
-            monthly_rows.append(
-                [vid, r.month, len(r.capacities), r.median_capacity, r.mean_capacity]
-            )
+    else:
+        logs = [_read_vehicle(path, schema, stat) for path in files]
+        start, config = settings()
+        fitted = None
+    vehicle_soh = {vid: log.soh for vid, log in zip(vids, logs)}
 
-    train_vehicle = fleet_cfg.get("train_vehicle", sorted(vehicle_soh)[0])
-    start = pipeline.SplitSpec.index(int(fleet_cfg.get("start_index", 2)))
-    config = _experiment_config(cfg, args, network_mode=(
-        "ssa-tuned" if cfg.get("experiment", {}).get("network") == "ssa-tuned" else "explicit"
-    ))
-
-    manifest = build_manifest("fleet", cfg, files, list(config.seeds))
+    manifest = build_manifest(
+        "fleet", cfg, files, list(config.seeds), [log.sha256 for log in logs]
+    )
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
 
-    results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config)
+    predictors = None if fitted is None else fitted.result()
+    results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config, predictors)
     _write_table(
         out_dir / "monthly.csv",
         h,
         ["vehicle", "month", "events", "median_capacity_ah", "mean_capacity_ah"],
-        monthly_rows,
+        [row for log in logs for row in log.monthly_rows],
     )
     summary_rows = []
     for vid, report in results:
@@ -595,8 +686,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: runs/<cmd>-<manifest hash>)")
 
     def jobs(p):
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the search's fitness evaluations (default 1)")
+        # the CPUs this process may run on; without an affinity call, all of them
+        default = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        p.add_argument("--jobs", type=int, default=default,
+                       help="processes computing at once: a search scores its candidates on "
+                            "that many forked workers, and fleet parses the other vehicles' "
+                            "logs on all but one while this process trains "
+                            f"(default: the CPUs this process may use, {default})")
 
     p = sub.add_parser("synth", help="write a synthetic dataset")
     common(p)

@@ -20,12 +20,15 @@ the cells m1f, m1b, m2f, m2b in turn (W_U, W_R, W_h, b_U, b_R, b_h each),
 then dense.w and dense.b.  Gradients use the same class over a buffer of
 their own, so Adam updates the whole network with a few vector
 operations, and the model file is a text header followed by the buffer.
+A block whose two cells have equal hidden sizes runs both directions as
+one stack: its cells sit at a constant offset in the buffer, so each
+matmul takes both directions' weights as one strided view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -38,10 +41,11 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or activation."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below: exp never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below: exp never overflows;
+    # copysign(x, -1) is -|x| bit for bit
+    e = np.exp(np.copysign(x, -1.0))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 @dataclass
@@ -103,12 +107,66 @@ def flip(sequence: np.ndarray) -> np.ndarray:
     return np.asarray(sequence)[::-1].copy()
 
 
+@dataclass(frozen=True)
+class _CellStack:
+    """A layer's two cells of one shape, stacked: ``W_*`` (2, H, J), ``b_*`` (2, H).
+
+    Every array is a view of the cells' own arrays, so gradients written
+    into a stack of gradient cells land in their buffer.
+    """
+
+    W_U: np.ndarray
+    W_R: np.ndarray
+    W_h: np.ndarray
+    b_U: np.ndarray
+    b_R: np.ndarray
+    b_h: np.ndarray
+    input_size: int
+    hidden_size: int
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+# A block's cells as its sequence loops take them: one stack of both, or the two cells
+_Layer = tuple[_CellStack] | tuple[GRUCellParams, GRUCellParams]
+
+
+def _layer_stacks(first: GRUCellParams, second: GRUCellParams) -> _Layer:
+    """A layer's two cells as one stack of both, or else as the two cells.
+
+    The cells stack when every array of ``second`` sits at one nonzero byte
+    offset from the same array of ``first`` in one buffer, as the equal
+    cells of a layer in :class:`ModelParams` do.  The stacked arrays are
+    then ``as_strided`` views of that buffer: nothing is copied.
+    """
+    pairs = [(getattr(first, name), getattr(second, name)) for name in CELL_FIELDS]
+    gaps = {_address(b) - _address(a) for a, b in pairs}
+    sizes = (first.input_size, first.hidden_size)
+    if (
+        sizes == (second.input_size, second.hidden_size)
+        and len(gaps) == 1
+        and 0 not in gaps
+        and all(a.base is not None and a.base is b.base for a, b in pairs)
+    ):
+        (gap,) = gaps
+        views = (
+            np.lib.stride_tricks.as_strided(a, (2, *a.shape), (gap, *a.strides)) for a, _ in pairs
+        )
+        return (_CellStack(*views, *sizes),)
+    return first, second
+
+
 @dataclass
 class _SequenceCache:
-    """One direction's values at every step, each array indexed by step first.
+    """The values of one direction, or of a stack of both, at every step.
 
-    ``z`` holds [x, h_prev] and ``zc`` holds [x, R * h_prev], (T, B, n_in + H);
-    ``gates`` holds U and R, (T, 2, B, H); ``h_tilde`` is (T, B, H).
+    With ``S`` the stack axis, present only for a stack: ``z`` holds
+    [x, h_prev] and ``zc`` holds [x, R * h_prev], ([S,] T, B, n_in + H), so
+    that each direction's reshapes to (T*B, n_in + H) with no copy;
+    ``gates`` holds U and R, (T, 2, [S,] B, H), and ``h_tilde`` is
+    (T, [S,] B, H), so that each step's values are one contiguous block.
     """
 
     z: np.ndarray
@@ -119,8 +177,7 @@ class _SequenceCache:
 
 @dataclass
 class _BiGRUCache:
-    fwd: _SequenceCache
-    bwd: _SequenceCache
+    runs: tuple[_SequenceCache, ...]  # one stacked run, or the forward then the backward run
     mask_fwd: np.ndarray | None
     mask_bwd: np.ndarray | None
 
@@ -135,43 +192,80 @@ def _dropout_mask(
 
 
 def _gru_sequence_forward(
-    params: GRUCellParams, sequence: np.ndarray
+    cells: GRUCellParams | _CellStack, sequence: np.ndarray
 ) -> tuple[np.ndarray, _SequenceCache]:
-    """Run one direction over a (T, B, width) sequence; returns its states and cache.
+    """Run one cell over a (T, B, width) sequence, or a stack over (2, T, B, width).
 
-    Every step writes into arrays allocated once per sequence, whose input
-    part is filled once.  Each product, sum and activation is the one a
-    single step on fresh arrays computes, so the values are the same bits.
+    Returns the states, (T, [2,] B, H), and the cache.  Every step writes
+    into arrays allocated once per sequence, whose input part is filled
+    once.  A stack's matmuls run both directions' products in one call;
+    each product, sum and activation is the one a single step of one
+    direction on fresh arrays computes, so the values are the same bits.
     """
-    T, B, n_in = sequence.shape
-    H = params.hidden_size
-    z = np.empty((T, B, n_in + H))
+    lead = cells.W_U.shape[:-2]  # (2,) for a stack, () for one cell
+    T, B, n_in = sequence.shape[-3:]
+    H = cells.hidden_size
+    z = np.empty((*lead, T, B, n_in + H))
     zc = np.empty_like(z)
-    z[:, :, :n_in] = zc[:, :, :n_in] = sequence
-    gates = np.empty((T, 2, B, H))
-    h_tilde = np.empty((T, B, H))
-    out = np.empty((T, B, H))
-    W_U, W_R, W_h = params.W_U.T, params.W_R.T, params.W_h.T
-    b_UR = np.array((params.b_U, params.b_R))[:, None, :]
-    h = np.zeros((B, H))
+    z[..., :n_in] = zc[..., :n_in] = sequence
+    gates = np.empty((T, 2, *lead, B, H))
+    h_tilde = np.empty((T, *lead, B, H))
+    out = np.empty((T, *lead, B, H))
+    W_U, W_R, W_h = (w.swapaxes(-1, -2) for w in (cells.W_U, cells.W_R, cells.W_h))
+    b_UR = np.array((cells.b_U, cells.b_R))[..., None, :]
+    b_h = cells.b_h[..., None, :]
+    z_steps, zc_steps = z.swapaxes(0, len(lead)), zc.swapaxes(0, len(lead))  # step first
+    h = np.zeros((*lead, B, H))
     for t in range(T):
-        z[t, :, n_in:] = h
-        a, c = gates[t], h_tilde[t]
-        np.matmul(z[t], W_U, out=a[0])
-        np.matmul(z[t], W_R, out=a[1])
+        z_t, zc_t, a, c, h_t = z_steps[t], zc_steps[t], gates[t], h_tilde[t], out[t]
+        z_t[..., n_in:] = h
+        np.matmul(z_t, W_U, out=a[0])
+        np.matmul(z_t, W_R, out=a[1])
         a += b_UR
-        a[...] = sigmoid(a)
+        sigmoid(a, out=a)
         U, R = a
-        np.multiply(R, h, out=zc[t, :, n_in:])
-        np.matmul(zc[t], W_h, out=c)
-        c += params.b_h
+        np.multiply(R, h, out=zc_t[..., n_in:])
+        np.matmul(zc_t, W_h, out=c)
+        c += b_h
         np.tanh(c, out=c)
-        np.multiply(1.0 - U, h, out=out[t])
-        out[t] += U * c
-        h = out[t]
+        np.multiply(1.0 - U, h, out=h_t)
+        h_t += U * c
+        h = h_t
     if not np.isfinite(out).all():
         raise DivergenceError("non-finite hidden state")
     return out, _SequenceCache(z, zc, gates, h_tilde)
+
+
+def _bigru_forward(
+    stacks: _Layer,
+    dropout_fwd: float,
+    dropout_bwd: float,
+    sequence: np.ndarray,
+    mode: str,
+    rng: np.random.Generator | None,
+) -> tuple[np.ndarray, _BiGRUCache]:
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    train = mode == "train"
+    if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
+        raise ValueError("train mode with dropout needs an rng")
+    if len(stacks) == 1:
+        out, cache = _gru_sequence_forward(stacks[0], np.array((sequence, sequence[::-1])))
+        out_f, out_b_rev = out.swapaxes(0, 1)
+        runs = (cache,)
+    else:
+        (out_f, cache_f), (out_b_rev, cache_b) = (
+            _gru_sequence_forward(cells, seq) for cells, seq in zip(stacks, (sequence, sequence[::-1]))
+        )
+        runs = (cache_f, cache_b)
+    masks = []
+    for out, rate in ((out_f, dropout_fwd), (out_b_rev, dropout_bwd)):
+        mask = _dropout_mask(rng, out.shape, rate) if train else None
+        if mask is not None:
+            out *= mask
+        masks.append(mask)
+    out = np.concatenate([out_f, out_b_rev[::-1]], axis=2)
+    return out, _BiGRUCache(runs, *masks)
 
 
 def bigru_forward(
@@ -188,64 +282,95 @@ def bigru_forward(
     The backward direction consumes the flipped sequence and its output is
     flipped back, so output step t concatenates the forward state after
     seeing x[0..t] with the backward state after seeing x[t..T-1].
-    Inverted dropout is applied per direction in train mode only.
+    Inverted dropout is applied per direction in train mode only, the
+    forward direction's mask drawn first.  Cells that stack (see
+    :func:`_layer_stacks`) run both directions as one stack.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
-    if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
-        raise ValueError("train mode with dropout needs an rng")
-    out_f, fwd_cache = _gru_sequence_forward(forward_params, sequence)
-    mask_f = _dropout_mask(rng, out_f.shape, dropout_fwd) if train else None
-    if mask_f is not None:
-        out_f *= mask_f
-
-    out_b_rev, bwd_cache = _gru_sequence_forward(backward_params, sequence[::-1])
-    mask_b = _dropout_mask(rng, out_b_rev.shape, dropout_bwd) if train else None
-    if mask_b is not None:
-        out_b_rev *= mask_b
-
-    out = np.concatenate([out_f, out_b_rev[::-1]], axis=2)
-    return out, _BiGRUCache(fwd_cache, bwd_cache, mask_f, mask_b)
+    return _bigru_forward(
+        _layer_stacks(forward_params, backward_params),
+        dropout_fwd, dropout_bwd, sequence, mode, rng,
+    )
 
 
 def _gru_sequence_backward(
-    params: GRUCellParams, d_out: np.ndarray, cache: _SequenceCache, grads: GRUCellParams
+    cells: GRUCellParams | _CellStack,
+    d_out: np.ndarray,
+    cache: _SequenceCache,
+    grads: GRUCellParams | _CellStack,
 ) -> np.ndarray:
-    """Backprop one direction over its T steps into ``grads`` (overwritten); returns dx.
+    """Backprop one cell, or a stack, over its T steps into ``grads`` (overwritten).
 
+    ``d_out`` is (T, [2,] B, H), like the states; returns dx, ([2,] T, B, n_in).
     Only the dh recurrence runs per step.  The gate gradients of all steps
-    are stacked as (T*B, H), so each weight gradient is one matmul.
+    are then laid out as ([2,] T*B, H), so each weight gradient is one matmul.
     """
-    T, B, H = d_out.shape
-    n_in = params.input_size
-    W_U, W_R, W_h = params.W_U, params.W_R, params.W_h
-    h_prev = cache.z[:, :, n_in:]
+    T, *lead, B, H = d_out.shape
+    n_in = cells.input_size
+    W_U, W_R, W_h = cells.W_U, cells.W_R, cells.W_h
+    W_Uh, W_Rh, W_hh = (w[..., n_in:] for w in (W_U, W_R, W_h))
+    h_prev = cache.z[..., n_in:].swapaxes(0, len(lead))  # step first
     U, R = cache.gates[:, 0], cache.gates[:, 1]
     h_tilde = cache.h_tilde
     one_minus_U, one_minus_R = 1.0 - U, 1.0 - R
     d_tanh = 1.0 - h_tilde**2
     h_step = h_tilde - h_prev
-    da_U, da_R, da_h = np.empty((3, T, B, H))
-    dh = np.zeros((B, H))
+    da_U, da_R, da_h = np.empty((3, T, *lead, B, H))
+    dh = np.zeros((*lead, B, H))
     for t in range(T - 1, -1, -1):
+        # each product is formed left to right in its step's block, as
+        # dh * U[t] * d_tanh[t] would be
+        a_h, a_U, a_R = da_h[t], da_U[t], da_R[t]
         dh = d_out[t] + dh
-        da_h[t] = dh * U[t] * d_tanh[t]
-        dRh = da_h[t] @ W_h[:, n_in:]
-        da_U[t] = dh * h_step[t] * U[t] * one_minus_U[t]
-        da_R[t] = dRh * h_prev[t] * R[t] * one_minus_R[t]
-        dh = dh * one_minus_U[t] + dRh * R[t] + (da_U[t] @ W_U[:, n_in:] + da_R[t] @ W_R[:, n_in:])
+        np.multiply(dh, U[t], out=a_h)
+        a_h *= d_tanh[t]
+        dRh = a_h @ W_hh
+        np.multiply(dh, h_step[t], out=a_U)
+        a_U *= U[t]
+        a_U *= one_minus_U[t]
+        np.multiply(dRh, h_prev[t], out=a_R)
+        a_R *= R[t]
+        a_R *= one_minus_R[t]
+        dh = dh * one_minus_U[t] + dRh * R[t] + (a_U @ W_Uh + a_R @ W_Rh)
 
-    da_U, da_R, da_h = (a.reshape(T * B, H) for a in (da_U, da_R, da_h))
-    z, zc = (a.reshape(T * B, n_in + H) for a in (cache.z, cache.zc))
-    np.matmul(da_U.T, z, out=grads.W_U)
-    np.matmul(da_R.T, z, out=grads.W_R)
-    np.matmul(da_h.T, zc, out=grads.W_h)
-    da_U.sum(axis=0, out=grads.b_U)
-    da_R.sum(axis=0, out=grads.b_R)
-    da_h.sum(axis=0, out=grads.b_h)
-    dx = da_h @ W_h[:, :n_in] + da_U @ W_U[:, :n_in] + da_R @ W_R[:, :n_in]
-    return dx.reshape(T, B, n_in)
+    # copied into ([2,] T, B, H) order: BLAS then sees each direction's rows as
+    # the single direction does, for every size (a reshaped view may not)
+    da_U, da_R, da_h = (
+        np.ascontiguousarray(a.swapaxes(0, len(lead))).reshape(*lead, T * B, H)
+        for a in (da_U, da_R, da_h)
+    )
+    z, zc = (a.reshape(*lead, T * B, n_in + H) for a in (cache.z, cache.zc))
+    np.matmul(da_U.swapaxes(-1, -2), z, out=grads.W_U)
+    np.matmul(da_R.swapaxes(-1, -2), z, out=grads.W_R)
+    np.matmul(da_h.swapaxes(-1, -2), zc, out=grads.W_h)
+    da_U.sum(axis=-2, out=grads.b_U)
+    da_R.sum(axis=-2, out=grads.b_R)
+    da_h.sum(axis=-2, out=grads.b_h)
+    dx = da_h @ W_h[..., :n_in] + da_U @ W_U[..., :n_in] + da_R @ W_R[..., :n_in]
+    return dx.reshape(*lead, T, B, n_in)
+
+
+def _bigru_backward(
+    stacks: _Layer,
+    grad_stacks: _Layer,
+    dout: np.ndarray,
+    cache: _BiGRUCache,
+) -> np.ndarray:
+    hf = stacks[0].hidden_size
+    d_f = dout[:, :, :hf]
+    d_b_rev = flip(dout[:, :, hf:])
+    if cache.mask_fwd is not None:
+        d_f = d_f * cache.mask_fwd
+    if cache.mask_bwd is not None:
+        d_b_rev = d_b_rev * cache.mask_bwd
+    if len(stacks) == 1:
+        d_out = np.array((d_f, d_b_rev)).swapaxes(0, 1)
+        dx_f, dx_b_rev = _gru_sequence_backward(stacks[0], d_out, cache.runs[0], grad_stacks[0])
+    else:
+        dx_f, dx_b_rev = (
+            _gru_sequence_backward(*args)
+            for args in zip(stacks, (d_f, d_b_rev), cache.runs, grad_stacks)
+        )
+    return dx_f + dx_b_rev[::-1]
 
 
 def bigru_backward(
@@ -256,17 +381,16 @@ def bigru_backward(
     grads_fwd: GRUCellParams,
     grads_bwd: GRUCellParams,
 ) -> np.ndarray:
-    """Backprop through both directions into the cells' gradients; returns d(input)."""
-    hf = forward_params.hidden_size
-    d_f = dout[:, :, :hf]
-    d_b_rev = flip(dout[:, :, hf:])
-    if cache.mask_fwd is not None:
-        d_f = d_f * cache.mask_fwd
-    if cache.mask_bwd is not None:
-        d_b_rev = d_b_rev * cache.mask_bwd
-    dseq = _gru_sequence_backward(forward_params, d_f, cache.fwd, grads_fwd)
-    dseq += flip(_gru_sequence_backward(backward_params, d_b_rev, cache.bwd, grads_bwd))
-    return dseq
+    """Backprop through both directions into the cells' gradients; returns d(input).
+
+    The gradient cells must stack as the parameter cells do, as those of
+    two :class:`ModelParams` of the same units do.
+    """
+    stacks = _layer_stacks(forward_params, backward_params)
+    grad_stacks = _layer_stacks(grads_fwd, grads_bwd)
+    if len(grad_stacks) != len(stacks):
+        raise ValueError("the gradient cells do not stack as the parameter cells do")
+    return _bigru_backward(stacks, grad_stacks, dout, cache)
 
 
 CELL_NAMES = ("m1f", "m1b", "m2f", "m2b")
@@ -294,12 +418,18 @@ class ModelParams:
 
     Every tensor is a view into ``flat``, so writing to a view writes to
     the buffer and vice versa.  Gradients are held in the same form.
+    ``layers`` holds each block's cells as stacks (see :func:`_layer_stacks`):
+    one stack of two where the block's two cells are of equal size.
     """
 
     flat: np.ndarray
     cells: tuple[GRUCellParams, GRUCellParams, GRUCellParams, GRUCellParams]
     dense_w: np.ndarray
     dense_b: np.ndarray  # shape ()
+    layers: tuple[_Layer, _Layer] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.layers = (_layer_stacks(*self.cells[:2]), _layer_stacks(*self.cells[2:]))
 
     @classmethod
     def from_flat(cls, gru_units: tuple[int, int, int, int], flat: np.ndarray) -> "ModelParams":
@@ -401,10 +531,10 @@ def network_forward(
             f"window length {windows.shape[1]} != spec window_length {spec.window_length}"
         )
     d1, d2, d3, d4 = spec.dropout_rates
-    c = spec.params.cells
+    layer1, layer2 = spec.params.layers
     seq = windows.T[:, :, None]  # (T, B, 1)
-    out1, cache1 = bigru_forward(c[0], c[1], d1, d2, seq, mode, rng)
-    out2, cache2 = bigru_forward(c[2], c[3], d3, d4, out1, mode, rng)
+    out1, cache1 = _bigru_forward(layer1, d1, d2, seq, mode, rng)
+    out2, cache2 = _bigru_forward(layer2, d3, d4, out1, mode, rng)
     last = out2[-1]
     y = last @ spec.params.dense_w + spec.params.dense_b
     return y, (cache1, cache2, last, out2.shape)
@@ -425,12 +555,8 @@ def network_backward(
     dout2 = np.zeros(out2_shape)
     dout2[-1] = np.outer(dy, params.dense_w)
 
-    dout1 = bigru_backward(
-        params.cells[2], params.cells[3], dout2, cache2, grads.cells[2], grads.cells[3]
-    )
-    bigru_backward(
-        params.cells[0], params.cells[1], dout1, cache1, grads.cells[0], grads.cells[1]
-    )
+    dout1 = _bigru_backward(params.layers[1], grads.layers[1], dout2, cache2)
+    _bigru_backward(params.layers[0], grads.layers[0], dout1, cache1)
     return grads
 
 

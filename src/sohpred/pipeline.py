@@ -179,6 +179,18 @@ class ExperimentConfig:
         return self.window_length
 
 
+# The ExperimentConfig fields a fingerprint hashes.  jobs is left out: it is a
+# run setting and never changes a result.  A field added to ExperimentConfig
+# moves no fingerprint until it is named here.
+FINGERPRINT_FIELDS = (
+    "split", "network", "training", "denoise", "denoise_rank", "scale_band",
+    "seeds", "window_length", "ssa", "search_space",
+)
+# Fields no longer held, hashed with the one value every run had, so the
+# fingerprints of unchanged hyperparameters stay what earlier versions wrote.
+RETIRED_FINGERPRINT_FIELDS = {"hi_choice": "auto"}
+
+
 def config_fingerprint(config: ExperimentConfig) -> str:
     """Stable short hash of the hyperparameters (weights excluded)."""
 
@@ -197,11 +209,8 @@ def config_fingerprint(config: ExperimentConfig) -> str:
             return [describe(v) for v in obj]
         return obj
 
-    # jobs is a run setting: it never changes a result.  hi_choice, a field
-    # no longer held, keeps the value every CLI run had, so the fingerprints
-    # of unchanged hyperparameters stay what earlier versions wrote.
-    payload = {k: describe(v) for k, v in vars(config).items() if k != "jobs"}
-    payload["hi_choice"] = "auto"
+    payload = {name: describe(getattr(config, name)) for name in FINGERPRINT_FIELDS}
+    payload.update(RETIRED_FINGERPRINT_FIELDS)
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -509,24 +518,33 @@ def run_hi_ablation(
     return rows
 
 
+def fit_fleet_predictors(config: ExperimentConfig, train_soh: SOHSeries) -> list[Predictor]:
+    """One predictor per seed, fitted on a vehicle's full SOH history.
+
+    The monthly SOH history itself is the model input; scaling is fitted on
+    the training vehicle, so test vehicles never influence the model.
+    """
+    values = train_soh.values
+    return [fit_predictor(config, values, values, seed)[0] for seed in config.seeds]
+
+
 def run_fleet(
     train_vehicle: str,
     vehicle_soh: dict[str, SOHSeries],
     start: SplitSpec,
     config: ExperimentConfig,
+    predictors: list[Predictor] | None = None,
 ) -> list[tuple[str, PredictionReport]]:
     """Train on one vehicle's full SOH history, predict every other vehicle.
 
-    The monthly SOH history itself is the model input; scaling is fitted on
-    the training vehicle, so test vehicles never influence the model.
+    ``predictors`` are those :func:`fit_fleet_predictors` returns for the
+    training vehicle; they are fitted here when not given.
     """
     if train_vehicle not in vehicle_soh:
         raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
     w = config.resolved_window()
-    train_soh = vehicle_soh[train_vehicle].values
-    predictors = [
-        fit_predictor(config, train_soh, train_soh, seed)[0] for seed in config.seeds
-    ]
+    if predictors is None:
+        predictors = fit_fleet_predictors(config, vehicle_soh[train_vehicle])
 
     results: list[tuple[str, PredictionReport]] = []
     fingerprint = config_fingerprint(config)

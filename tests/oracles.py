@@ -109,6 +109,130 @@ def per_step_bigru_forward(forward_params, backward_params, dropout_fwd, dropout
     return np.concatenate([out_f, out_b_rev[::-1]], axis=2)
 
 
+def sequence_forward_reference(params, sequence):
+    """One direction over a (T, B, width) sequence, alone: the loop that the stacked one replaced.
+
+    Returns the (T, B, H) states and (z, zc, gates, h_tilde), each indexed by step first.
+    """
+    T, B, n_in = sequence.shape
+    H = params.hidden_size
+    z = np.empty((T, B, n_in + H))
+    zc = np.empty_like(z)
+    z[:, :, :n_in] = zc[:, :, :n_in] = sequence
+    gates = np.empty((T, 2, B, H))
+    h_tilde = np.empty((T, B, H))
+    out = np.empty((T, B, H))
+    W_U, W_R, W_h = params.W_U.T, params.W_R.T, params.W_h.T
+    b_UR = np.array((params.b_U, params.b_R))[:, None, :]
+    h = np.zeros((B, H))
+    for t in range(T):
+        z[t, :, n_in:] = h
+        a, c = gates[t], h_tilde[t]
+        np.matmul(z[t], W_U, out=a[0])
+        np.matmul(z[t], W_R, out=a[1])
+        a += b_UR
+        a[...] = nn.sigmoid(a)
+        U, R = a
+        np.multiply(R, h, out=zc[t, :, n_in:])
+        np.matmul(zc[t], W_h, out=c)
+        c += params.b_h
+        np.tanh(c, out=c)
+        np.multiply(1.0 - U, h, out=out[t])
+        out[t] += U * c
+        h = out[t]
+    if not np.isfinite(out).all():
+        raise nn.DivergenceError("non-finite hidden state")
+    return out, (z, zc, gates, h_tilde)
+
+
+def sequence_backward_reference(params, d_out, cache, grads):
+    """Backprop of one direction alone into ``grads`` (a cell); returns dx, (T, B, n_in)."""
+    T, B, H = d_out.shape
+    n_in = params.input_size
+    z, zc, gates, h_tilde = cache
+    W_U, W_R, W_h = params.W_U, params.W_R, params.W_h
+    h_prev = z[:, :, n_in:]
+    U, R = gates[:, 0], gates[:, 1]
+    one_minus_U, one_minus_R = 1.0 - U, 1.0 - R
+    d_tanh = 1.0 - h_tilde**2
+    h_step = h_tilde - h_prev
+    da_U, da_R, da_h = np.empty((3, T, B, H))
+    dh = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dh = d_out[t] + dh
+        da_h[t] = dh * U[t] * d_tanh[t]
+        dRh = da_h[t] @ W_h[:, n_in:]
+        da_U[t] = dh * h_step[t] * U[t] * one_minus_U[t]
+        da_R[t] = dRh * h_prev[t] * R[t] * one_minus_R[t]
+        dh = dh * one_minus_U[t] + dRh * R[t] + (da_U[t] @ W_U[:, n_in:] + da_R[t] @ W_R[:, n_in:])
+
+    da_U, da_R, da_h = (a.reshape(T * B, H) for a in (da_U, da_R, da_h))
+    z, zc = (a.reshape(T * B, n_in + H) for a in (z, zc))
+    np.matmul(da_U.T, z, out=grads.W_U)
+    np.matmul(da_R.T, z, out=grads.W_R)
+    np.matmul(da_h.T, zc, out=grads.W_h)
+    da_U.sum(axis=0, out=grads.b_U)
+    da_R.sum(axis=0, out=grads.b_R)
+    da_h.sum(axis=0, out=grads.b_h)
+    dx = da_h @ W_h[:, :n_in] + da_U @ W_U[:, :n_in] + da_R @ W_R[:, :n_in]
+    return dx.reshape(T, B, n_in)
+
+
+def bigru_forward_reference(forward_params, backward_params, dropout_fwd, dropout_bwd,
+                            sequence, mode="eval", rng=None):
+    """:func:`nn.bigru_forward` with each direction run alone; returns (out, cache)."""
+    train = mode == "train"
+    out_f, cache_f = sequence_forward_reference(forward_params, sequence)
+    mask_f = nn._dropout_mask(rng, out_f.shape, dropout_fwd) if train else None
+    if mask_f is not None:
+        out_f *= mask_f
+    out_b_rev, cache_b = sequence_forward_reference(backward_params, sequence[::-1])
+    mask_b = nn._dropout_mask(rng, out_b_rev.shape, dropout_bwd) if train else None
+    if mask_b is not None:
+        out_b_rev *= mask_b
+    out = np.concatenate([out_f, out_b_rev[::-1]], axis=2)
+    return out, (cache_f, cache_b, mask_f, mask_b)
+
+
+def bigru_backward_reference(forward_params, backward_params, dout, cache, grads_fwd, grads_bwd):
+    """:func:`nn.bigru_backward` with each direction run alone; returns d(input)."""
+    cache_f, cache_b, mask_f, mask_b = cache
+    hf = forward_params.hidden_size
+    d_f = dout[:, :, :hf]
+    d_b_rev = nn.flip(dout[:, :, hf:])
+    if mask_f is not None:
+        d_f = d_f * mask_f
+    if mask_b is not None:
+        d_b_rev = d_b_rev * mask_b
+    dseq = sequence_backward_reference(forward_params, d_f, cache_f, grads_fwd)
+    dseq += nn.flip(sequence_backward_reference(backward_params, d_b_rev, cache_b, grads_bwd))
+    return dseq
+
+
+def network_reference(spec, windows, dy_of, mode="eval", rng=None):
+    """Forward and backward of the whole network with each direction run alone.
+
+    ``dy_of(predictions)`` gives d(loss)/d(prediction).  Returns the
+    predictions and the gradients (a fresh :class:`nn.ModelParams`).
+    """
+    p = spec.params
+    d1, d2, d3, d4 = spec.dropout_rates
+    seq = np.atleast_2d(np.asarray(windows, dtype=float)).T[:, :, None]
+    out1, cache1 = bigru_forward_reference(p.cells[0], p.cells[1], d1, d2, seq, mode, rng)
+    out2, cache2 = bigru_forward_reference(p.cells[2], p.cells[3], d3, d4, out1, mode, rng)
+    last = out2[-1]
+    y = last @ p.dense_w + p.dense_b
+    dy = dy_of(y)
+    grads = p.zeros_like()
+    grads.dense_w[...] = last.T @ dy
+    grads.dense_b[...] = dy.sum()
+    dout2 = np.zeros(out2.shape)
+    dout2[-1] = np.outer(dy, p.dense_w)
+    dout1 = bigru_backward_reference(p.cells[2], p.cells[3], dout2, cache2, *grads.cells[2:])
+    bigru_backward_reference(p.cells[0], p.cells[1], dout1, cache1, *grads.cells[:2])
+    return y, grads
+
+
 def gru_cell_backward(params, dh, cache, grads):
     """Backprop one GRU step; accumulates into ``grads``, returns (dx, dh_prev)."""
     x, h_prev, U, R, h_tilde = cache
@@ -147,13 +271,15 @@ def per_step_network_backward(spec, dy, cache):
     params = spec.params
     grads = params.zeros_like()
 
-    def direction(cell, grad, d_seq, seq_cache):
+    def direction(cell, grad, d_seq, seq_cache, s):
+        # s is the direction's index in a stacked run, () for a run of its own
         n_in = cell.input_size
         dx_seq = np.zeros(d_seq.shape[:2] + (n_in,))
         dh = np.zeros(d_seq.shape[1:])
         for t in range(d_seq.shape[0] - 1, -1, -1):
-            z, (U, R) = seq_cache.z[t], seq_cache.gates[t]
-            step = (z[:, :n_in], z[:, n_in:], U, R, seq_cache.h_tilde[t])
+            z = seq_cache.z[s][t]
+            U, R = (seq_cache.gates[t, k][s] for k in (0, 1))
+            step = (z[:, :n_in], z[:, n_in:], U, R, seq_cache.h_tilde[t][s])
             dx_seq[t], dh = gru_cell_backward(cell, d_seq[t] + dh, step, grad)
         return dx_seq
 
@@ -164,8 +290,13 @@ def per_step_network_backward(spec, dy, cache):
             d_f = d_f * bicache.mask_fwd
         if bicache.mask_bwd is not None:
             d_b_rev = d_b_rev * bicache.mask_bwd
-        dseq = direction(cells[0], grads_pair[0], d_f, bicache.fwd)
-        return dseq + direction(cells[1], grads_pair[1], d_b_rev, bicache.bwd)[::-1]
+        # (run, index in it) of the forward, then the backward direction
+        if len(bicache.runs) == 1:
+            fwd, bwd = (bicache.runs[0], 0), (bicache.runs[0], 1)
+        else:
+            fwd, bwd = ((run, ()) for run in bicache.runs)
+        dseq = direction(cells[0], grads_pair[0], d_f, *fwd)
+        return dseq + direction(cells[1], grads_pair[1], d_b_rev, *bwd)[::-1]
 
     grads.dense_w += last.T @ dy
     grads.dense_b += dy.sum()

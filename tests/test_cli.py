@@ -371,3 +371,126 @@ class TestFleetCommand:
         code, _ = self.fleet_run(tmp_path, "bogus")
         assert code == 1
         assert "error: fleet.stat must be 'median' or 'mean', got 'bogus'" in capsys.readouterr().err
+
+
+def assert_no_child_left():
+    """Every process the run started has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFleetFanOut:
+    """With --jobs above 1 the other vehicles' logs are read on forked workers while
+    this process trains; outputs and errors must be those of the serial run."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fleet")
+        cfg = {
+            "synth": {"kind": "fleet", "n_vehicles": 4, "n_months": 12, "events_per_month": 3},
+            "experiment": {
+                "window_length": 4,
+                "seeds": [0, 1],
+                "network": {"gru_units": [4, 4, 4, 4], "dropout_rates": [0.02] * 4},
+                "training": {"max_epochs": 6, "learning_rate": 0.01, "batch_size": 4},
+            },
+        }
+        config = root / "fleet.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        assert run_cli("synth", "--config", config, "--out", root / "data") == 0
+        return config, root / "data"
+
+    def broken_copy(self, tmp_path, fleet, bad=(), train_vehicle=None):
+        """The fleet with a bad row in each vehicle of ``bad``; returns (config, data, bad lines)."""
+        config, data = fleet
+        copy = tmp_path / "data"
+        copy.mkdir()
+        lines = {}
+        for path in sorted(data.glob("fleet_*.csv")):
+            rows = path.read_text().splitlines()
+            vid = path.stem.removeprefix("fleet_")
+            if vid in bad:
+                rows[40] = "1500000320.0,-73.0,not-a-volt,30.0"
+                lines[vid] = f"error: {copy / path.name}:41:"
+            (copy / path.name).write_text("\n".join(rows) + "\n")
+        if train_vehicle is not None:
+            cfg = yaml.safe_load(config.read_text())
+            cfg["fleet"] = {"train_vehicle": train_vehicle}
+            config = tmp_path / "fleet.yaml"
+            config.write_text(yaml.safe_dump(cfg))
+        return config, copy, lines
+
+    def fleet_errors(self, tmp_path, config, data, capsys, jobs_values=("1", "2")):
+        """stderr of a failing fleet run per --jobs value; none may leave an output directory."""
+        errors = {}
+        for jobs in jobs_values:
+            out = tmp_path / f"out-jobs{jobs}"
+            assert run_cli("fleet", "--config", config, "--dataset", data, "--jobs", jobs,
+                           "--out", out) == 1
+            assert_no_child_left()
+            assert not out.exists()
+            errors[jobs] = capsys.readouterr().err
+        return errors
+
+    def test_outputs_identical_for_any_jobs(self, tmp_path, fleet):
+        config, data = fleet
+        outs = {}
+        for jobs in ("1", "2", None):
+            outs[jobs] = tmp_path / f"out-{jobs}"
+            extra = () if jobs is None else ("--jobs", jobs)
+            assert run_cli("fleet", "--config", config, "--dataset", data, *extra,
+                           "--out", outs[jobs]) == 0
+            assert_no_child_left()
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert "fleet_V04_report.csv" in names and "monthly.csv" in names
+        for jobs in ("2", None):
+            assert sorted(p.name for p in outs[jobs].iterdir()) == names
+            _, mismatch, errors = filecmp.cmpfiles(outs["1"], outs[jobs], names, shallow=False)
+            assert (mismatch, errors) == ([], [])
+
+    @pytest.mark.parametrize("bad, train_vehicle, reported", [
+        (("V03",), None, "V03"),  # read on a worker
+        (("V01",), None, "V01"),  # the training vehicle, read here
+        (("V02", "V03"), None, "V02"),  # the earlier file wins
+        (("V01", "V02"), "V02", "V01"),  # a worker's earlier file wins over the training vehicle's
+    ])
+    def test_bad_row_reported_as_in_a_serial_run(self, tmp_path, fleet, capsys, bad,
+                                                 train_vehicle, reported):
+        config, data, lines = self.broken_copy(tmp_path, fleet, bad, train_vehicle)
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors["2"] == errors["1"]
+        assert errors["2"].startswith(lines[reported] + " bad row")
+
+    def test_read_error_wins_over_divergence(self, tmp_path, fleet, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite loss at epoch 0, batch offset 0")
+
+        monkeypatch.setattr(pipeline, "train", diverge)
+        config, data, lines = self.broken_copy(tmp_path, fleet, ("V04",))
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors["2"] == errors["1"]
+        assert errors["2"].startswith(lines["V04"])
+
+        config, data = fleet  # no bad row: the divergence is reported
+        out = tmp_path / "diverged"
+        assert run_cli("fleet", "--config", config, "--dataset", data, "--jobs", "2",
+                       "--out", out) == 1
+        assert_no_child_left()
+        assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+
+    def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
+        parent = os.getpid()
+        real_parse = cli.ingest.parse_fleet_file
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ingest, "parse_fleet_file", dies_in_workers)
+        config, data = fleet
+        code = run_cli("fleet", "--config", config, "--dataset", data, "--jobs", "2",
+                       "--out", tmp_path / "out")
+        assert code == 1
+        assert_no_child_left()
+        assert "error: the fleet lost a worker process" in capsys.readouterr().err

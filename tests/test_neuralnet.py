@@ -8,9 +8,12 @@ import tracemalloc
 
 from oracles import (
     adam_reference,
+    bigru_backward_reference,
+    bigru_forward_reference,
     forward_oracle,
     gradcheck,
     gru_cell_forward,
+    network_reference,
     per_step_bigru_forward,
     per_step_network_backward,
     scalar_cell_oracle,
@@ -341,6 +344,93 @@ class TestSequenceBackward:
         for windows in batches:
             backward(windows, reused)
         assert np.array_equal(reused.flat, fresh)
+
+
+STACK_UNITS = pytest.mark.parametrize(
+    "units", [(3, 3, 4, 4), (3, 2, 4, 3), (16, 16, 16, 16), (5, 7, 4, 6)]
+)
+
+
+class TestStackedDirections:
+    """Equal-width layers run both directions as one stack; each direction alone is the reference."""
+
+    def case(self, units, steps, batch, dropout):
+        spec = built_spec(units=units, window=steps, dropouts=(dropout,) * 4, seed=steps + batch)
+        rng = np.random.default_rng(batch)
+        for cell in spec.params.cells:
+            for bias in (cell.b_U, cell.b_R, cell.b_h):
+                bias[:] = rng.normal(size=cell.hidden_size) * 0.3
+        return spec, rng.normal(size=(batch, steps)), rng
+
+    @STACK_UNITS
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_blocks_match_per_direction_reference(self, units, steps, batch, dropout):
+        spec, windows, rng = self.case(units, steps, batch, dropout)
+        cells = spec.params.cells
+        grads, ref_grads = spec.params.zeros_like(), spec.params.zeros_like()
+        mask_rng, ref_mask_rng = derive_rng(4, "mask"), derive_rng(4, "mask")
+        seq = windows.T[:, :, None]
+        for k in (0, 2):  # block 2 reads block 1's output
+            pair = cells[k : k + 2]
+            out, cache = nn.bigru_forward(*pair, dropout, dropout, seq, "train", mask_rng)
+            ref_out, ref_cache = bigru_forward_reference(
+                *pair, dropout, dropout, seq, "train", ref_mask_rng
+            )
+            assert np.array_equal(out, ref_out)
+            dout = rng.normal(size=out.shape)
+            dx = nn.bigru_backward(*pair, dout, cache, *grads.cells[k : k + 2])
+            ref_dx = bigru_backward_reference(*pair, dout, ref_cache, *ref_grads.cells[k : k + 2])
+            assert np.array_equal(dx, ref_dx)
+            seq = out
+        assert np.array_equal(grads.flat, ref_grads.flat)
+
+    @STACK_UNITS
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_network_matches_per_direction_reference(self, units, steps, batch, dropout):
+        spec, windows, rng = self.case(units, steps, batch, dropout)
+        targets = rng.normal(size=batch)
+        preds, cache = nn.network_forward(spec, windows, "train", derive_rng(3, "mask"))
+        _, dy = nn.mse_loss(preds, targets)
+        grads = nn.network_backward(spec, dy, cache, spec.params.zeros_like())
+        ref_preds, ref_grads = network_reference(
+            spec, windows, lambda p: nn.mse_loss(p, targets)[1], "train", derive_rng(3, "mask")
+        )
+        assert np.array_equal(preds, ref_preds)
+        assert np.array_equal(grads.flat, ref_grads.flat)
+
+    def test_equal_cells_stack_as_views_of_the_buffer(self):
+        params = built_spec(units=(3, 3, 4, 3)).params
+        (stack,) = params.layers[0]
+        first, second = params.layers[1]  # unequal cells run one after the other
+        assert first is params.cells[2] and second is params.cells[3]
+        for name in nn.CELL_FIELDS:
+            stacked = getattr(stack, name)
+            assert np.shares_memory(stacked, params.flat)
+            for s, cell in enumerate(params.cells[:2]):
+                assert np.shares_memory(stacked[s], getattr(cell, name))
+                assert np.array_equal(stacked[s], getattr(cell, name))
+        grads = params.zeros_like()
+        (grad_stack,) = grads.layers[0]
+        grad_stack.W_h[1, 0, 0] = 2.5  # writes through to the backward cell of the buffer
+        assert grads.cells[1].W_h[0, 0] == 2.5
+        assert np.count_nonzero(grads.flat) == 1
+
+    def test_cells_of_separate_buffers_do_not_stack(self):
+        rng = np.random.default_rng(0)
+        cells = nn.init_gru_cell(1, 3, rng), nn.init_gru_cell(1, 3, rng)
+        first, second = nn._layer_stacks(*cells)
+        assert first is cells[0] and second is cells[1]
+
+    @pytest.mark.parametrize("units", [(3, 3, 4, 4), (3, 2, 4, 3)])
+    def test_nan_window_diverges(self, units):
+        windows = np.zeros((3, 4))
+        windows[1, 2] = np.nan
+        with pytest.raises(nn.DivergenceError, match="non-finite hidden state"):
+            nn.network_forward(built_spec(units=units), windows)
 
 
 class TestSigmoid:

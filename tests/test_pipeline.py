@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -411,6 +412,11 @@ class TestExperimentConfig:
         assert pipeline.config_fingerprint(a) != pipeline.config_fingerprint(c)
         # jobs is a run setting, not a hyperparameter
         assert pipeline.config_fingerprint(replace(a, jobs=2)) == pipeline.config_fingerprint(a)
+
+    def test_fingerprint_names_every_field(self):
+        """A new ExperimentConfig field must be named as hashed or not; only jobs is not."""
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(pipeline.FINGERPRINT_FIELDS) == names - {"jobs"}
 
     def test_fingerprint_matches_earlier_versions(self):
         """Values written by the releases that still held ``ExperimentConfig.hi_choice``."""
