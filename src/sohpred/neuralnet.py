@@ -42,9 +42,8 @@ class DivergenceError(RuntimeError):
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below: exp never overflows;
-    # copysign(x, -1) is -|x| bit for bit
-    e = np.exp(np.copysign(x, -1.0))
+    # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below: exp never overflows
+    e = np.exp(-np.abs(x))
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
@@ -192,9 +191,9 @@ def _dropout_mask(
 
 
 def _gru_sequence_forward(
-    cells: GRUCellParams | _CellStack, sequence: np.ndarray
+    cells: GRUCellParams | _CellStack, sequences: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, _SequenceCache]:
-    """Run one cell over a (T, B, width) sequence, or a stack over (2, T, B, width).
+    """Run one cell over its (T, B, width) sequence, or a stack over one sequence per direction.
 
     Returns the states, (T, [2,] B, H), and the cache.  Every step writes
     into arrays allocated once per sequence, whose input part is filled
@@ -203,11 +202,13 @@ def _gru_sequence_forward(
     direction on fresh arrays computes, so the values are the same bits.
     """
     lead = cells.W_U.shape[:-2]  # (2,) for a stack, () for one cell
-    T, B, n_in = sequence.shape[-3:]
+    T, B, n_in = sequences[0].shape
     H = cells.hidden_size
     z = np.empty((*lead, T, B, n_in + H))
     zc = np.empty_like(z)
-    z[..., :n_in] = zc[..., :n_in] = sequence
+    for z_s, sequence in zip(z.reshape(-1, T, B, n_in + H), sequences):
+        z_s[..., :n_in] = sequence
+    zc[..., :n_in] = z[..., :n_in]
     gates = np.empty((T, 2, *lead, B, H))
     h_tilde = np.empty((T, *lead, B, H))
     out = np.empty((T, *lead, B, H))
@@ -250,12 +251,12 @@ def _bigru_forward(
     if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
         raise ValueError("train mode with dropout needs an rng")
     if len(stacks) == 1:
-        out, cache = _gru_sequence_forward(stacks[0], np.array((sequence, sequence[::-1])))
+        out, cache = _gru_sequence_forward(stacks[0], (sequence, sequence[::-1]))
         out_f, out_b_rev = out.swapaxes(0, 1)
         runs = (cache,)
     else:
         (out_f, cache_f), (out_b_rev, cache_b) = (
-            _gru_sequence_forward(cells, seq) for cells, seq in zip(stacks, (sequence, sequence[::-1]))
+            _gru_sequence_forward(cells, (seq,)) for cells, seq in zip(stacks, (sequence, sequence[::-1]))
         )
         runs = (cache_f, cache_b)
     masks = []
@@ -317,9 +318,8 @@ def _gru_sequence_backward(
     da_U, da_R, da_h = np.empty((3, T, *lead, B, H))
     dh = np.zeros((*lead, B, H))
     for t in range(T - 1, -1, -1):
-        # each product is formed left to right in its step's block, as
-        # dh * U[t] * d_tanh[t] would be
-        a_h, a_U, a_R = da_h[t], da_U[t], da_R[t]
+        # each product is formed left to right, as dh * U[t] * d_tanh[t] would be
+        a_U, a_R, a_h = da_U[t], da_R[t], da_h[t]
         dh = d_out[t] + dh
         np.multiply(dh, U[t], out=a_h)
         a_h *= d_tanh[t]

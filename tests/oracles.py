@@ -110,7 +110,7 @@ def per_step_bigru_forward(forward_params, backward_params, dropout_fwd, dropout
 
 
 def sequence_forward_reference(params, sequence):
-    """One direction over a (T, B, width) sequence, alone: the loop that the stacked one replaced.
+    """One direction over a (T, B, width) sequence on its own: the reference for the stacked loop.
 
     Returns the (T, B, H) states and (z, zc, gates, h_tilde), each indexed by step first.
     """
