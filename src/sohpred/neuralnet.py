@@ -131,20 +131,30 @@ def _address(arr: np.ndarray) -> int:
 # A block's cells as its sequence loops take them: one stack of both, or the two cells
 _Layer = tuple[_CellStack] | tuple[GRUCellParams, GRUCellParams]
 
+# Widest cells that stack.  A stack halves the NumPy calls of a step, which is
+# what a step of a few dozen units costs, but it doubles the arrays each call
+# allocates and frees, and glibc then hands more of that memory back to the
+# system and faults it in again: a fresh process training 128 units at batch
+# 16 took 5-8 % longer stacked (about 4 times the page faults), 64 and 96
+# units tied, and 32 units ran 20 % faster.
+STACK_MAX_UNITS = 64
+
 
 def _layer_stacks(first: GRUCellParams, second: GRUCellParams) -> _Layer:
     """A layer's two cells as one stack of both, or else as the two cells.
 
-    The cells stack when every array of ``second`` sits at one nonzero byte
-    offset from the same array of ``first`` in one buffer, as the equal
-    cells of a layer in :class:`ModelParams` do.  The stacked arrays are
-    then ``as_strided`` views of that buffer: nothing is copied.
+    The cells stack when they are at most ``STACK_MAX_UNITS`` wide and
+    every array of ``second`` sits at one nonzero byte offset from the same
+    array of ``first`` in one buffer, as the equal cells of a layer in
+    :class:`ModelParams` do.  The stacked arrays are then ``as_strided``
+    views of that buffer: nothing is copied.
     """
     pairs = [(getattr(first, name), getattr(second, name)) for name in CELL_FIELDS]
     gaps = {_address(b) - _address(a) for a, b in pairs}
     sizes = (first.input_size, first.hidden_size)
     if (
         sizes == (second.input_size, second.hidden_size)
+        and first.hidden_size <= STACK_MAX_UNITS
         and len(gaps) == 1
         and 0 not in gaps
         and all(a.base is not None and a.base is b.base for a, b in pairs)

@@ -419,6 +419,13 @@ class TestStackedDirections:
         assert grads.cells[1].W_h[0, 0] == 2.5
         assert np.count_nonzero(grads.flat) == 1
 
+    def test_cells_wider_than_the_limit_run_alone(self):
+        wide = nn.STACK_MAX_UNITS + 1
+        params = built_spec(units=(wide, wide, 2, 2), window=2).params
+        first, second = params.layers[0]
+        assert first is params.cells[0] and second is params.cells[1]
+        assert len(params.layers[1]) == 1
+
     def test_cells_of_separate_buffers_do_not_stack(self):
         rng = np.random.default_rng(0)
         cells = nn.init_gru_cell(1, 3, rng), nn.init_gru_cell(1, 3, rng)
