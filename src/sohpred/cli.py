@@ -687,7 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def jobs(p):
         # the CPUs this process may run on; without an affinity call, all of them
-        default = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            default = len(os.sched_getaffinity(0))
+        else:
+            default = os.cpu_count()
         p.add_argument("--jobs", type=int, default=default,
                        help="processes computing at once: a search scores its candidates on "
                             "that many forked workers, and fleet parses the other vehicles' "

@@ -20,9 +20,10 @@ the cells m1f, m1b, m2f, m2b in turn (W_U, W_R, W_h, b_U, b_R, b_h each),
 then dense.w and dense.b.  Gradients use the same class over a buffer of
 their own, so Adam updates the whole network with a few vector
 operations, and the model file is a text header followed by the buffer.
-A block whose two cells have equal hidden sizes runs both directions as
-one stack: its cells sit at a constant offset in the buffer, so each
-matmul takes both directions' weights as one strided view.
+A block whose two cells have equal hidden sizes, up to STACK_MAX_UNITS,
+runs both directions as one stack: its cells sit at a constant offset in
+the buffer, so each matmul takes both directions' weights as one strided
+view.
 """
 
 from __future__ import annotations
@@ -266,7 +267,8 @@ def _bigru_forward(
         runs = (cache,)
     else:
         (out_f, cache_f), (out_b_rev, cache_b) = (
-            _gru_sequence_forward(cells, (seq,)) for cells, seq in zip(stacks, (sequence, sequence[::-1]))
+            _gru_sequence_forward(cells, (seq,))
+            for cells, seq in zip(stacks, (sequence, sequence[::-1]))
         )
         runs = (cache_f, cache_b)
     masks = []

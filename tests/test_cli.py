@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,25 @@ class TestFleetFanOut:
                        "--out", out) == 1
         assert_no_child_left()
         assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+
+    def test_log_read_here_after_training_keeps_file_order(self, tmp_path, fleet, capsys,
+                                                           monkeypatch):
+        parent = os.getpid()
+        real_parse = cli.ingest.parse_fleet_file
+        read_here = []
+
+        def slow_in_workers(path, *args, **kwargs):
+            if os.getpid() == parent:
+                read_here.append(Path(path).name)
+            else:
+                time.sleep(1.0)  # the worker holds V02 and V03; V04 is left to this process
+            return real_parse(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.ingest, "parse_fleet_file", slow_in_workers)
+        config, data, lines = self.broken_copy(tmp_path, fleet, ("V02", "V04"))
+        errors = self.fleet_errors(tmp_path, config, data, capsys, jobs_values=("2",))
+        assert read_here == ["fleet_V01.csv", "fleet_V04.csv"]
+        assert errors["2"].startswith(lines["V02"] + " bad row")
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()
