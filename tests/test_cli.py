@@ -489,13 +489,20 @@ class TestFleetFanOut:
             if os.getpid() == parent:
                 read_here.append(Path(path).name)
             else:
-                time.sleep(1.0)  # the worker holds V02 and V03; V04 is left to this process
+                time.sleep(1.0)  # training ends while the worker is still on its first logs
             return real_parse(path, *args, **kwargs)
 
         monkeypatch.setattr(cli.ingest, "parse_fleet_file", slow_in_workers)
-        config, data, lines = self.broken_copy(tmp_path, fleet, ("V02", "V04"))
+        config, data, lines = self.broken_copy(tmp_path, fleet, ("V02",))
+        # the pool hands at most three logs to its one worker ahead of time, so
+        # three more vehicles leave the last one to this process
+        for vid in ("V05", "V06", "V07"):
+            (data / f"fleet_{vid}.csv").write_text((data / "fleet_V03.csv").read_text())
+        rows = (data / "fleet_V07.csv").read_text().splitlines()
+        rows[40] = "1500000320.0,-73.0,not-a-volt,30.0"
+        (data / "fleet_V07.csv").write_text("\n".join(rows) + "\n")
         errors = self.fleet_errors(tmp_path, config, data, capsys, jobs_values=("2",))
-        assert read_here == ["fleet_V01.csv", "fleet_V04.csv"]
+        assert read_here[:2] == ["fleet_V01.csv", "fleet_V07.csv"]
         assert errors["2"].startswith(lines["V02"] + " bad row")
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
