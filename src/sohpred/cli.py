@@ -10,52 +10,36 @@ manifest seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
+import re
 import sys
+import typing
 from pathlib import Path
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 import yaml
 
-from . import __version__, icfeatures, ingest, pipeline, ssa
+from . import __version__, hiselect, icfeatures, ingest, pipeline, ssa
 from .hiselect import HI_NAMES, HISeries, rank_his, select_hi
 from .neuralnet import DivergenceError, DualBiGRUSpec, TrainingConfig
 
 OUT_ROOT_ENV = "SOHPRED_OUT"
 
 SEARCH_BOUNDS_HELP = (
-    "hyperparameter domain: GRU units {u} per layer, max epochs {e}, "
-    "learning rate {lr}, batch size {b}, dropout {d} per layer; "
-    "learning-rate drop period = 0.7 * max epochs, drop factor 0.01"
-).format(
-    u=list(ssa.UNIT_RANGE),
-    e=list(ssa.EPOCHS_RANGE),
-    lr=list(ssa.LEARNING_RATE_RANGE),
-    b=list(ssa.BATCH_RANGE),
-    d=list(ssa.DROPOUT_RANGE),
+    f"hyperparameter domain: GRU units {list(ssa.UNIT_RANGE)} per layer, max epochs "
+    f"{list(ssa.EPOCHS_RANGE)}, learning rate {list(ssa.LEARNING_RATE_RANGE)}, batch size "
+    f"{list(ssa.BATCH_RANGE)}, dropout {list(ssa.DROPOUT_RANGE)} per layer; learning-rate "
+    f"drop period = {ssa.LR_DROP_RATIO} * max epochs, drop factor {ssa.LR_DROP_FACTOR}"
 )
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = yaml.safe_load(fh) or {}
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a mapping of sections")
-    return cfg
 
 
 def _file_sha256(path: Path) -> str:
@@ -155,130 +139,186 @@ def read_hi_table(path: Path | str) -> tuple[str, np.ndarray, HISeries, ingest.S
 # config resolution
 
 
-def _cycle_schema(cfg: dict) -> ingest.CycleSchema:
-    sch = cfg.get("dataset", {}).get("schema", {})
-    kwargs = {k: sch[k] for k in ("cycle", "time", "voltage", "charge", "current", "capacity") if k in sch}
-    if "voltage_window" in sch:
-        kwargs["voltage_window"] = tuple(sch["voltage_window"])
-    return ingest.CycleSchema(**kwargs)
+def _dataclass_keys(section: str, *classes, leave_out: tuple[str, ...] = ()) -> dict:
+    """The fields of ``classes`` as keys without a default, so each class keeps its own."""
+    keys: dict = {}
+    for cls in classes:
+        for name, hint in typing.get_type_hints(cls).items():
+            path = f"{section}.{name}"
+            if name not in leave_out:
+                keys[path] = keys[path] | hint if path in keys else hint
+    return keys
 
 
-def _fleet_schema(cfg: dict) -> ingest.FleetSchema:
-    sch = cfg.get("dataset", {}).get("schema", {})
-    kwargs = {k: sch[k] for k in ("timestamp", "current", "voltage", "soc", "temperature") if k in sch}
-    if "soc_in_percent" in sch:
-        kwargs["soc_in_percent"] = bool(sch["soc_in_percent"])
-    if "gap_threshold_s" in sch:
-        kwargs["gap_threshold_s"] = float(sch["gap_threshold_s"])
-    return ingest.FleetSchema(**kwargs)
+def _param_default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
 
 
-def _search_space(cfg: dict) -> ssa.SearchSpace:
-    ranges = cfg.get("ssa", {}).get("ranges", {})
-    return ssa.encode_hyperparameters(
-        unit_range=tuple(ranges.get("units", ssa.UNIT_RANGE)),
-        epochs_range=tuple(ranges.get("epochs", ssa.EPOCHS_RANGE)),
-        lr_range=tuple(ranges.get("learning_rate", ssa.LEARNING_RATE_RANGE)),
-        batch_range=tuple(ranges.get("batch", ssa.BATCH_RANGE)),
-        dropout_range=tuple(ranges.get("dropout", ssa.DROPOUT_RANGE)),
-    )
+# Every key a config may set, by its dotted path: a type hint and a default,
+# or a bare type hint for a key that stays unset unless the file sets it.  A
+# path with keys under it is a section, a mapping that defaults to {}.  A
+# float also reads an int or a string that float() reads (PyYAML loads 1e-3
+# as a string); int | float keeps what the file wrote; tuple[T, T] is a list
+# of two, tuple[T, ...] a list of any length.
+CONFIG_SCHEMA: dict = {
+    "synth.kind": (Literal["cycles", "fleet"], "cycles"),
+    **_dataclass_keys("synth", pipeline.CycleSynthesisParams, pipeline.FleetSynthesisParams,
+                      leave_out=("step_voltages", "step_widths")),
+    "dataset.path": str,  # or --dataset
+    "dataset.hi_table": str,  # or --hi-table
+    **_dataclass_keys("dataset.schema", ingest.CycleSchema, ingest.FleetSchema),
+    "extract.soh_denominator": (str | float, _param_default(ingest.compute_soh, "denominator")),
+    "extract.bin_width": (float, icfeatures.DEFAULT_BIN_WIDTH_V),
+    "extract.sg_window": (int, icfeatures.DEFAULT_SG_WINDOW),
+    "extract.sg_order": (int, icfeatures.DEFAULT_SG_ORDER),
+    "extract.area_halfwidths": (tuple[float, ...], icfeatures.DEFAULT_AREA_HALFWIDTHS_V),
+    "extract.denoise": (int | float, hiselect.DEFAULT_ENERGY_THRESHOLD),
+    "extract.ranked_correlation": (bool, _param_default(rank_his, "ranked_correlation")),
+    "extract.hi": (Literal[("auto", *HI_NAMES)], "auto"),
+    "experiment.split.mode": (Literal["fraction", "index"], "fraction"),
+    "experiment.split.start_fraction": (float, 0.25),
+    "experiment.split.start_index": int,
+    "experiment.window_length": (int, pipeline.DEFAULT_WINDOW_LENGTH),
+    "experiment.seeds": tuple[int, ...],  # or --seed
+    "experiment.denoise": (bool, pipeline.ExperimentConfig.denoise),
+    "experiment.denoise_rank": (int | float, pipeline.ExperimentConfig.denoise_rank),
+    "experiment.scale_band": (float, pipeline.ExperimentConfig.scale_band),
+    "experiment.network": dict | Literal["ssa-tuned"],  # or the baseline network
+    "experiment.network.gru_units": (tuple[int, int, int, int], (pipeline.BASELINE_UNITS,) * 4),
+    "experiment.network.dropout_rates": (
+        tuple[float, float, float, float], (pipeline.BASELINE_DROPOUT,) * 4
+    ),
+    "experiment.network.candidate_form": (str, "reset_gated"),
+    "experiment.training.max_epochs": (int, pipeline.BASELINE_EPOCHS),
+    "experiment.training.learning_rate": (float, pipeline.BASELINE_LEARNING_RATE),
+    "experiment.training.lr_drop_period": int,  # or ssa.LR_DROP_RATIO * max_epochs
+    "experiment.training.lr_drop_factor": (float, TrainingConfig.lr_drop_factor),
+    "experiment.training.batch_size": (int, TrainingConfig.batch_size),
+    "ssa.pop_size": (int, ssa.SSAConfig.pop_size),
+    "ssa.max_iter": (int, ssa.SSAConfig.max_iter),
+    "ssa.ranges.units": (tuple[int, int], ssa.UNIT_RANGE),
+    "ssa.ranges.epochs": (tuple[int, int], ssa.EPOCHS_RANGE),
+    "ssa.ranges.learning_rate": (tuple[int | float, int | float], ssa.LEARNING_RATE_RANGE),
+    "ssa.ranges.batch": (tuple[int, int], ssa.BATCH_RANGE),
+    "ssa.ranges.dropout": (tuple[int | float, int | float], ssa.DROPOUT_RANGE),
+    "fleet.stat": (str, "median"),
+    "fleet.train_vehicle": str,  # or the first vehicle
+    "fleet.start_index": (int, 2),
+}
+_SECTIONS = {path.rpartition(".")[0] for path in CONFIG_SCHEMA} - {"experiment.network"}
 
 
-def _split_spec(cfg: dict) -> pipeline.SplitSpec:
-    sp = cfg.get("experiment", {}).get("split", {"mode": "fraction", "start_fraction": 0.25})
-    if sp.get("mode") == "index":
-        return pipeline.SplitSpec.index(int(sp["start_index"]))
-    return pipeline.SplitSpec.fraction(float(sp.get("start_fraction", 0.25)))
+def _typed(value, hint):
+    """``value`` read as ``hint``; raises TypeError naming the hint."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if isinstance(value, list) and (args[-1] is ... or len(value) == len(args)):
+            return tuple(_typed(v, args[0]) for v in value)
+    elif origin is Literal:
+        if value in args:
+            return value
+    elif args:  # a union: the first arm that reads it
+        for arm in args:
+            try:
+                return _typed(value, arm)
+            except TypeError:
+                pass
+    elif isinstance(value, bool) != (hint is bool):
+        pass  # bool is not an int
+    elif hint is float and isinstance(value, (int, float, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(value, hint):
+        return value
+    expected = re.sub(r"<class '(\w+)'>|typing\.", r"\1", str(hint))
+    raise TypeError(f"expected {expected}, got {value!r}")
 
 
-def _validate_explicit_bounds(
-    units: tuple[int, ...],
-    dropouts: tuple[float, ...],
-    learning_rate: float,
-    max_epochs: int,
-    batch_size: int,
-) -> None:
-    """Check explicit hyperparameters against the documented domain.
-
-    Capacity knobs (units, epochs, batch) may sit below the search domain
-    for desk-scale runs, so only their upper bounds apply; dropout and
-    learning rate are checked on both sides.  Every violation is reported.
-    """
-    problems: list[str] = []
-    for i, u in enumerate(units, start=1):
-        if u > ssa.UNIT_RANGE[1]:
-            problems.append(f"gru_units[{i}] = {u} above {ssa.UNIT_RANGE[1]}")
-    if max_epochs > ssa.EPOCHS_RANGE[1]:
-        problems.append(f"max_epochs = {max_epochs} above {ssa.EPOCHS_RANGE[1]}")
-    if batch_size > ssa.BATCH_RANGE[1]:
-        problems.append(f"batch_size = {batch_size} above {ssa.BATCH_RANGE[1]}")
-    lr_lo, lr_hi = ssa.LEARNING_RATE_RANGE
-    if not lr_lo <= learning_rate <= lr_hi:
-        problems.append(f"learning_rate = {learning_rate} outside [{lr_lo}, {lr_hi}]")
-    d_lo, d_hi = ssa.DROPOUT_RANGE
-    for i, rate in enumerate(dropouts, start=1):
-        if not d_lo <= rate <= d_hi:
-            problems.append(f"dropout_rates[{i}] = {rate} outside [{d_lo}, {d_hi}]")
-    if problems:
-        raise ConfigError("hyperparameters violate bounds: " + "; ".join(problems))
+def _checked(mapping: dict, source: str, section: str = "") -> dict:
+    """``mapping`` checked against CONFIG_SCHEMA, with the defaults of the keys it leaves out."""
+    out = {}
+    for key, value in mapping.items():
+        path = f"{section}.{key}" if section else str(key)
+        hint = dict if path in _SECTIONS else CONFIG_SCHEMA.get(path)
+        if hint is None or "." in str(key):
+            raise ConfigError(f"{source}: {path}: unknown key")
+        try:
+            value = _typed(value, hint[0] if isinstance(hint, tuple) else hint)
+        except TypeError as exc:
+            raise ConfigError(f"{source}: {path}: {exc}") from None
+        out[key] = _checked(value, source, path) if isinstance(value, dict) else value
+    for path, entry in [*((p, (dict, {})) for p in _SECTIONS), *CONFIG_SCHEMA.items()]:
+        parent, _, key = path.rpartition(".")
+        if parent == section and key not in out and isinstance(entry, tuple):
+            out[key] = _checked({}, source, path) if entry[0] is dict else entry[1]
+    return out
 
 
-def _experiment_config(cfg: dict, args, network_mode: str) -> pipeline.ExperimentConfig:
-    exp = cfg.get("experiment", {})
-    seeds = tuple(exp.get("seeds", [args.seed]))
-    window = int(exp.get("window_length", pipeline.DEFAULT_WINDOW_LENGTH))
-    space = _search_space(cfg)
+def _load_config(path: str | None) -> tuple[dict, dict]:
+    """The config as written, for the manifest, and as checked, with defaults filled in."""
+    if path is None:
+        return {}, _checked({}, "")
+    try:
+        with open(path) as fh:
+            cfg = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a mapping of sections")
+    return cfg, _checked(cfg, path)
 
-    network: DualBiGRUSpec | str
-    training = None
-    if network_mode == "ssa-tuned":
-        network = "ssa-tuned"
-    elif exp.get("network") == "ssa-tuned":
+
+def _build(cls, section: dict):
+    """``cls`` from the keys the section sets; the others keep the field defaults."""
+    return cls(**{f.name: section[f.name] for f in dataclasses.fields(cls) if f.name in section})
+
+
+def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentConfig:
+    exp = conf["experiment"]
+    seeds = exp.get("seeds", (args.seed,))
+    sp = exp["split"]
+    try:
+        split = (pipeline.SplitSpec.index(sp.get("start_index")) if sp["mode"] == "index"
+                 else pipeline.SplitSpec.fraction(sp["start_fraction"]))
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: experiment.split: {exc}") from None
+
+    net, tr = exp.get("network"), exp["training"]
+    network, training = "ssa-tuned" if searched else "baseline", None
+    if net == "ssa-tuned" and not searched:
         raise ConfigError("network: ssa-tuned requires the hpo subcommand")
-    elif "network" in exp:
-        net = exp["network"]
-        units = tuple(int(u) for u in net["gru_units"])
-        dropouts = tuple(float(d) for d in net["dropout_rates"])
-        tr = exp.get("training", {})
-        max_epochs = int(tr.get("max_epochs", pipeline.BASELINE_EPOCHS))
-        learning_rate = float(tr.get("learning_rate", pipeline.BASELINE_LEARNING_RATE))
-        batch_size = int(tr.get("batch_size", pipeline.BASELINE_BATCH_SIZE))
-        if net.get("candidate_form", "reset_gated") != "reset_gated":
+    if isinstance(net, dict) and not searched:
+        if net["candidate_form"] != "reset_gated":
             raise ConfigError(
                 f"candidate_form {net['candidate_form']!r} is not supported (only reset_gated)"
             )
-        _validate_explicit_bounds(units, dropouts, learning_rate, max_epochs, batch_size)
-        network = DualBiGRUSpec(window_length=window, gru_units=units, dropout_rates=dropouts)
-        training = TrainingConfig(
-            max_epochs=max_epochs,
-            learning_rate=learning_rate,
-            lr_drop_period=int(tr.get("lr_drop_period", round(ssa.LR_DROP_RATIO * max_epochs))),
-            lr_drop_factor=float(tr.get("lr_drop_factor", ssa.LR_DROP_FACTOR)),
-            batch_size=batch_size,
-            seed=seeds[0],
+        # the raw values, so every violation is listed before the spec checks any; units,
+        # epochs and batch may sit below the searched domain for desk-scale runs
+        domain = ssa.encode_hyperparameters(
+            unit_range=(1, ssa.UNIT_RANGE[1]), epochs_range=(1, ssa.EPOCHS_RANGE[1])
         )
-    else:
-        network = "baseline"
+        explicit = {**{f"gru_units[{i}]": u for i, u in enumerate(net["gru_units"], 1)},
+                    **{k: tr[k] for k in ("max_epochs", "learning_rate", "batch_size")},
+                    **{f"dropout_rates[{i}]": d for i, d in enumerate(net["dropout_rates"], 1)}}
+        problems = domain.violations(list(explicit.values()), list(explicit))
+        if problems:
+            raise ConfigError("hyperparameters violate bounds: " + "; ".join(problems))
+        network = DualBiGRUSpec(exp["window_length"], net["gru_units"], net["dropout_rates"])
+        period = round(ssa.LR_DROP_RATIO * tr["max_epochs"])
+        training = TrainingConfig(**{"lr_drop_period": period, **tr}, seed=seeds[0])
 
-    ssa_cfg = None
-    if network_mode == "ssa-tuned":
-        s = cfg.get("ssa", {})
-        ssa_cfg = ssa.SSAConfig(
-            pop_size=int(s.get("pop_size", 6)),
-            max_iter=int(s.get("max_iter", 10)),
-            seed=args.seed,
-        )
+    s, ranges = conf["ssa"], conf["ssa"]["ranges"]
     return pipeline.ExperimentConfig(
-        split=_split_spec(cfg),
-        network=network,
-        training=training,
-        denoise=bool(exp.get("denoise", True)),
-        denoise_rank=exp.get("denoise_rank", 2),
-        scale_band=float(exp.get("scale_band", 0.25)),
-        seeds=seeds,
-        window_length=window,
-        ssa=ssa_cfg,
-        search_space=space,
+        split, network, training, seeds=seeds,
+        **{k: exp[k] for k in ("denoise", "denoise_rank", "scale_band", "window_length")},
+        ssa=ssa.SSAConfig(s["pop_size"], s["max_iter"], seed=args.seed) if searched else None,
+        search_space=ssa.encode_hyperparameters(
+            *(ranges[k] for k in ("units", "epochs", "learning_rate", "batch", "dropout"))
+        ),
         jobs=getattr(args, "jobs", 1),  # train never searches, so it has no --jobs
     )
 
@@ -288,26 +328,11 @@ def _experiment_config(cfg: dict, args, network_mode: str) -> pipeline.Experimen
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    sy = cfg.get("synth", {})
-    kind = args.kind or sy.get("kind", "cycles")
-    if kind == "cycles":
-        keys = (
-            "n_cycles base_capacity_ah total_fade fade_shape capacity_noise "
-            "voltage_noise sample_period_s charge_rate second_step_weight"
-        ).split()
-        params = pipeline.CycleSynthesisParams(**{k: sy[k] for k in keys if k in sy})
-    elif kind == "fleet":
-        keys = (
-            "n_vehicles n_months events_per_month pack_capacity_ah monthly_fade "
-            "quadratic_fade vehicle_spread event_noise rebound_probability "
-            "rebound_size base_current_a sample_period_s"
-        ).split()
-        params = pipeline.FleetSynthesisParams(**{k: sy[k] for k in keys if k in sy})
-    else:
-        raise ConfigError(f"synth kind must be 'cycles' or 'fleet', got {kind!r}")
-
-    manifest = build_manifest("synth", cfg, [], [args.seed])
+    written, conf = _load_config(args.config)
+    kind = args.kind or conf["synth"]["kind"]
+    params_class = {"cycles": pipeline.CycleSynthesisParams, "fleet": pipeline.FleetSynthesisParams}
+    params = _build(params_class[kind], conf["synth"])
+    manifest = build_manifest("synth", written, [], [args.seed])
     out_dir = _resolve_out_dir(args, manifest)
     paths = pipeline.synthesize_dataset(kind, params, args.seed, out_dir)
     _write_manifest(out_dir, manifest)
@@ -316,25 +341,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _extract_artifacts(cfg: dict, dataset: Path):
+def _extract_artifacts(conf: dict, dataset: Path):
     """Shared extract stage: parse cycles, build indicators, rank them."""
-    ex = cfg.get("extract", {})
-    records, dropped = ingest.parse_cycle_file(dataset, _cycle_schema(cfg))
+    ex = conf["extract"]
+    records, dropped = ingest.parse_cycle_file(
+        dataset, _build(ingest.CycleSchema, conf["dataset"]["schema"])
+    )
     soh = ingest.compute_soh(
         [r.measured_capacity for r in records],
-        denominator=ex.get("soh_denominator", "first"),
+        denominator=ex["soh_denominator"],
         index=[r.cycle_index for r in records],
     )
     curves = [
         icfeatures.savitzky_golay(
-            icfeatures.compute_ic_curve(r, float(ex.get("bin_width", icfeatures.DEFAULT_BIN_WIDTH_V))),
-            int(ex.get("sg_window", icfeatures.DEFAULT_SG_WINDOW)),
-            int(ex.get("sg_order", icfeatures.DEFAULT_SG_ORDER)),
+            icfeatures.compute_ic_curve(r, ex["bin_width"]), ex["sg_window"], ex["sg_order"]
         )
         for r in records
     ]
-    halfwidths = tuple(ex.get("area_halfwidths", icfeatures.DEFAULT_AREA_HALFWIDTHS_V))
-    sweep = icfeatures.sweep_area_boundaries(curves, soh, halfwidths)
+    sweep = icfeatures.sweep_area_boundaries(curves, soh, ex["area_halfwidths"])
     rows = [icfeatures.dimensionless_features(c, area_halfwidth=sweep.halfwidth) for c in curves]
 
     candidates = [
@@ -347,33 +371,26 @@ def _extract_artifacts(cfg: dict, dataset: Path):
         HISeries("Peak", np.array([r.peak for r in rows])),
     ]
     report = rank_his(
-        candidates,
-        soh,
-        denoise_rank=ex.get("denoise", 0.95),
-        ranked_correlation=bool(ex.get("ranked_correlation", False)),
+        candidates, soh, denoise_rank=ex["denoise"], ranked_correlation=ex["ranked_correlation"]
     )
-    hi_name = ex.get("hi", "auto")
-    if hi_name == "auto":
+    if ex["hi"] == "auto":
         chosen = select_hi(report, candidates, top_k=1)[0]
     else:
-        if hi_name not in HI_NAMES:
-            raise ConfigError(f"extract.hi must be 'auto' or one of {HI_NAMES}")
-        chosen = next(c for c in candidates if c.name == hi_name)
+        chosen = next(c for c in candidates if c.name == ex["hi"])
     return records, dropped, soh, curves, sweep, rows, candidates, report, chosen
 
 
 def cmd_extract(args) -> int:
-    cfg = _load_config(args.config)
-    dataset = Path(args.dataset or cfg.get("dataset", {}).get("path", ""))
+    written, conf = _load_config(args.config)
+    dataset = Path(args.dataset or conf["dataset"].get("path", ""))
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
-    manifest = build_manifest("extract", cfg, [dataset], [args.seed])
+    manifest = build_manifest("extract", written, [dataset], [args.seed])
+    records, dropped, soh, curves, sweep, rows, candidates, report, chosen = (
+        _extract_artifacts(conf, dataset)
+    )
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
-
-    records, dropped, soh, curves, sweep, rows, candidates, report, chosen = (
-        _extract_artifacts(cfg, dataset)
-    )
 
     _write_table(
         out_dir / "features.csv",
@@ -415,8 +432,8 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _load_hi_inputs(args, cfg: dict) -> tuple[Path, HISeries, ingest.SOHSeries]:
-    table = args.hi_table or cfg.get("dataset", {}).get("hi_table")
+def _load_hi_inputs(args, conf: dict) -> tuple[Path, HISeries, ingest.SOHSeries]:
+    table = args.hi_table or conf["dataset"].get("hi_table")
     if table is None:
         raise ConfigError("an indicator table is required (--hi-table or dataset.hi_table)")
     table = Path(table)
@@ -445,18 +462,15 @@ def _write_summary(out_dir: Path, h: str, rows: list[list]) -> None:
     )
 
 
-def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
-    cfg = _load_config(args.config)
-    table, hi, soh = _load_hi_inputs(args, cfg)
-    config = _experiment_config(cfg, args, network_mode)
-    manifest = build_manifest(
-        "hpo" if network_mode == "ssa-tuned" else "train", cfg, [table], list(config.seeds)
-    )
-    out_dir = _resolve_out_dir(args, manifest)
-    h = manifest["hash"]
-
+def _run_experiment(args, searched: bool) -> int:
+    written, conf = _load_config(args.config)
+    table, hi, soh = _load_hi_inputs(args, conf)
+    config = _experiment_config(conf, args, searched)
+    manifest = build_manifest("hpo" if searched else "train", written, [table], list(config.seeds))
     results = [pipeline.train_and_predict(config, hi, soh, seed) for seed in config.seeds]
     aggregate = pipeline.aggregate_reports([r.report for r in results])
+    out_dir = _resolve_out_dir(args, manifest)
+    h = manifest["hash"]
 
     _write_report(out_dir, h, "report.csv", aggregate)
     _write_summary(
@@ -467,7 +481,7 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
     )
     first = results[0]
     first.predictor.save(out_dir)  # the first seed's predictor
-    if emit_search:
+    if searched:
         _write_table(
             out_dir / "ssa_history.csv",
             h,
@@ -479,22 +493,13 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
              for r in first.search_history],
         )
         model = first.predictor.model
-        best = {
-            "experiment": {
-                "window_length": model.window_length,
-                "network": {
-                    "gru_units": [int(u) for u in model.gru_units],
-                    "dropout_rates": [float(d) for d in model.dropout_rates],
-                },
-                "training": {
-                    "max_epochs": first.training.max_epochs,
-                    "learning_rate": first.training.learning_rate,
-                    "lr_drop_period": first.training.lr_drop_period,
-                    "lr_drop_factor": first.training.lr_drop_factor,
-                    "batch_size": first.training.batch_size,
-                },
-            }
-        }
+        best = {"experiment": {
+            "window_length": model.window_length,
+            "network": {"gru_units": [int(u) for u in model.gru_units],
+                        "dropout_rates": [float(d) for d in model.dropout_rates]},
+            "training": {k: getattr(first.training, k) for k in (
+                "max_epochs", "learning_rate", "lr_drop_period", "lr_drop_factor", "batch_size")},
+        }}
         (out_dir / "best_config.yaml").write_text(yaml.safe_dump(best, sort_keys=True))
     _write_manifest(out_dir, manifest)
     print(f"{out_dir} rmse={aggregate.rmse!r}")
@@ -502,29 +507,29 @@ def _run_experiment(args, network_mode: str, emit_search: bool) -> int:
 
 
 def cmd_train(args) -> int:
-    return _run_experiment(args, network_mode="explicit", emit_search=False)
+    return _run_experiment(args, searched=False)
 
 
 def cmd_hpo(args) -> int:
-    return _run_experiment(args, network_mode="ssa-tuned", emit_search=True)
+    return _run_experiment(args, searched=True)
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_config(args.config)
+    written, conf = _load_config(args.config)
     model_path = Path(args.model)
     if not model_path.is_file():
         raise ConfigError(f"model file not found: {model_path}")
-    table, hi, soh = _load_hi_inputs(args, cfg)
+    table, hi, soh = _load_hi_inputs(args, conf)
     scaler_path = Path(args.scaler) if args.scaler else model_path.with_name("scaler.yaml")
     if not scaler_path.is_file():
         raise ConfigError(f"scaler file not found: {scaler_path}")
     # conditioning comes from the scaler file, never from --config
     predictor = pipeline.Predictor.load(model_path, scaler_path)
 
-    manifest = build_manifest("predict", cfg, [table, model_path], [args.seed])
+    manifest = build_manifest("predict", written, [table, model_path], [args.seed])
+    report = predictor.report("-", hi.values, soh.values)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
-    report = predictor.report("-", hi.values, soh.values)
     _write_report(out_dir, h, "predictions.csv", report)
     _write_summary(out_dir, h, [["-", hi.name, "full", report.rmse, report.mae, report.mape]])
     _write_manifest(out_dir, manifest)
@@ -613,23 +618,22 @@ def _read_fleet_while_training(files, train_index, schema, stat, settings, worke
 
 
 def cmd_fleet(args) -> int:
-    cfg = _load_config(args.config)
-    data_dir = Path(args.dataset or cfg.get("dataset", {}).get("path", ""))
+    written, conf = _load_config(args.config)
+    data_dir = Path(args.dataset or conf["dataset"].get("path", ""))
     files = sorted(data_dir.glob("fleet_*.csv"))
     if not files:
         raise ConfigError(f"no fleet_*.csv files under {data_dir}")
-    fleet_cfg = cfg.get("fleet", {})
-    stat = fleet_cfg.get("stat", "median")
+    stat = conf["fleet"]["stat"]
     if stat not in ("median", "mean"):
         raise ConfigError(f"fleet.stat must be 'median' or 'mean', got {stat!r}")
-    schema = _fleet_schema(cfg)
+    schema = _build(ingest.FleetSchema, conf["dataset"]["schema"])
     vids = [_vehicle_id(p) for p in files]
-    train_vehicle = fleet_cfg.get("train_vehicle", min(vids))
-    searched = cfg.get("experiment", {}).get("network") == "ssa-tuned"
+    train_vehicle = conf["fleet"].get("train_vehicle", min(vids))
+    searched = conf["experiment"].get("network") == "ssa-tuned"
 
     def settings() -> tuple[pipeline.SplitSpec, pipeline.ExperimentConfig]:
-        start = pipeline.SplitSpec.index(int(fleet_cfg.get("start_index", 2)))
-        return start, _experiment_config(cfg, args, "ssa-tuned" if searched else "explicit")
+        start = pipeline.SplitSpec.index(conf["fleet"]["start_index"])
+        return start, _experiment_config(conf, args, searched)
 
     # --jobs counts this process too; a search keeps the cores for its own pool
     workers = min(args.jobs - 1, len(files) - 1)
@@ -644,13 +648,12 @@ def cmd_fleet(args) -> int:
     vehicle_soh = {vid: log.soh for vid, log in zip(vids, logs)}
 
     manifest = build_manifest(
-        "fleet", cfg, files, list(config.seeds), [log.sha256 for log in logs]
+        "fleet", written, files, list(config.seeds), [log.sha256 for log in logs]
     )
-    out_dir = _resolve_out_dir(args, manifest)
-    h = manifest["hash"]
-
     predictors = None if fitted is None else fitted.result()
     results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config, predictors)
+    out_dir = _resolve_out_dir(args, manifest)
+    h = manifest["hash"]
     _write_table(
         out_dir / "monthly.csv",
         h,

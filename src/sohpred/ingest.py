@@ -246,11 +246,12 @@ def _read_columns(
     has_optional = optional is not None and optional < len(cols)
     if any(body) and '"' not in text and max(map(len, body)) <= csv.field_size_limit():
         values = bulk(None)
-        if values is None and has_optional:  # refused at the first empty field, most likely
+        read_empty = values is None and has_optional  # refused at an empty field, most likely
+        if read_empty:
             values = bulk({cols[optional]: _empty_as_nan})
         if values is not None and len(values) == len(body):
             blank = np.zeros(values.shape, dtype=bool)
-            if has_optional:
+            if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
                 blank[:, optional] = np.isnan(values[:, optional])
             return _Columns(
                 path, cols, values, ~blank, blank, np.arange(start + 1, start + 1 + len(body)),

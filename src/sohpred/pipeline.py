@@ -269,21 +269,15 @@ def _resolve_network(
     seed: int,
 ) -> tuple[DualBiGRUSpec, TrainingConfig, list[ssa.IterationRecord]]:
     """Pick hyperparameters: given spec, baseline defaults, or a search."""
-    if isinstance(config.network, DualBiGRUSpec):
-        training = config.training if config.training is not None else baseline_training()
-        return config.network, replace(training, seed=seed), []
-    if config.network == "baseline":
-        spec = baseline_network(config.window_length)
-        training = config.training if config.training is not None else baseline_training()
-        return spec, replace(training, seed=seed), []
+    if config.network != "ssa-tuned":
+        spec = config.network
+        if spec == "baseline":
+            spec = baseline_network(config.window_length)
+        return spec, replace(config.training or baseline_training(), seed=seed), []
 
     # hyperparameter search on the training region only: candidates train on
     # the leading part and are scored on the last fifth of the region
-    space = (
-        config.search_space
-        if config.search_space is not None
-        else ssa.encode_hyperparameters()
-    )
+    space = config.search_space or ssa.encode_hyperparameters()
     w = config.window_length
     n_train = train_targets.size  # number of windows
     n_val = max(1, int(round(VALIDATION_TAIL_FRACTION * n_train)))

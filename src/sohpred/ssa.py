@@ -72,14 +72,14 @@ class SearchSpace:
                 out[j] = np.rint(out[j])
         return out
 
-    def violations(self, position: np.ndarray) -> list[str]:
-        """Human-readable bound violations for every offending dimension."""
+    def violations(self, position, names: Sequence[str] | None = None) -> list[str]:
+        """Human-readable bound violations for every offending dimension, named by
+        ``names`` (default ``dimension j``)."""
         problems = []
-        for j, (dim, x) in enumerate(zip(self.dims, np.asarray(position, float))):
+        for j, (dim, x) in enumerate(zip(self.dims, position)):
             if not dim.lower <= x <= dim.upper:
-                problems.append(
-                    f"dimension {j}: value {x} outside [{dim.lower}, {dim.upper}]"
-                )
+                name = names[j] if names else f"dimension {j}"
+                problems.append(f"{name} = {x} outside [{dim.lower}, {dim.upper}]")
         return problems
 
 

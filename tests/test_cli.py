@@ -254,6 +254,7 @@ class TestInputErrors:
         code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
         assert code == 1
         assert "error: non-finite loss at epoch 3" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestHpo:
@@ -473,11 +474,13 @@ class TestFleetFanOut:
         assert errors["2"].startswith(lines["V04"])
 
         config, data = fleet  # no bad row: the divergence is reported
-        out = tmp_path / "diverged"
-        assert run_cli("fleet", "--config", config, "--dataset", data, "--jobs", "2",
-                       "--out", out) == 1
-        assert_no_child_left()
-        assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+        for jobs in ("1", "2"):
+            out = tmp_path / f"diverged-jobs{jobs}"
+            assert run_cli("fleet", "--config", config, "--dataset", data, "--jobs", jobs,
+                           "--out", out) == 1
+            assert_no_child_left()
+            assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_log_read_here_after_training_keeps_file_order(self, tmp_path, fleet, capsys,
                                                            monkeypatch):

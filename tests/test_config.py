@@ -1,0 +1,257 @@
+"""The run-config schema: every key a config may set, checked before a run starts."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+from sohpred import cli
+from sohpred.neuralnet import TrainingConfig, load_model
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a valid config touching every section, which the cases below break one key at a time
+BASE = {
+    "synth": {"kind": "cycles", "n_cycles": 40},
+    "dataset": {"path": "cells.csv", "schema": {"cycle": "cycle", "soc_in_percent": True}},
+    "extract": {"sg_window": 21, "hi": "auto"},
+    "experiment": {
+        "split": {"mode": "fraction", "start_fraction": 0.25},
+        "seeds": [0],
+        "network": {"gru_units": [8, 8, 8, 8], "dropout_rates": [0.02] * 4},
+        "training": {"max_epochs": 40, "learning_rate": 0.01},
+    },
+    "ssa": {"pop_size": 3, "ranges": {"units": [6, 24]}},
+    "fleet": {"stat": "median", "start_index": 2},
+}
+
+UNKNOWN = [
+    ("synth", "n_cycle"),
+    ("dataset", "paths"),
+    ("dataset.schema", "volts"),
+    ("extract", "binwidth"),
+    ("experiment", "seed"),
+    ("experiment.split", "start"),
+    ("experiment.network", "units"),
+    ("experiment.training", "max_epoch"),
+    ("ssa", "pop"),
+    ("ssa.ranges", "unit"),
+    ("fleet", "stats"),
+]
+
+WRONG_TYPE = [
+    ("synth.n_cycles", "40"),
+    ("dataset.path", 3),
+    ("dataset.schema.soc_in_percent", "yes"),
+    ("extract.sg_window", 21.0),
+    ("experiment.seeds", 0),
+    ("experiment.split.start_fraction", "a quarter"),
+    ("experiment.network.gru_units", 16),
+    ("experiment.network.gru_units", [8, 8, 8]),
+    ("experiment.training.max_epochs", True),
+    ("ssa.pop_size", 6.5),
+    ("ssa.ranges.units", [6]),
+    ("fleet.start_index", "2"),
+    ("experiment", [1, 2]),
+]
+
+COMMANDS = {
+    "synth": [],
+    "extract": ["--dataset", "cells.csv"],
+    "train": ["--hi-table", "hi.csv"],
+    "hpo": ["--hi-table", "hi.csv", "--jobs", "1"],
+    "predict": ["--model", "model.bin", "--hi-table", "hi.csv"],
+    "fleet": ["--dataset", "fleet", "--jobs", "1"],
+}
+
+
+def with_value(path: str, value) -> dict:
+    cfg = yaml.safe_load(yaml.safe_dump(BASE))
+    *sections, key = path.split(".")
+    node = cfg
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return cfg
+
+
+@pytest.fixture
+def no_parsing(monkeypatch):
+    def parsed(*args, **kwargs):
+        raise AssertionError("a file was parsed")
+
+    for name in ("parse_cycle_file", "parse_fleet_file"):
+        monkeypatch.setattr(cli.ingest, name, parsed)
+    monkeypatch.setattr(cli, "read_hi_table", parsed)
+    monkeypatch.setattr(cli.pipeline.Predictor, "load", parsed)
+
+
+def run_with(tmp_path, cfg: dict, command: str, capsys) -> str:
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(config), *COMMANDS[command], "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_base_config_is_valid(tmp_path):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(BASE))
+    cfg, conf = cli._load_config(str(config))
+    assert cfg == BASE  # as written, for the manifest
+    assert conf["experiment"]["network"]["gru_units"] == (8, 8, 8, 8)
+    assert conf["experiment"]["training"]["batch_size"] == TrainingConfig.batch_size
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("section, key", UNKNOWN)
+def test_unknown_key_names_file_and_key(tmp_path, capsys, no_parsing, command, section, key):
+    cfg = with_value(f"{section}.{key}", 1)
+    err = run_with(tmp_path, cfg, command, capsys)
+    assert err == f"error: {tmp_path / 'cfg.yaml'}: {section}.{key}: unknown key\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("path, value", WRONG_TYPE)
+def test_wrong_type_names_file_and_key(tmp_path, capsys, no_parsing, command, path, value):
+    err = run_with(tmp_path, with_value(path, value), command, capsys)
+    assert err.startswith(f"error: {tmp_path / 'cfg.yaml'}: {path}: expected ")
+    assert err.rstrip().endswith(f"got {value!r}")
+
+
+def test_unknown_section_names_file_and_key(tmp_path, capsys, no_parsing):
+    err = run_with(tmp_path, {**BASE, "experimnet": {}}, "train", capsys)
+    assert err == f"error: {tmp_path / 'cfg.yaml'}: experimnet: unknown key\n"
+
+
+def test_dotted_key_is_unknown(tmp_path, capsys, no_parsing):
+    err = run_with(tmp_path, {**BASE, "experiment.seeds": [1]}, "train", capsys)
+    assert "experiment.seeds: unknown key" in err
+
+
+@pytest.fixture
+def hi_table(tmp_path):
+    rows = [f"{i},{0.5 + 0.01 * i!r},{1.0 - 0.002 * i!r}" for i in range(40)]
+    path = tmp_path / "hi.csv"
+    path.write_text("\n".join(["# manifest x", "index,MF,soh", *rows]) + "\n")
+    return path
+
+
+def train_with(tmp_path, text: str, hi_table) -> tuple[int, Path]:
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text)
+    out = tmp_path / "out"
+    return cli.main(["train", "--config", str(config), "--hi-table", str(hi_table),
+                     "--out", str(out)]), out
+
+
+TINY = """\
+experiment:
+  window_length: 4
+  seeds: [0]
+  network: {gru_units: [4, 4, 4, 4], dropout_rates: [0.02, 0.02, 0.02, 0.02]}
+  training: {max_epochs: 3, batch_size: 8, learning_rate: %s}
+"""
+
+
+def test_float_written_as_exponent_reads_as_number(tmp_path, hi_table, capsys):
+    # PyYAML loads 1e-3 (no dot) as a string; float() reads it
+    code, out = train_with(tmp_path, TINY % "1e-3", hi_table)
+    assert code == 1 and not out.exists()
+    assert "learning_rate = 0.001 outside [0.005, 0.015]" in capsys.readouterr().err
+
+    code, out = train_with(tmp_path, TINY % "1e-2", hi_table)
+    assert code == 0
+    manifest = yaml.safe_load((out / "manifest.json").read_text())
+    assert manifest["config"]["experiment"]["training"]["learning_rate"] == "1e-2"  # as written
+
+
+def test_misspelled_training_key_fails_instead_of_training_500_epochs(tmp_path, hi_table, capsys):
+    code, out = train_with(tmp_path, (TINY % "0.01").replace("max_epochs", "max_epoch"), hi_table)
+    assert code == 1 and not out.exists()
+    assert "experiment.training.max_epoch: unknown key" in capsys.readouterr().err
+
+
+def test_index_split_without_start_index(tmp_path, hi_table, capsys):
+    code, out = train_with(tmp_path, TINY % "0.01" + "  split: {mode: index}\n", hi_table)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'cfg.yaml'}: experiment.split: ")
+    assert "start_index" in err
+
+
+def test_unknown_split_mode(tmp_path, hi_table, capsys):
+    code, out = train_with(tmp_path, TINY % "0.01" + "  split: {mode: indx}\n", hi_table)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'cfg.yaml'}: experiment.split.mode: ")
+    assert "'indx'" in err
+
+
+def test_every_key_read_before_is_settable():
+    settable = set(cli.CONFIG_SCHEMA)
+    assert len(settable) == 70  # 69 values and experiment.network itself
+    for key in ("synth.step_voltages", "synth.step_widths", "ssa.producer_fraction",
+                "experiment.training.adam_beta1", "experiment.training.seed"):
+        assert key not in settable
+
+
+# ---------------------------------------------------------------------------
+# every shipped config loads
+
+
+def test_readme_config_loads(tmp_path):
+    blocks = re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.yaml"
+        path.write_text(block)
+        cli._load_config(str(path))
+
+
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
+    path = ROOT / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    written = []
+    for toy in (True, False):
+        for name, prepare in workloads.WORKLOADS.items():
+            if name == "extract-lab":  # runs without a config
+                continue
+            work = tmp_path / f"{name}-{toy}"
+            work.mkdir()
+            prepare(work, 0, toy, {})
+            written += sorted(work.glob("*.yaml"))
+    assert len(written) == 6
+    for path in written:
+        cli._load_config(str(path))
+
+
+def test_best_config_trains_the_recorded_network(tmp_path):
+    cfg = {
+        "synth": {"kind": "cycles", "n_cycles": 40, "sample_period_s": 6.0},
+        "experiment": {"window_length": 4, "seeds": [0]},
+        "ssa": {"pop_size": 3, "max_iter": 1, "ranges": {"units": [6, 12], "epochs": [5, 8]}},
+    }
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    run = lambda *argv: cli.main([str(a) for a in argv])  # noqa: E731
+    data, ext, hpo = tmp_path / "data", tmp_path / "ext", tmp_path / "hpo"
+    assert run("synth", "--config", config, "--out", data) == 0
+    assert run("extract", "--dataset", data / "cycles.csv", "--out", ext) == 0
+    hi = ext / "hi_top.csv"
+    assert run("hpo", "--config", config, "--hi-table", hi, "--jobs", 1, "--out", hpo) == 0
+    best = hpo / "best_config.yaml"
+    cli._load_config(str(best))
+    assert run("train", "--config", best, "--hi-table", hi, "--out", tmp_path / "train") == 0
+    recorded = yaml.safe_load(best.read_text())["experiment"]["network"]
+    model = load_model(tmp_path / "train" / "model.bin")
+    assert list(model.gru_units) == recorded["gru_units"]
+    assert list(model.dropout_rates) == recorded["dropout_rates"]

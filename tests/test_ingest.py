@@ -417,6 +417,14 @@ class TestParserErrorsNamePlace:
         with pytest.raises(ingest.ParseError, match=f"^{path}:5: bad row"):
             ingest.parse_cycle_file(path)
 
+    @pytest.mark.parametrize("empty", ["", "0.7"])
+    def test_written_nan_capacity_is_a_bad_row(self, tmp_path, empty):
+        # only an empty capacity field means "not measured", with or without one in the file
+        text = f"{CYCLE_HEADER}\n1,0,3.5,0.0,{empty}\n1,1,3.6,0.1,nan\n"
+        path = write(tmp_path, "nan.csv", text)
+        with pytest.raises(ingest.ParseError, match=f"^{path}:3: bad row: non-finite value 'nan'"):
+            ingest.parse_cycle_file(path)
+
     def test_cycle_record_rejection_names_cycle(self, tmp_path):
         text = f"{CYCLE_HEADER}\n4,0,3.5,0.2,0.7\n4,1,3.6,0.1,0.7\n"
         path = write(tmp_path, "down.csv", text)
