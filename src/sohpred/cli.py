@@ -380,9 +380,16 @@ def _extract_artifacts(conf: dict, dataset: Path):
     return records, dropped, soh, curves, sweep, rows, candidates, report, chosen
 
 
+def _dataset_path(args, conf: dict) -> Path:
+    path = args.dataset or conf["dataset"].get("path")
+    if not path:
+        raise ConfigError("a dataset is required (--dataset or dataset.path)")
+    return Path(path)
+
+
 def cmd_extract(args) -> int:
     written, conf = _load_config(args.config)
-    dataset = Path(args.dataset or conf["dataset"].get("path", ""))
+    dataset = _dataset_path(args, conf)
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
     manifest = build_manifest("extract", written, [dataset], [args.seed])
@@ -619,7 +626,7 @@ def _read_fleet_while_training(files, train_index, schema, stat, settings, worke
 
 def cmd_fleet(args) -> int:
     written, conf = _load_config(args.config)
-    data_dir = Path(args.dataset or conf["dataset"].get("path", ""))
+    data_dir = _dataset_path(args, conf)
     files = sorted(data_dir.glob("fleet_*.csv"))
     if not files:
         raise ConfigError(f"no fleet_*.csv files under {data_dir}")

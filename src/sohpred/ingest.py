@@ -10,12 +10,13 @@ current negative while charging.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -161,8 +162,9 @@ class _Columns:
     Column ``j`` of ``values`` holds the field at header position ``cols[j]``.
     A field that is missing or is not a number reads NaN in ``values`` and
     False in ``parsed``; ``blank`` marks the empty ones.  ``lineno`` is each
-    row's 1-based line in the file and ``fields(i)`` gives row ``i`` as split,
-    so that an error can name the line and quote the field.  ``error`` is a
+    row's 1-based line in the file and ``fields(i)`` gives row ``i`` as split
+    (after a bulk conversion, reading its line from the file again), so that
+    an error can name the line and quote the field.  ``error`` is a
     ``csv`` failure that ended the rows early: it is raised once the rows
     before it have passed their checks, as a streaming reader would.
     """
@@ -195,68 +197,140 @@ class _Columns:
             raise self.error
 
 
-def _read_columns(
-    path: Path | str, resolve: Callable[[list[str]], list[int]], optional: int | None = None
-) -> _Columns:
-    """Read a delimited file and convert the fields of the columns ``resolve`` picks.
+_SCAN_CHUNK = 1 << 16  # characters read at a time while scanning a file
+# line breaks that ``str.splitlines`` honours and universal newlines do not
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _scan(f: TextIO) -> tuple[bool, int, int]:
+    """One pass over an open text file: whether it is plain, its line count, its longest line.
+
+    A plain file holds no quote and no line break but ``\\n`` (universal
+    newlines have turned ``\\r\\n`` and ``\\r`` into it), so its lines are
+    the ones ``str.splitlines`` gives and ``csv`` splits each one at the
+    delimiter.  A line's length is counted in UTF-8 bytes, which is its
+    length in characters when it is ASCII and never less otherwise.
+    """
+    plain, count, longest, offset, last = True, 0, 0, 0, -1  # last: offset of the last \n
+    while chunk := f.read(_SCAN_CHUNK):
+        plain = plain and '"' not in chunk and not any(c in chunk for c in _SPLITLINES_ONLY)
+        encoded = chunk.encode()
+        breaks = np.flatnonzero(np.frombuffer(encoded, np.uint8) == 10) + offset
+        if breaks.size:
+            longest = max(longest, int(np.diff(breaks, prepend=last).max()) - 1)
+            last = int(breaks[-1])
+        count += breaks.size
+        offset += len(encoded)
+    tail = offset - last - 1  # the bytes after the last line break
+    return plain, count + (tail > 0), max(longest, tail)
+
+
+def _header(lines: Iterator[str], path: Path) -> tuple[str, list[str], int]:
+    """The delimiter, the header row and the number of lines up to and including it.
 
     The delimiter is a tab if the first non-blank line holds one, else a
     comma; the header is the first row with anything but whitespace and
-    delimiters in it, and later rows like that are skipped too.
-    ``resolve(header)`` returns the header positions to convert, or raises;
-    ``cols[optional]``, when there is one, may hold empty fields.
-
-    ``np.loadtxt`` converts the rows in bulk when plain splitting is what
-    ``csv`` would do: no quotes and no line over the field-size limit.  Its
-    number parser accepts the same strings as ``float`` and gives the same
-    value.  When it refuses them, it is asked once more with the optional
-    column read by ``_empty_as_nan``.  When that fails too (a blank or short
-    row, a field that is not a number), the rows are split with ``csv`` and
-    each column is converted with ``float``, field by field where a column
-    holds a bad field, which is what finds and names the bad line.
+    delimiters in it.  Only the lines up to the header are read.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: unreadable file: {exc}") from exc
-    lines = text.splitlines()
-    first = next((ln for ln in lines if ln.strip()), "")
-    delimiter = "\t" if "\t" in first else ","
-    reader = csv.reader(lines, delimiter=delimiter)
+    leading, delimiter = [], ","
+    for line in lines:
+        leading.append(line)
+        if line.strip():
+            delimiter = "\t" if "\t" in line else ","
+            break
+    reader = csv.reader(itertools.chain(leading, lines), delimiter=delimiter)
     try:
         header = next((row for row in reader if "".join(row).strip()), None)
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if header is None:
         raise ParseError(f"{path}: empty file")
-    cols = resolve([h.strip() for h in header])
-    start = reader.line_num
-    body = lines[start:]
+    return delimiter, [h.strip() for h in header], reader.line_num
+
+
+def _line(path: Path, index: int) -> str:
+    """Line ``index`` (0-based) of a plain file, read again from the file."""
+    with path.open() as f:
+        return next(itertools.islice(f, index, None)).removesuffix("\n")
+
+
+def _read_bulk(
+    f: TextIO, path: Path, resolve: Callable[[list[str]], list[int]], optional: int | None
+) -> _Columns | None:
+    """The columns of a plain file, converted by ``np.loadtxt`` as it reads ``f``.
+
+    None when the file is not plain, has a line over the field-size limit or
+    no data after the header, or when the conversion fails or skips a line.
+    """
+    plain, count, longest = _scan(f)
+    if not plain:
+        return None
+    f.seek(0)
+    delimiter, header, start = _header(f, path)
+    cols = resolve(header)
+    if longest > csv.field_size_limit() or all(line == "\n" for line in f):
+        return None
 
     def bulk(converters: dict[int, Callable[[str], float]] | None) -> np.ndarray | None:
+        f.seek(0)
         try:
             return np.loadtxt(
-                body, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2,
-                converters=converters,
+                f, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2,
+                skiprows=start, converters=converters,
             )
         except ValueError:
             return None
 
-    has_optional = optional is not None and optional < len(cols)
-    if any(body) and '"' not in text and max(map(len, body)) <= csv.field_size_limit():
-        values = bulk(None)
-        read_empty = values is None and has_optional  # refused at an empty field, most likely
-        if read_empty:
-            values = bulk({cols[optional]: _empty_as_nan})
-        if values is not None and len(values) == len(body):
-            blank = np.zeros(values.shape, dtype=bool)
-            if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
-                blank[:, optional] = np.isnan(values[:, optional])
-            return _Columns(
-                path, cols, values, ~blank, blank, np.arange(start + 1, start + 1 + len(body)),
-                lambda i: body[i].split(delimiter),
-            )
+    values = bulk(None)
+    read_empty = values is None and optional is not None and optional < len(cols)
+    if read_empty:  # refused at an empty field, most likely
+        values = bulk({cols[optional]: _empty_as_nan})
+    if values is None or len(values) != count - start:
+        return None
+    blank = np.zeros(values.shape, dtype=bool)
+    if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
+        blank[:, optional] = np.isnan(values[:, optional])
+    return _Columns(
+        path, cols, values, ~blank, blank, np.arange(start + 1, count + 1),
+        lambda i: _line(path, start + i).split(delimiter),
+    )
+
+
+def _read_columns(
+    path: Path | str, resolve: Callable[[list[str]], list[int]], optional: int | None = None
+) -> _Columns:
+    """Read a delimited file and convert the fields of the columns ``resolve`` picks.
+
+    The header is found as ``_header`` finds it, and later rows with only
+    whitespace and delimiters are skipped too.  ``resolve(header)`` returns
+    the header positions to convert, or raises; ``cols[optional]``, when
+    there is one, may hold empty fields.  The file is decoded as
+    ``read_text`` decodes it.
+
+    ``np.loadtxt`` converts the rows in bulk, reading them from the file,
+    when plain splitting is what ``csv`` would do: ``_scan`` finds the file
+    plain and no line over the field-size limit.  Its number parser accepts
+    the same strings as ``float`` and gives the same value.  When it
+    refuses them, it is asked once more with the optional column read by
+    ``_empty_as_nan``.  When that fails too (a blank or short row, a field
+    that is not a number), or it returns fewer rows than the file has lines
+    after the header, the file is read whole and split into lines as
+    ``str.splitlines`` splits it, the rows are split with ``csv`` and each
+    column is converted with ``float``, field by field where a column holds
+    a bad field, which is what finds and names the bad line.
+    """
+    path = Path(path)
+    try:
+        with path.open() as f:
+            table = _read_bulk(f, path, resolve, optional)
+        if table is not None:
+            return table
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: unreadable file: {exc}") from exc
+    delimiter, header, start = _header(iter(lines), path)
+    cols = resolve(header)
+    body = lines[start:]
 
     picked: list[str | None] = []  # the fields of ``cols``, row after row
     begin: list[int] = []  # the first line of each row, as an index into ``body``
@@ -406,21 +480,22 @@ def parse_cycle_file(
     table.check_rows(bad, convert)
     dropped = int(np.count_nonzero(~in_window))
 
-    rows = table.values[in_window]
-    key = np.trunc(rows[:, 0])  # the cycle number int() gives
-    order = np.lexsort((rows[:, 1], key))  # stable: equal times keep their file order
-    rows, key = rows[order], key[order]
+    # the kept rows in order, as indices: each cycle's rows are copied out on their own
+    kept = np.flatnonzero(in_window)
+    key = np.trunc(table.values[kept, 0])  # the cycle number int() gives
+    order = np.lexsort((table.values[kept, 1], key))  # stable: equal times keep their file order
+    kept, key = kept[order], key[order]
     edges = np.flatnonzero(np.diff(key, prepend=np.nan, append=np.nan) != 0)
-    measured = ~np.isnan(rows[:, 4]) if len(cols) == 5 else np.zeros(len(rows), dtype=bool)
     records = []
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a < 2:
             continue
-        t, v, q = rows[a:b, 1], rows[a:b, 2], rows[a:b, 3]
+        rows = table.values[kept[a:b]]
+        t, v, q = rows[:, 1], rows[:, 2], rows[:, 3]
         if schema.charge is None:  # integrate the current
             q = np.cumsum(-q * np.diff(t, prepend=t[0])) / 3600.0
-        caps = np.flatnonzero(measured[a:b])
-        capacity = float(rows[a + caps[0], 4]) if caps.size else float(q[-1] - q[0])
+        caps = np.flatnonzero(~np.isnan(rows[:, 4])) if len(cols) == 5 else []
+        capacity = float(rows[caps[0], 4]) if len(caps) else float(q[-1] - q[0])
         try:
             records.append(CycleRecord(int(key[a]), np.column_stack([t, v, q]), capacity))
         except ValueError as exc:
@@ -464,6 +539,7 @@ def parse_fleet_file(
             written[i] = _parse_timestamp(table.fields(i)[cols[0]])
         except (ValueError, IndexError):
             bad[i] = True
+            break  # the first bad row is the one reported
     if written:
         step = timedelta(microseconds=1)
         micros[list(written)] = [(ts - _EPOCH) // step for ts in written.values()]
@@ -500,26 +576,25 @@ def parse_fleet_file(
     keep = level >= np.maximum.accumulate(level)
     # a kept sample at the time of the previous kept one repeats it or conflicts with it
     k = np.flatnonzero(keep)
-    same = (chunk[k[1:]] == chunk[k[:-1]]) & (time[k[1:]] == time[k[:-1]])
-    equal = same & np.all(columns[k[1:]] == columns[k[:-1]], axis=1)
-    keep[k[1:][equal]] = False
-    conflicts = k[1:][same & ~equal]
+    twin = np.flatnonzero((chunk[k[1:]] == chunk[k[:-1]]) & (time[k[1:]] == time[k[:-1]]))
+    equal = np.all(columns[k[twin + 1]] == columns[k[twin]], axis=1)
+    keep[k[twin[equal] + 1]] = False
+    conflicts = k[twin[~equal] + 1]
     # the segments before the first conflict are built, and checked, before it is reported
     last = chunk[conflicts[0]] if conflicts.size else chunk[-1] + 1
 
     k = np.flatnonzero(keep & (chunk < last))
     bounds = np.flatnonzero(np.diff(chunk[k], prepend=-1, append=-1) != 0)
-    time, columns = time[k], columns[k]
-    temperature = columns[:, 3] if columns.shape[1] == 4 else None
     segments: list[ChargeSegment] = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b - a < 2:
             continue
         start_ts = stamp(order[firsts[chunk[k[a]]]])
+        samples = columns[k[a:b]]
         try:
             segments.append(ChargeSegment(
-                source, start_ts, time[a:b], columns[a:b, 0], columns[a:b, 1], columns[a:b, 2],
-                None if temperature is None else temperature[a:b],
+                source, start_ts, time[k[a:b]], samples[:, 0], samples[:, 1], samples[:, 2],
+                samples[:, 3] if samples.shape[1] == 4 else None,
             ))
         except ValueError as exc:
             raise ParseError(f"{path}: segment starting {start_ts.isoformat()}: {exc}") from None

@@ -614,36 +614,35 @@ def synthesize_cycles(
     mu1, mu2 = params.step_voltages
     s1_base, s2_base = params.step_widths
 
-    lines = ["cycle,time_s,voltage_v,charge_ah,capacity_ah"]
-    for c in range(params.n_cycles):
-        capacity = params.base_capacity_ah * soh[c]
-        # aging flattens both steps and drains the upper one
-        widen = 1.0 + 1.8 * (1.0 - soh[c])
-        w2 = params.second_step_weight * max(0.0, 1.0 - 2.5 * (1.0 - soh[c]))
-        w1 = 1.0 - w2
-        s1, s2 = s1_base * widen, s2_base * widen
-
-        def logistic(v, mu, s):
-            return 1.0 / (1.0 + np.exp(-(v - mu) / s))
-
-        q_dense = capacity * (
-            w1 * logistic(v_dense, mu1, s1) + w2 * logistic(v_dense, mu2, s2)
-        )
-        q_dense -= q_dense[0]
-        current = params.charge_rate * params.base_capacity_ah  # amperes
-        total_time = q_dense[-1] / current * 3600.0
-        t = np.arange(0.0, total_time, params.sample_period_s)
-        q_t = current * t / 3600.0
-        v_t = np.interp(q_t, q_dense, v_dense)
-        v_t = v_t + rng.normal(0.0, params.voltage_noise, size=v_t.size)
-        for ti, vi, qi in zip(t, v_t, q_t):
-            lines.append(
-                f"{c + 1},{float(ti)!r},{float(vi)!r},{float(qi)!r},{float(capacity)!r}"
-            )
-
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n")
+    with out_path.open("w") as out:  # written a cycle at a time
+        out.write("cycle,time_s,voltage_v,charge_ah,capacity_ah\n")
+        for c in range(params.n_cycles):
+            capacity = params.base_capacity_ah * soh[c]
+            # aging flattens both steps and drains the upper one
+            widen = 1.0 + 1.8 * (1.0 - soh[c])
+            w2 = params.second_step_weight * max(0.0, 1.0 - 2.5 * (1.0 - soh[c]))
+            w1 = 1.0 - w2
+            s1, s2 = s1_base * widen, s2_base * widen
+
+            def logistic(v, mu, s):
+                return 1.0 / (1.0 + np.exp(-(v - mu) / s))
+
+            q_dense = capacity * (
+                w1 * logistic(v_dense, mu1, s1) + w2 * logistic(v_dense, mu2, s2)
+            )
+            q_dense -= q_dense[0]
+            current = params.charge_rate * params.base_capacity_ah  # amperes
+            total_time = q_dense[-1] / current * 3600.0
+            t = np.arange(0.0, total_time, params.sample_period_s)
+            q_t = current * t / 3600.0
+            v_t = np.interp(q_t, q_dense, v_dense)
+            v_t = v_t + rng.normal(0.0, params.voltage_noise, size=v_t.size)
+            out.write("".join(
+                f"{c + 1},{float(ti)!r},{float(vi)!r},{float(qi)!r},{float(capacity)!r}\n"
+                for ti, vi, qi in zip(t, v_t, q_t)
+            ))
     return out_path
 
 
@@ -669,33 +668,33 @@ def synthesize_fleet(
         )
         capacity_by_month = params.pack_capacity_ah * factor * (trend + rebounds)
 
-        lines = ["timestamp,current_a,voltage_v,soc"]
-        epoch = 1_500_000_000  # fixed fleet start instant
-        for m in months:
-            month_start = epoch + int(m) * 30 * 86400
-            for e in range(params.events_per_month):
-                event_rng = derive_rng(seed, "synth-fleet-event", v, int(m), e)
-                cap = capacity_by_month[m] * (
-                    1.0 + event_rng.normal(0.0, params.event_noise)
-                )
-                soc_start = 0.15 + 0.2 * event_rng.random()
-                soc_end = 0.8 + 0.15 * event_rng.random()
-                current = -params.base_current_a * (1.0 + 0.05 * event_rng.random())
-                charge_ah = cap * (soc_end - soc_start)
-                duration = charge_ah / (-current) * 3600.0
-                t = np.arange(0.0, duration + params.sample_period_s, params.sample_period_s)
-                soc = soc_start + (-current) * t / 3600.0 / cap
-                soc = np.minimum(soc, soc_end)
-                # SOC is logged in percent at 0.1 resolution
-                soc_pct = np.round(soc * 1000.0) / 10.0
-                volts = 330.0 + 70.0 * soc
-                t0 = month_start + e * 10_000
-                for ti, si, vi in zip(t, soc_pct, volts):
-                    lines.append(
-                        f"{float(t0 + ti)!r},{float(current)!r},{float(vi)!r},{float(si)!r}"
-                    )
         path = out_dir / f"fleet_{vid}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as out:  # written a charging event at a time
+            out.write("timestamp,current_a,voltage_v,soc\n")
+            epoch = 1_500_000_000  # fixed fleet start instant
+            for m in months:
+                month_start = epoch + int(m) * 30 * 86400
+                for e in range(params.events_per_month):
+                    event_rng = derive_rng(seed, "synth-fleet-event", v, int(m), e)
+                    cap = capacity_by_month[m] * (
+                        1.0 + event_rng.normal(0.0, params.event_noise)
+                    )
+                    soc_start = 0.15 + 0.2 * event_rng.random()
+                    soc_end = 0.8 + 0.15 * event_rng.random()
+                    current = -params.base_current_a * (1.0 + 0.05 * event_rng.random())
+                    charge_ah = cap * (soc_end - soc_start)
+                    duration = charge_ah / (-current) * 3600.0
+                    t = np.arange(0.0, duration + params.sample_period_s, params.sample_period_s)
+                    soc = soc_start + (-current) * t / 3600.0 / cap
+                    soc = np.minimum(soc, soc_end)
+                    # SOC is logged in percent at 0.1 resolution
+                    soc_pct = np.round(soc * 1000.0) / 10.0
+                    volts = 330.0 + 70.0 * soc
+                    t0 = month_start + e * 10_000
+                    out.write("".join(
+                        f"{float(t0 + ti)!r},{float(current)!r},{float(vi)!r},{float(si)!r}\n"
+                        for ti, si, vi in zip(t, soc_pct, volts)
+                    ))
         paths.append(path)
     return paths
 

@@ -256,6 +256,14 @@ class TestInputErrors:
         assert "error: non-finite loss at epoch 3" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "fleet"])
+    def test_no_dataset_names_both_settings(self, tmp_path, capsys, monkeypatch, command):
+        # an empty working directory: neither command may fall back to it
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command) == 1
+        assert "error: a dataset is required (--dataset or dataset.path)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestHpo:
     def test_tiny_search_completes_within_bounds(self, tmp_path, tiny_config):

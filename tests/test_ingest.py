@@ -1,8 +1,9 @@
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sohpred import ingest
@@ -313,9 +314,11 @@ def delimited_file(draw, header, good_row):
     fields (timestamp, or cycle and time) but another value further on.
     Rows with only whitespace or only delimiters are scattered in, before
     the header too, some files have their data rows shuffled, and some
-    quote the header or some fields as CSV allows.
+    quote the header or some fields as CSV allows.  Some end their lines
+    with ``\r\n``.
     """
     delimiter = draw(st.sampled_from([",", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
     mixed = draw(st.booleans())
     damage = draw(st.sampled_from([0, 0, 1, 3]))  # tenths of the rows
     quote = draw(st.sampled_from(["none", "none", "header", "fields"]))
@@ -348,8 +351,8 @@ def delimited_file(draw, header, good_row):
     names = header.split(",")
     if quote == "header":
         names = [f'"{name}"' for name in names]
-    lead = draw(st.sampled_from(["", "", "   \n"]))
-    return lead + "\n".join([delimiter.join(names)] + rows) + "\n"
+    lead = draw(st.sampled_from(["", "", "   " + newline]))
+    return lead + newline.join([delimiter.join(names)] + rows) + newline
 
 
 def cycle_row(i):
@@ -562,6 +565,17 @@ def assert_same_outcome(new, reference):
 CYCLE_SCHEMAS = [ingest.CycleSchema(), ingest.CycleSchema(charge=None, current="charge_ah")]
 
 
+def plain_text(header, row, newline="\n", end="\n", last=None):
+    """A header and eight valid rows; ``last``, when given, replaces the final field of the last.
+
+    The ``@example`` files built from it sit at the edges of the bulk route.
+    """
+    rows = [row(i) for i in range(8)]
+    if last is not None:
+        rows[-1][-1] = last
+    return newline.join([header] + [",".join(fields) for fields in rows]) + end
+
+
 class TestColumnarMatchesPerRow:
     """The columnar parsers agree with the per-row reference in ``tests/oracles.py``."""
 
@@ -572,6 +586,15 @@ class TestColumnarMatchesPerRow:
         schema=st.sampled_from(CYCLE_SCHEMAS),
     )
     @settings(max_examples=300, deadline=None)
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, last="nan"), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, last="inf"), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, "\n\n", last="nan"), schema=CYCLE_SCHEMAS[0])  # blank lines
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, "\r\n", "\r\n"), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, "\r\n", "\r\n", "nan"), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, "\r", "\r"), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, last="\x0c0.74"), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER + ",température", cycle_row), schema=CYCLE_SCHEMAS[0])
+    @example(text=plain_text(CYCLE_HEADER, cycle_row, end=""), schema=CYCLE_SCHEMAS[0])
     def test_cycle_files(self, tmp_path_factory, text, schema):
         path = write(tmp_path_factory.mktemp("cycles"), "cycles.csv", text)
         assert_same_outcome(
@@ -583,6 +606,15 @@ class TestColumnarMatchesPerRow:
         lambda row: delimited_file(FLEET_HEADER, row)
     ))
     @settings(max_examples=300, deadline=None)
+    @example(text=plain_text(FLEET_HEADER, fleet_row, last="nan"))
+    @example(text=plain_text(FLEET_HEADER, fleet_row, last="inf"))
+    @example(text=plain_text(FLEET_HEADER, fleet_row, "\n\n", last="nan"))  # blank lines
+    @example(text=plain_text(FLEET_HEADER, fleet_row, "\r\n", "\r\n"))
+    @example(text=plain_text(FLEET_HEADER, fleet_row, "\r\n", "\r\n", "nan"))
+    @example(text=plain_text(FLEET_HEADER, fleet_row, "\r", "\r"))
+    @example(text=plain_text(FLEET_HEADER, fleet_row, last="\x0c25.0"))
+    @example(text=plain_text(FLEET_HEADER + ",température", fleet_row))
+    @example(text=plain_text(FLEET_HEADER, fleet_row, end=""))
     def test_fleet_files(self, tmp_path_factory, text):
         path = write(tmp_path_factory.mktemp("fleet"), "fleet.csv", text)
         schema = ingest.FleetSchema(temperature="temp_c", gap_threshold_s=15.0)
@@ -645,3 +677,35 @@ class TestColumnarMatchesPerRow:
             assert_same_outcome(
                 ingest.parse_fleet_file(path), oracles.parse_fleet_file_per_row(path)
             )
+
+
+def traced_peak(fn):
+    """The peak of the memory ``tracemalloc`` traces while ``fn()`` runs, in bytes.
+
+    ``fn`` runs once untraced first, so that one-time caches are not counted.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The bulk route reads from the file: no whole-file string, no list of its lines."""
+
+    def test_cycle_file_under_three_times_its_size(self, tmp_path):
+        from sohpred import pipeline
+
+        params = pipeline.CycleSynthesisParams(n_cycles=20)
+        path = pipeline.synthesize_cycles(params, 0, tmp_path / "c.csv")
+        assert traced_peak(lambda: ingest.parse_cycle_file(path)) < 3 * path.stat().st_size
+
+    def test_fleet_file_under_four_times_its_size(self, tmp_path):
+        from sohpred import pipeline
+
+        params = pipeline.FleetSynthesisParams(n_vehicles=1, n_months=4)
+        path, = pipeline.synthesize_fleet(params, 0, tmp_path)
+        assert traced_peak(lambda: ingest.parse_fleet_file(path)) < 4 * path.stat().st_size

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +388,34 @@ class TestSynthesis:
         segments = ingest.parse_fleet_file(paths[0], source_id="V01")
         records, _ = ingest.monthly_aggregate(segments)
         assert records[0].median_capacity == pytest.approx(145.0, rel=0.03)
+
+    def test_golden_bytes(self, tmp_path):
+        # the extract coefficients recorded for the benchmark rest on these bytes
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        params = CycleSynthesisParams(n_cycles=6, sample_period_s=8.0)
+        path = synthesize_cycles(params, 3, tmp_path / "cycles.csv")
+        assert digest(path) == "74c787a26c385c753c2d255b1d7314bf0ce0e339f219d6b59faaaa4db64fcb64"
+        params = FleetSynthesisParams(n_vehicles=2, n_months=3, events_per_month=2)
+        assert [digest(p) for p in synthesize_fleet(params, 5, tmp_path / "fleet")] == [
+            "b0738c5f6931855ee6f54e91bf03586132ef5cc95cc02fc0f37ea4f0021dca5a",
+            "5a9587ec978aeef4b4922e30fed4cfc9a2df022fae5b4abf83910dac4cd66e37",
+        ]
+
+    @pytest.mark.parametrize("write", [
+        lambda out: [synthesize_cycles(CycleSynthesisParams(n_cycles=20), 0, out / "c.csv")],
+        lambda out: synthesize_fleet(FleetSynthesisParams(n_vehicles=1, n_months=4), 0, out),
+    ], ids=["cycles", "fleet"])
+    def test_written_as_generated(self, tmp_path, write):
+        # the traced peak stays under the bytes written: no file is built whole in memory
+        tracemalloc.start()
+        try:
+            paths = write(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(p.stat().st_size for p in paths)
 
     def test_dispatch(self, tmp_path):
         paths = synthesize_dataset("cycles", CycleSynthesisParams(n_cycles=5, sample_period_s=8.0), 1, tmp_path)
