@@ -19,7 +19,8 @@ float64 buffer, ``ModelParams.flat``, laid out by :func:`tensor_layout`:
 the cells m1f, m1b, m2f, m2b in turn (W_U, W_R, W_h, b_U, b_R, b_h each),
 then dense.w and dense.b.  Gradients use the same class over a buffer of
 their own, so Adam updates the whole network with a few vector
-operations, and the model file is a text header followed by the buffer.
+operations per cache-sized block, and the model file is a text header
+followed by the buffer.
 A block whose two cells have equal hidden sizes, up to STACK_MAX_UNITS,
 runs both directions as one stack: its cells sit at a constant offset in
 the buffer, so each matmul takes both directions' weights as one strided
@@ -29,6 +30,7 @@ view.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -202,11 +204,12 @@ def _dropout_mask(
 
 
 def _gru_sequence_forward(
-    cells: GRUCellParams | _CellStack, sequences: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, _SequenceCache]:
+    cells: GRUCellParams | _CellStack, sequences: tuple[np.ndarray, ...], keep: bool = True
+) -> tuple[np.ndarray, _SequenceCache | None]:
     """Run one cell over its (T, B, width) sequence, or a stack over one sequence per direction.
 
-    Returns the states, (T, [2,] B, H), and the cache.  Every step writes
+    Returns the states, (T, [2,] B, H), and the cache, or None without
+    ``keep``, so that the sequence's arrays are freed here.  Every step writes
     into arrays allocated once per sequence, whose input part is filled
     once.  A stack's matmuls run both directions' products in one call;
     each product, sum and activation is the one a single step of one
@@ -245,7 +248,7 @@ def _gru_sequence_forward(
         h = h_t
     if not np.isfinite(out).all():
         raise DivergenceError("non-finite hidden state")
-    return out, _SequenceCache(z, zc, gates, h_tilde)
+    return out, (_SequenceCache(z, zc, gates, h_tilde) if keep else None)
 
 
 def _bigru_forward(
@@ -255,6 +258,7 @@ def _bigru_forward(
     sequence: np.ndarray,
     mode: str,
     rng: np.random.Generator | None,
+    keep: bool = True,
 ) -> tuple[np.ndarray, _BiGRUCache]:
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -262,12 +266,12 @@ def _bigru_forward(
     if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
         raise ValueError("train mode with dropout needs an rng")
     if len(stacks) == 1:
-        out, cache = _gru_sequence_forward(stacks[0], (sequence, sequence[::-1]))
+        out, cache = _gru_sequence_forward(stacks[0], (sequence, sequence[::-1]), keep)
         out_f, out_b_rev = out.swapaxes(0, 1)
         runs = (cache,)
     else:
         (out_f, cache_f), (out_b_rev, cache_b) = (
-            _gru_sequence_forward(cells, (seq,))
+            _gru_sequence_forward(cells, (seq,), keep)
             for cells, seq in zip(stacks, (sequence, sequence[::-1]))
         )
         runs = (cache_f, cache_b)
@@ -535,6 +539,16 @@ def network_forward(
     ``windows`` is (batch, window_length) of indicator values; returns the
     (batch,) predictions and the caches needed by :func:`network_backward`.
     """
+    return _network_forward(spec, windows, mode, rng)
+
+
+def _network_forward(
+    spec: DualBiGRUSpec,
+    windows: np.ndarray,
+    mode: str,
+    rng: np.random.Generator | None,
+    keep: bool = True,
+) -> tuple[np.ndarray, tuple]:
     if spec.params is None:
         raise ValueError("spec has no parameters; call init_params or train first")
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
@@ -545,8 +559,8 @@ def network_forward(
     d1, d2, d3, d4 = spec.dropout_rates
     layer1, layer2 = spec.params.layers
     seq = windows.T[:, :, None]  # (T, B, 1)
-    out1, cache1 = _bigru_forward(layer1, d1, d2, seq, mode, rng)
-    out2, cache2 = _bigru_forward(layer2, d3, d4, out1, mode, rng)
+    out1, cache1 = _bigru_forward(layer1, d1, d2, seq, mode, rng, keep)
+    out2, cache2 = _bigru_forward(layer2, d3, d4, out1, mode, rng, keep)
     last = out2[-1]
     y = last @ spec.params.dense_w + spec.params.dense_b
     return y, (cache1, cache2, last, out2.shape)
@@ -609,9 +623,15 @@ class TrainingConfig:
             raise ValueError("lr_drop_period cannot exceed max_epochs")
 
 
+# Adam runs over the buffers in blocks of this many values, so that its dozen
+# passes over each block find it in cache.  Of blocks from 8k to 128k values,
+# 32k and 64k were fastest at 128 and 200 units; 32k needs less scratch.
+ADAM_BLOCK = 32_768
+
+
 @dataclass
 class AdamState:
-    """First and second moments, and two scratch buffers, laid out like ``ModelParams.flat``."""
+    """First and second moments laid out like ``ModelParams.flat``, and two scratch blocks."""
 
     m: np.ndarray
     v: np.ndarray
@@ -620,8 +640,9 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
-        m, v, s1, s2 = (np.zeros_like(params.flat) for _ in range(4))
-        return cls(m, v, (s1, s2))
+        block = min(params.flat.size, ADAM_BLOCK)
+        m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        return cls(m, v, (np.empty(block), np.empty(block)))
 
 
 def effective_learning_rate(config: TrainingConfig, epoch: int) -> float:
@@ -638,22 +659,26 @@ def adam_step(
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, in place, allocating no model-sized array.
 
-    ``params -= lr * (m/c1) / (sqrt(v/c2) + eps)``, rounded in that order.
+    ``params -= lr * (m/c1) / (sqrt(v/c2) + eps)``, rounded in that order,
+    one ``ADAM_BLOCK`` of the buffers at a time: every value is computed
+    alone, so the blocks give the same bits as whole-buffer operations.
     """
     state.t += 1
     lr = effective_learning_rate(config, epoch)
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    g, m, v = grads.flat, state.m, state.v
-    s1, s2 = state.scratch
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=s1)
-    v *= b2
-    v += np.multiply(np.square(g, out=s1), 1.0 - b2, out=s1)
-    np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
-    np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2)
-    params.flat -= np.divide(s1, s2, out=s1)
+    for start in range(0, params.flat.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g, m, v = params.flat[block], grads.flat[block], state.m[block], state.v[block]
+        s1, s2 = (s[: p.size] for s in state.scratch)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s1)
+        v *= b2
+        v += np.multiply(np.square(g, out=s1), 1.0 - b2, out=s1)
+        np.multiply(np.divide(m, c1, out=s1), lr, out=s1)
+        np.add(np.sqrt(np.divide(v, c2, out=s2), out=s2), eps, out=s2)
+        p -= np.divide(s1, s2, out=s1)
     return params, state
 
 
@@ -738,9 +763,12 @@ def train(
 
 
 def predict(spec: DualBiGRUSpec, windows: np.ndarray) -> np.ndarray:
-    """Deterministic eval-mode predictions, one per window."""
-    preds, _ = network_forward(spec, windows, mode="eval")
-    return preds
+    """Deterministic eval-mode predictions, one per window.
+
+    The forward of :func:`network_forward`, keeping no backprop caches:
+    each sequence's arrays are freed when its loop ends.
+    """
+    return _network_forward(spec, windows, "eval", None, keep=False)[0]
 
 
 MODEL_MAGIC = "dual-bigru-model v1"
@@ -767,38 +795,51 @@ def save_model(spec: DualBiGRUSpec, path: Path | str) -> None:
         raise ValueError("cannot save an unbuilt spec")
     with open(path, "wb") as fh:
         fh.write(("\n".join(_header_lines(spec)) + "\n").encode("ascii"))
-        fh.write(spec.params.flat.astype("<f8", copy=False).tobytes())
+        fh.write(memoryview(spec.params.flat.astype("<f8", copy=False)))
 
 
 def load_model(path: Path | str) -> DualBiGRUSpec:
-    """Read a file written by :func:`save_model`; ``ValueError`` naming ``path`` if malformed."""
+    """Read a file written by :func:`save_model`; ``ValueError`` naming ``path`` if malformed.
+
+    The header is read line by line up to the first ``end-header``, then the
+    data section straight into the parameter buffer.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    blob = path.read_bytes()
-    try:
-        header_end = blob.index(b"end-header\n") + len(b"end-header\n")
-    except ValueError:
-        raise ValueError(f"{path}: not a model file (missing header terminator)") from None
-    lines = blob[:header_end].decode("ascii", errors="replace").splitlines()
-    if lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file")
-    try:
-        fields = dict(line.split(" ", 1) for line in lines[1:6])
-        if fields["candidate_form"] != "reset_gated":
-            raise ValueError(
-                f"candidate_form {fields['candidate_form']} is not supported (only reset_gated)"
+    with open(path, "rb") as fh:
+        header = []
+        for line in fh:
+            header.append(line)
+            if line.endswith(b"end-header\n"):
+                break
+        else:
+            raise ValueError(f"{path}: not a model file (missing header terminator)")
+        lines = b"".join(header).decode("ascii", errors="replace").splitlines()
+        if lines[0] != MODEL_MAGIC:
+            raise ValueError(f"{path}: not a model file")
+        try:
+            fields = dict(line.split(" ", 1) for line in lines[1:6])
+            if fields["candidate_form"] != "reset_gated":
+                raise ValueError(
+                    f"candidate_form {fields['candidate_form']} is not supported (only reset_gated)"
+                )
+            spec = DualBiGRUSpec(
+                window_length=int(fields["window_length"]),
+                gru_units=tuple(int(g) for g in fields["gru_units"].split()),
+                dropout_rates=tuple(float(d) for d in fields["dropout_rates"].split()),
             )
-        spec = DualBiGRUSpec(
-            window_length=int(fields["window_length"]),
-            gru_units=tuple(int(g) for g in fields["gru_units"].split()),
-            dropout_rates=tuple(float(d) for d in fields["dropout_rates"].split()),
-        )
-        if lines != _header_lines(spec):
-            raise ValueError("header does not match the v1 layout for its gru_units")
-        flat = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(float)
-        return replace(spec, params=ModelParams.from_flat(spec.gru_units, flat))
-    except KeyError as exc:
-        raise ValueError(f"{path}: corrupt model header (missing {exc.args[0]})") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: corrupt model file ({exc})") from None
+            if lines != _header_lines(spec):
+                raise ValueError("header does not match the v1 layout for its gru_units")
+            data_size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if data_size % 8:
+                raise ValueError("buffer size must be a multiple of element size")
+            flat = np.empty(data_size // 8, dtype="<f8")
+            if fh.readinto(memoryview(flat).cast("B")) != data_size:
+                raise ValueError("the data section changed while it was read")
+            flat = flat.astype(float, copy=False)
+            return replace(spec, params=ModelParams.from_flat(spec.gru_units, flat))
+        except KeyError as exc:
+            raise ValueError(f"{path}: corrupt model header (missing {exc.args[0]})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: corrupt model file ({exc})") from None

@@ -1,4 +1,4 @@
-"""Independent recomputations used as oracles by the test suite.
+"""Independent recomputations used as oracles by the test suite, and its memory probe.
 
 Everything here is deliberately written separately from the vectorized
 implementations it checks: scalar by scalar, or step by step where the
@@ -7,6 +7,7 @@ implementation works on a whole sequence at once.
 
 import csv
 import math
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -305,6 +306,20 @@ def per_step_network_backward(spec, dy, cache):
     dout1 = block(params.cells[2:], grads.cells[2:], dout2, cache2)
     block(params.cells[:2], grads.cells[:2], dout1, cache1)
     return grads
+
+
+def traced_peak(fn):
+    """The peak of the memory ``tracemalloc`` traces while ``fn()`` runs, in bytes.
+
+    ``fn`` runs once untraced first, so that one-time caches are not counted.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def adam_reference(params, grads, state, config, epoch):

@@ -1,4 +1,3 @@
-import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 from sohpred import ingest
 
 import oracles
+from oracles import traced_peak
 
 
 def write(tmp_path, name, text):
@@ -677,20 +677,6 @@ class TestColumnarMatchesPerRow:
             assert_same_outcome(
                 ingest.parse_fleet_file(path), oracles.parse_fleet_file_per_row(path)
             )
-
-
-def traced_peak(fn):
-    """The peak of the memory ``tracemalloc`` traces while ``fn()`` runs, in bytes.
-
-    ``fn`` runs once untraced first, so that one-time caches are not counted.
-    """
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestPeakMemory:

@@ -2,7 +2,8 @@
 
 The scripts call the pipeline API directly (``run_single_battery``,
 ``run_hi_ablation``, ``run_fleet`` and the aggregate report's
-``per_seed_rmse``), so an API change that breaks them shows up here.
+``per_seed_rmse``), or the network's step functions, so an API change that
+breaks them shows up here.
 """
 
 import os
@@ -51,6 +52,8 @@ def table_rows(lines, first_column):
         ("run_fleet_study.py",
          ["--vehicles", 3, "--months", 10, "--epochs", 2, "--starts", 2, "--keep", "fleet"],
          "vehicle", 3),  # V02, V03 and the mean line
+        ("step_cost.py",
+         ["--units", 2, 3, "--batches", 1, 2, "--windows", 3, "--steps", 2], "units", 4),
     ],
 )
 def test_script_prints_its_table(tmp_path, script, args, first_column, n_rows):
