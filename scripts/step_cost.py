@@ -24,6 +24,7 @@ from sohpred.seeding import derive_rng
 from sohpred.ssa import EPOCHS_RANGE, _openblas_threads
 
 WINDOW_LENGTH = 5  # pipeline.DEFAULT_WINDOW_LENGTH
+WINDOWS = 17  # README config: 100 cycles at start fraction 0.25 give 21, the search holds out 4
 CANDIDATES = 6 * 11 * 3  # the README config: pop_size 6, max_iter 10, seeds [0, 1, 2]
 
 
@@ -53,11 +54,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--units", type=int, nargs="+", default=[25, 200])
     ap.add_argument("--batches", type=int, nargs="+", default=[1, 20])
-    ap.add_argument(
-        "--windows", type=int, default=17,
-        help="training windows per candidate; the README config's 100 cycles at start "
-        "fraction 0.25 give 21, and the search fits on all but the last 4",
-    )
     ap.add_argument("--steps", type=int, default=20, help="timed steps per row")
     args = ap.parse_args()
 
@@ -65,7 +61,7 @@ def main():
     if blas:
         blas[1](1)
     threads = blas[0]() if blas else "left as found (no OpenBLAS setter)"
-    print(f"BLAS threads: {threads}; window length {WINDOW_LENGTH}, {args.windows} windows; "
+    print(f"BLAS threads: {threads}; window length {WINDOW_LENGTH}, {WINDOWS} windows; "
           f"medians of {args.steps} steps; {CANDIDATES} candidates per protocol")
     low, high = EPOCHS_RANGE
     print(f"{'units':>5} {'batch':>5} {'fwd_ms':>7} {'bwd_ms':>7} {'adam_ms':>7} {'step_ms':>7} "
@@ -74,7 +70,7 @@ def main():
         for batch in args.batches:
             parts = step_times(units, batch, args.steps)
             step = sum(parts)
-            cand = [step * epochs * math.ceil(args.windows / batch) for epochs in (low, high)]
+            cand = [step * epochs * math.ceil(WINDOWS / batch) for epochs in (low, high)]
             print(f"{units:5d} {batch:5d} " + " ".join(f"{1e3 * t:7.2f}" for t in (*parts, step))
                   + "".join(f" {s:10.1f}" for s in cand)
                   + "".join(f" {s * CANDIDATES / 3600:11.2f}" for s in cand))

@@ -30,7 +30,6 @@ view.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -802,7 +801,7 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
     """Read a file written by :func:`save_model`; ``ValueError`` naming ``path`` if malformed.
 
     The header is read line by line up to the first ``end-header``, then the
-    data section straight into the parameter buffer.
+    data section straight into a parameter buffer of the size the header gives.
     """
     path = Path(path)
     if not path.exists():
@@ -831,12 +830,14 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
             )
             if lines != _header_lines(spec):
                 raise ValueError("header does not match the v1 layout for its gru_units")
-            data_size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if data_size % 8:
-                raise ValueError("buffer size must be a multiple of element size")
-            flat = np.empty(data_size // 8, dtype="<f8")
-            if fh.readinto(memoryview(flat).cast("B")) != data_size:
-                raise ValueError("the data section changed while it was read")
+            size = sum(math.prod(shape) for _, shape in tensor_layout(spec.gru_units))
+            flat = np.empty(size, dtype="<f8")
+            got = fh.readinto(memoryview(flat).cast("B"))
+            extra = fh.read(1)
+            if got != flat.nbytes or extra:
+                # short or long data: read it all and fail as a whole-file read would
+                data = memoryview(flat).cast("B")[:got].tobytes() + extra + fh.read()
+                flat = np.frombuffer(data, dtype="<f8")
             flat = flat.astype(float, copy=False)
             return replace(spec, params=ModelParams.from_flat(spec.gru_units, flat))
         except KeyError as exc:

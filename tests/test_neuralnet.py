@@ -1,3 +1,5 @@
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -474,14 +476,17 @@ class TestAdam:
             assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
         assert state.t == ref_state.t == 50
 
-    def test_step_allocates_no_model_sized_array(self):
-        params = built_spec(units=(64, 64, 64, 64), window=3).params  # four blocks
+    # (8,) * 4 units make one partial block, as every desk-sized model does
+    @pytest.mark.parametrize("units", [(8, 8, 8, 8), (64, 64, 64, 64)])
+    def test_step_allocates_no_model_sized_array(self, units):
+        params = built_spec(units=units, window=3).params
         grads = params.zeros_like()
         grads.flat[:] = np.random.default_rng(1).normal(size=grads.flat.size)
         state = nn.AdamState.zeros_like(params)
         # the moments are the state's only model-sized arrays; its scratch is one block each
         sizes = [a.size for a in (state.m, state.v, *state.scratch)]
-        assert sizes == [params.flat.size] * 2 + [nn.ADAM_BLOCK] * 2
+        block = min(params.flat.size, nn.ADAM_BLOCK)
+        assert sizes == [params.flat.size] * 2 + [block] * 2
         config = nn.TrainingConfig(10, 0.01, 10)
         peak = traced_peak(lambda: nn.adam_step(params, grads, state, config, epoch=0))
         assert peak < params.flat.nbytes
@@ -667,6 +672,23 @@ class TestSerialization:
             assert np.array_equal(va, vb)
         windows = np.random.default_rng(2).normal(size=(4, 4))
         assert np.array_equal(nn.predict(spec, windows), nn.predict(loaded, windows))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+    def test_loads_from_a_pipe(self, tmp_path):
+        # 14,305 values (114 kB) outgrow a 64 kB pipe buffer, so the data arrives in parts
+        spec = built_spec(units=(24, 24, 24, 24), window=3)
+        nn.save_model(spec, tmp_path / "model.bin")
+        blob = (tmp_path / "model.bin").read_bytes()
+        os.mkfifo(tmp_path / "pipe")
+        for data, error in [(blob, None), (blob[:-16], r"pipe.*shape \(14303,\)")]:
+            writer = threading.Thread(target=(tmp_path / "pipe").write_bytes, args=(data,))
+            writer.start()
+            if error is None:
+                assert np.array_equal(nn.load_model(tmp_path / "pipe").params.flat, spec.params.flat)
+            else:
+                with pytest.raises(ValueError, match=error):
+                    nn.load_model(tmp_path / "pipe")
+            writer.join()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -53,7 +53,7 @@ def table_rows(lines, first_column):
          ["--vehicles", 3, "--months", 10, "--epochs", 2, "--starts", 2, "--keep", "fleet"],
          "vehicle", 3),  # V02, V03 and the mean line
         ("step_cost.py",
-         ["--units", 2, 3, "--batches", 1, 2, "--windows", 3, "--steps", 2], "units", 4),
+         ["--units", 2, 3, "--batches", 1, 2, "--steps", 2], "units", 4),
     ],
 )
 def test_script_prints_its_table(tmp_path, script, args, first_column, n_rows):
