@@ -490,31 +490,51 @@ class TestFleetFanOut:
             assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_log_read_here_after_training_keeps_file_order(self, tmp_path, fleet, capsys,
-                                                           monkeypatch):
+    def test_spare_reader_after_training_keeps_file_order(self, tmp_path, fleet, capsys,
+                                                         monkeypatch):
         parent = os.getpid()
         real_parse = cli.ingest.parse_fleet_file
+        real_fit = pipeline.fit_fleet_predictors
         read_here = []
+        fit_end = []
+        reads = tmp_path / "reads.txt"
 
         def slow_in_workers(path, *args, **kwargs):
             if os.getpid() == parent:
                 read_here.append(Path(path).name)
             else:
-                time.sleep(1.0)  # training ends while the worker is still on its first logs
+                start = time.monotonic()
+                time.sleep(1.0)  # training ends while the readers are still on their first logs
+                with open(reads, "a") as fh:
+                    fh.write(f"{os.getpid()} {start} {time.monotonic()}\n")
             return real_parse(path, *args, **kwargs)
 
+        def timed_fit(*args, **kwargs):
+            try:
+                return real_fit(*args, **kwargs)
+            finally:
+                fit_end.append(time.monotonic())
+
         monkeypatch.setattr(cli.ingest, "parse_fleet_file", slow_in_workers)
+        monkeypatch.setattr(pipeline, "fit_fleet_predictors", timed_fit)
         config, data, lines = self.broken_copy(tmp_path, fleet, ("V02",))
-        # the pool hands at most three logs to its one worker ahead of time, so
-        # three more vehicles leave the last one to this process
         for vid in ("V05", "V06", "V07"):
             (data / f"fleet_{vid}.csv").write_text((data / "fleet_V03.csv").read_text())
         rows = (data / "fleet_V07.csv").read_text().splitlines()
         rows[40] = "1500000320.0,-73.0,not-a-volt,30.0"
         (data / "fleet_V07.csv").write_text("\n".join(rows) + "\n")
         errors = self.fleet_errors(tmp_path, config, data, capsys, jobs_values=("2",))
-        assert read_here[:2] == ["fleet_V01.csv", "fleet_V07.csv"]
         assert errors["2"].startswith(lines["V02"] + " bad row")
+        # --jobs 2: this process reads the training vehicle's log only; one reader
+        # reads beside training, and a second joins it once training has ended
+        assert read_here == ["fleet_V01.csv"]
+        spans = [line.split() for line in reads.read_text().splitlines()]
+        overlaps = [
+            max(float(s1), float(s2))
+            for p1, s1, e1 in spans for p2, s2, e2 in spans
+            if p1 < p2 and float(s1) < float(e2) and float(s2) < float(e1)
+        ]
+        assert overlaps and min(overlaps) >= fit_end[0]
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()
