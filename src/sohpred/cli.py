@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -105,7 +106,11 @@ def _format_cell(value) -> str:
 
 
 def read_hi_table(path: Path | str) -> tuple[str, np.ndarray, HISeries, ingest.SOHSeries]:
-    """Read an indicator table written by the extract step."""
+    """Read an indicator table written by the extract step.
+
+    Each row is checked as the extract step writes it: finite values, an
+    SOH in (0, 1.05] and an index above the row before.
+    """
     path = Path(path)
     name = "MF"
     indices, his, sohs = [], [], []
@@ -119,9 +124,16 @@ def read_hi_table(path: Path | str) -> tuple[str, np.ndarray, HISeries, ingest.S
         try:
             if len(fields) != 3:
                 raise ValueError(f"expected 3 fields (index,{name},soh), got {len(fields)}")
-            indices.append(int(fields[0]))
-            his.append(float(fields[1]))
-            sohs.append(float(fields[2]))
+            index, hi, soh = int(fields[0]), float(fields[1]), float(fields[2])
+            if not math.isfinite(hi):
+                raise ValueError(f"non-finite {name} value {fields[1]!r}")
+            if not math.isfinite(soh) or not 0.0 < soh <= 1.05:
+                raise ValueError(f"SOH {fields[2]!r} outside (0, 1.05]")
+            if indices and index <= indices[-1]:
+                raise ValueError(f"index {index} does not follow {indices[-1]}: indices must increase")
+            indices.append(index)
+            his.append(hi)
+            sohs.append(soh)
         except ValueError as exc:
             raise ConfigError(f"{path}, line {lineno}: {exc}") from None
     if not indices:

@@ -157,16 +157,17 @@ class FleetMonthlyRecord:
 
 @dataclass(frozen=True)
 class _Columns:
-    """The mapped columns of a file's data rows, each converted to float64 once.
+    """The mapped columns of a block of a file's data rows, each converted to float64 once.
 
     Column ``j`` of ``values`` holds the field at header position ``cols[j]``.
     A field that is missing or is not a number reads NaN in ``values`` and
     False in ``parsed``; ``blank`` marks the empty ones.  ``lineno`` is each
     row's 1-based line in the file and ``fields(i)`` gives row ``i`` as split
-    (after a bulk conversion, reading its line from the file again), so that
-    an error can name the line and quote the field.  ``error`` is a
-    ``csv`` failure that ended the rows early: it is raised once the rows
-    before it have passed their checks, as a streaming reader would.
+    (for a block that ``np.loadtxt`` converted, reading its line from the
+    file again), so that an error can name the line and quote the field.
+    ``error`` is a ``csv`` failure that ended the rows early: it is raised
+    once the rows before it have passed their checks, as a streaming reader
+    would.
     """
 
     path: Path
@@ -174,7 +175,7 @@ class _Columns:
     values: np.ndarray
     parsed: np.ndarray
     blank: np.ndarray
-    lineno: np.ndarray
+    lineno: np.ndarray | range
     fields: Callable[[int], list[str]]
     error: ParseError | None = None
 
@@ -197,32 +198,30 @@ class _Columns:
             raise self.error
 
 
-_SCAN_CHUNK = 1 << 16  # characters read at a time while scanning a file
+_BLOCK_CHARS = 1 << 16  # characters of whole lines that np.loadtxt converts at a time
 # line breaks that ``str.splitlines`` honours and universal newlines do not
 _SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _scan(f: TextIO) -> tuple[bool, int, int]:
-    """One pass over an open text file: whether it is plain, its line count, its longest line.
+class _NotPlain(Exception):
+    """Raised at a block that only the ``csv`` route reads as ``csv`` would."""
 
-    A plain file holds no quote and no line break but ``\\n`` (universal
-    newlines have turned ``\\r\\n`` and ``\\r`` into it), so its lines are
-    the ones ``str.splitlines`` gives and ``csv`` splits each one at the
-    delimiter.  A line's length is counted in UTF-8 bytes, which is its
-    length in characters when it is ASCII and never less otherwise.
+
+def _check_plain(lines: list[str]) -> None:
+    """Raise ``_NotPlain`` unless ``csv`` would split each of ``lines`` at the delimiter alone.
+
+    Plain lines hold no quote and no line break but ``\\n`` (universal
+    newlines have turned ``\\r\\n`` and ``\\r`` into it), so they are the
+    lines ``str.splitlines`` gives; and none of them, with its line break,
+    is longer than the ``csv`` field-size limit.
     """
-    plain, count, longest, offset, last = True, 0, 0, 0, -1  # last: offset of the last \n
-    while chunk := f.read(_SCAN_CHUNK):
-        plain = plain and '"' not in chunk and not any(c in chunk for c in _SPLITLINES_ONLY)
-        encoded = chunk.encode()
-        breaks = np.flatnonzero(np.frombuffer(encoded, np.uint8) == 10) + offset
-        if breaks.size:
-            longest = max(longest, int(np.diff(breaks, prepend=last).max()) - 1)
-            last = int(breaks[-1])
-        count += breaks.size
-        offset += len(encoded)
-    tail = offset - last - 1  # the bytes after the last line break
-    return plain, count + (tail > 0), max(longest, tail)
+    text = "".join(lines)
+    if (
+        '"' in text
+        or any(c in text for c in _SPLITLINES_ONLY)
+        or max(map(len, lines)) > csv.field_size_limit()
+    ):
+        raise _NotPlain
 
 
 def _header(lines: Iterator[str], path: Path) -> tuple[str, list[str], int]:
@@ -248,58 +247,71 @@ def _header(lines: Iterator[str], path: Path) -> tuple[str, list[str], int]:
     return delimiter, [h.strip() for h in header], reader.line_num
 
 
-def _line(path: Path, index: int) -> str:
-    """Line ``index`` (0-based) of a plain file, read again from the file."""
-    with path.open() as f:
-        return next(itertools.islice(f, index, None)).removesuffix("\n")
+def _reread(path: Path, delimiter: str, lineno: range) -> Callable[[int], list[str]]:
+    """``fields`` of a plain block: row ``i``'s line, read again from the file and split."""
+
+    def fields(i: int) -> list[str]:
+        with path.open() as f:
+            line = next(itertools.islice(f, lineno[i] - 1, None))
+        return line.removesuffix("\n").split(delimiter)
+
+    return fields
 
 
-def _read_bulk(
+def _plain_blocks(
     f: TextIO, path: Path, resolve: Callable[[list[str]], list[int]], optional: int | None
-) -> _Columns | None:
-    """The columns of a plain file, converted by ``np.loadtxt`` as it reads ``f``.
+) -> Iterator[_Columns]:
+    """An open file's data rows in blocks of ``_BLOCK_CHARS`` of lines, converted by ``np.loadtxt``.
 
-    None when the file is not plain, has a line over the field-size limit or
-    no data after the header, or when the conversion fails or skips a line.
+    Raises ``_NotPlain`` at the first line before the header, or the first
+    block, that is not plain (``_check_plain``), at a block with a blank row
+    (which ``csv`` skips), and at a block that ``np.loadtxt`` refuses even
+    with ``cols[optional]`` read by ``_empty_as_nan``.
     """
-    plain, count, longest = _scan(f)
-    if not plain:
-        return None
-    f.seek(0)
-    delimiter, header, start = _header(f, path)
-    cols = resolve(header)
-    if longest > csv.field_size_limit() or all(line == "\n" for line in f):
-        return None
 
-    def bulk(converters: dict[int, Callable[[str], float]] | None) -> np.ndarray | None:
-        f.seek(0)
+    def head() -> Iterator[str]:
+        for line in f:
+            _check_plain([line])
+            yield line
+
+    delimiter, header, start = _header(head(), path)
+    cols = resolve(header)
+
+    def load(lines: list[str], converters: dict | None = None) -> np.ndarray | None:
         try:
             return np.loadtxt(
-                f, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2,
-                skiprows=start, converters=converters,
+                lines, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2,
+                converters=converters,
             )
         except ValueError:
             return None
 
-    values = bulk(None)
-    read_empty = values is None and optional is not None and optional < len(cols)
-    if read_empty:  # refused at an empty field, most likely
-        values = bulk({cols[optional]: _empty_as_nan})
-    if values is None or len(values) != count - start:
-        return None
-    blank = np.zeros(values.shape, dtype=bool)
-    if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
-        blank[:, optional] = np.isnan(values[:, optional])
-    return _Columns(
-        path, cols, values, ~blank, blank, np.arange(start + 1, count + 1),
-        lambda i: _line(path, start + i).split(delimiter),
-    )
+    while lines := f.readlines(_BLOCK_CHARS):
+        if "\n" in lines:  # a blank row: csv skips it, and np.loadtxt warns on a block of them
+            raise _NotPlain
+        _check_plain(lines)
+        values = load(lines)
+        read_empty = values is None and optional is not None and optional < len(cols)
+        if read_empty:  # refused at an empty field, most likely
+            values = load(lines, {cols[optional]: _empty_as_nan})
+        if values is None or len(values) != len(lines):
+            raise _NotPlain
+        del lines
+        blank = np.zeros(values.shape, dtype=bool)
+        if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
+            blank[:, optional] = np.isnan(values[:, optional])
+        lineno = range(start + 1, start + 1 + len(values))
+        start = lineno.stop - 1
+        yield _Columns(path, cols, values, ~blank, blank, lineno, _reread(path, delimiter, lineno))
 
 
 def _read_columns(
-    path: Path | str, resolve: Callable[[list[str]], list[int]], optional: int | None = None
-) -> _Columns:
-    """Read a delimited file and convert the fields of the columns ``resolve`` picks.
+    path: Path | str,
+    resolve: Callable[[list[str]], list[int]],
+    each: Callable[[_Columns], object],
+    optional: int | None = None,
+) -> list:
+    """Read a delimited file block by block, and return ``each`` of every block in file order.
 
     The header is found as ``_header`` finds it, and later rows with only
     whitespace and delimiters are skipped too.  ``resolve(header)`` returns
@@ -307,24 +319,32 @@ def _read_columns(
     there is one, may hold empty fields.  The file is decoded as
     ``read_text`` decodes it.
 
-    ``np.loadtxt`` converts the rows in bulk, reading them from the file,
-    when plain splitting is what ``csv`` would do: ``_scan`` finds the file
-    plain and no line over the field-size limit.  Its number parser accepts
-    the same strings as ``float`` and gives the same value.  When it
-    refuses them, it is asked once more with the optional column read by
-    ``_empty_as_nan``.  When that fails too (a blank or short row, a field
-    that is not a number), or it returns fewer rows than the file has lines
-    after the header, the file is read whole and split into lines as
-    ``str.splitlines`` splits it, the rows are split with ``csv`` and each
-    column is converted with ``float``, field by field where a column holds
-    a bad field, which is what finds and names the bad line.
+    ``np.loadtxt`` converts a block of lines at a time while plain
+    splitting is what ``csv`` would do (``_plain_blocks``).  Its number
+    parser accepts the same strings as ``float`` and gives the same value.
+    When it refuses a block, it is asked once more with the optional column
+    read by ``_empty_as_nan``.  At the first block that is not plain, or
+    that it refuses, or that holds a blank row, the results so far are
+    dropped and the file takes the ``csv`` route, as one block: it is read
+    whole and split into lines as ``str.splitlines`` splits it, the rows are
+    split with ``csv`` and each column is converted with ``float``, field by
+    field where a column holds a bad field, which is what finds and names
+    the bad line.  Rows that ``each`` rejects in a plain block are rejected
+    on the ``csv`` route too, so the file is not read again for them; but it
+    is read to its end, so that a file that cannot be decoded is reported
+    as such first.
     """
     path = Path(path)
     try:
         with path.open() as f:
-            table = _read_bulk(f, path, resolve, optional)
-        if table is not None:
-            return table
+            try:
+                return [each(block) for block in _plain_blocks(f, path, resolve, optional)]
+            except _NotPlain:
+                pass
+            except ParseError:
+                while f.read(_BLOCK_CHARS):
+                    pass
+                raise
         lines = path.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: unreadable file: {exc}") from exc
@@ -377,7 +397,8 @@ def _read_columns(
             return body[first].split(delimiter)
         return next(csv.reader(body[first:stop], delimiter=delimiter))
 
-    return _Columns(path, cols, values, parsed, blank, np.array(lineno, dtype=int), fields, error)
+    table = _Columns(path, cols, values, parsed, blank, np.array(lineno, dtype=int), fields, error)
+    return [each(table)]
 
 
 def _empty_as_nan(raw: str) -> float:
@@ -444,6 +465,11 @@ def parse_cycle_file(
     Returns the records sorted by cycle index together with the count of
     rows dropped for violating the voltage window.  Within a cycle, rows are
     ordered by time, equal times keeping their file order.
+
+    Each block of rows is checked as it is read, and only its kept rows'
+    time, voltage and charge columns are kept, one piece per cycle, with
+    the earliest measured capacity among them; each cycle's pieces are
+    merged once the file is read.
     """
 
     def resolve(header: list[str]) -> list[int]:
@@ -457,49 +483,71 @@ def parse_cycle_file(
             cols.append(_column(header, schema.capacity, path))
         return cols
 
-    table = _read_columns(path, resolve, optional=4)
-    cols = table.cols
-    volt = table.values[:, 2]
-    finite = np.isfinite(table.values)
-
     lo, hi = schema.voltage_window
-    in_window = (lo <= volt) & (volt <= hi)  # NaN falls outside the window too
-    kept_bad = ~finite[:, 3]
-    if len(cols) == 5:  # an empty capacity field means "not measured"
-        kept_bad |= ~finite[:, 4] & ~table.blank[:, 4]
-    bad = ~finite[:, 0] | ~finite[:, 1] | ~table.parsed[:, 2] | (in_window & kept_bad)
 
-    def convert(row: list[str]) -> None:
-        _finite(row[cols[0]])
-        _finite(row[cols[1]])
-        if lo <= float(row[cols[2]]) <= hi:
-            _finite(row[cols[3]])
-            if len(cols) == 5 and row[cols[4]] != "":
-                _finite(row[cols[4]])
+    def pieces(block: _Columns) -> tuple[int, list[tuple[float, np.ndarray, tuple | None]]]:
+        """The block's dropped count, and per cycle its kept rows and earliest (time, capacity)."""
+        cols, values = block.cols, block.values
+        finite = np.isfinite(values)
+        in_window = (lo <= values[:, 2]) & (values[:, 2] <= hi)  # NaN falls outside the window too
+        kept_bad = ~finite[:, 3]
+        if len(cols) == 5:  # an empty capacity field means "not measured"
+            kept_bad |= ~finite[:, 4] & ~block.blank[:, 4]
+        bad = ~finite[:, 0] | ~finite[:, 1] | ~block.parsed[:, 2] | (in_window & kept_bad)
 
-    table.check_rows(bad, convert)
-    dropped = int(np.count_nonzero(~in_window))
+        def convert(row: list[str]) -> None:
+            _finite(row[cols[0]])
+            _finite(row[cols[1]])
+            if lo <= float(row[cols[2]]) <= hi:
+                _finite(row[cols[3]])
+                if len(cols) == 5 and row[cols[4]] != "":
+                    _finite(row[cols[4]])
 
-    # the kept rows in order, as indices: each cycle's rows are copied out on their own
-    kept = np.flatnonzero(in_window)
-    key = np.trunc(table.values[kept, 0])  # the cycle number int() gives
-    order = np.lexsort((table.values[kept, 1], key))  # stable: equal times keep their file order
-    kept, key = kept[order], key[order]
-    edges = np.flatnonzero(np.diff(key, prepend=np.nan, append=np.nan) != 0)
+        block.check_rows(bad, convert)
+        kept = np.flatnonzero(in_window)
+        key = np.trunc(values[kept, 0])  # the cycle number int() gives
+        order = np.argsort(key, kind="stable")  # each cycle's rows together, in file order
+        kept, key = kept[order], key[order]
+        edges = np.flatnonzero(np.diff(key, prepend=np.nan, append=np.nan) != 0)
+        found = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            rows = kept[a:b]
+            curve = values[rows, 1:4]
+            measured = np.flatnonzero(~np.isnan(values[rows, 4])) if len(cols) == 5 else []
+            first = None
+            if len(measured):  # argmin: equal times keep their file order
+                i = measured[np.argmin(curve[measured, 0])]
+                first = (curve[i, 0], values[rows[i], 4])
+            found.append((key[a], curve, first))
+        return len(values) - len(kept), found
+
+    dropped = 0
+    cycles: dict[float, list[tuple[np.ndarray, tuple | None]]] = {}
+    for block_dropped, found in _read_columns(path, resolve, pieces, optional=4):
+        dropped += block_dropped
+        for key, curve, first in found:
+            cycles.setdefault(key, []).append((curve, first))
     records = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 2:
+    for key in sorted(cycles):
+        curves, firsts = zip(*cycles.pop(key))
+        curve = curves[0] if len(curves) == 1 else np.concatenate(curves)
+        if len(curve) < 2:
             continue
-        rows = table.values[kept[a:b]]
-        t, v, q = rows[:, 1], rows[:, 2], rows[:, 3]
+        t = curve[:, 0]
+        if np.any(t[1:] < t[:-1]):  # stable: equal times keep their file order
+            curve = curve[np.argsort(t, kind="stable")]
+            t = curve[:, 0]
         if schema.charge is None:  # integrate the current
-            q = np.cumsum(-q * np.diff(t, prepend=t[0])) / 3600.0
-        caps = np.flatnonzero(~np.isnan(rows[:, 4])) if len(cols) == 5 else []
-        capacity = float(rows[caps[0], 4]) if len(caps) else float(q[-1] - q[0])
+            curve[:, 2] = np.cumsum(-curve[:, 2] * np.diff(t, prepend=t[0])) / 3600.0
+        measured = [first for first in firsts if first is not None]
+        if measured:  # min keeps the earliest block among equal times
+            capacity = float(min(measured, key=operator.itemgetter(0))[1])
+        else:
+            capacity = float(curve[-1, 2] - curve[0, 2])
         try:
-            records.append(CycleRecord(int(key[a]), np.column_stack([t, v, q]), capacity))
+            records.append(CycleRecord(int(key), curve, capacity))
         except ValueError as exc:
-            raise ParseError(f"{path}: cycle {int(key[a])}: {exc}") from None
+            raise ParseError(f"{path}: cycle {int(key)}: {exc}") from None
     if not records:
         raise ParseError(f"{path}: zero usable rows")
     return records, dropped
@@ -518,6 +566,9 @@ def parse_fleet_file(
     repeated timestamp with other values is a ``ParseError``.  Timestamps
     are epoch seconds or ISO-8601 (UTC when no offset is written); SOC
     values logged in percent are converted to fractions.
+
+    Each block of rows is checked as it is read; the blocks are then joined,
+    because the order by time is global.
     """
 
     def resolve(header: list[str]) -> list[int]:
@@ -526,42 +577,51 @@ def parse_fleet_file(
             names.append(schema.temperature)
         return [_column(header, name, path) for name in names]
 
-    table = _read_columns(path, resolve)
-    cols = table.cols
-    source = source_id if source_id is not None else Path(path).stem
+    def checked(block: _Columns) -> tuple[np.ndarray, np.ndarray, dict, np.ndarray | range]:
+        """The block's epoch microseconds, other columns, ISO stamps by line, and lines."""
+        cols = block.cols
+        # epoch seconds in bulk; anything else (ISO-8601, or a bad stamp) one by one
+        micros, numeric = _epoch_microseconds(block.values[:, 0])
+        bad = ~np.all(np.isfinite(block.values[:, 1:]), axis=1)
+        written: dict[int, datetime] = {}
+        for i in np.flatnonzero(~numeric).tolist():
+            try:
+                written[i] = _parse_timestamp(block.fields(i)[cols[0]])
+            except (ValueError, IndexError):
+                bad[i] = True
+                break  # the first bad row is the one reported
+        if written:
+            step = timedelta(microseconds=1)
+            micros[list(written)] = [(ts - _EPOCH) // step for ts in written.values()]
 
-    # epoch seconds in bulk; anything else (ISO-8601, or a bad stamp) one by one
-    micros, numeric = _epoch_microseconds(table.values[:, 0])
-    bad = ~np.all(np.isfinite(table.values[:, 1:]), axis=1)
-    written: dict[int, datetime] = {}
-    for i in np.flatnonzero(~numeric).tolist():
-        try:
-            written[i] = _parse_timestamp(table.fields(i)[cols[0]])
-        except (ValueError, IndexError):
-            bad[i] = True
-            break  # the first bad row is the one reported
-    if written:
-        step = timedelta(microseconds=1)
-        micros[list(written)] = [(ts - _EPOCH) // step for ts in written.values()]
+        def convert(row: list[str]) -> None:
+            _parse_timestamp(row[cols[0]])
+            for c in cols[1:]:
+                _finite(row[c])
 
-    def convert(row: list[str]) -> None:
-        _parse_timestamp(row[cols[0]])
-        for c in cols[1:]:
-            _finite(row[c])
+        block.check_rows(bad, convert)
+        by_line = {block.lineno[i]: ts for i, ts in written.items()}
+        return micros, block.values[:, 1:], by_line, block.lineno
 
-    table.check_rows(bad, convert)
-    if not len(micros):
+    blocks = _read_columns(path, resolve, checked)
+    if not any(len(micros) for micros, *_ in blocks):
         raise ParseError(f"{path}: empty file")
-
-    def stamp(i: int) -> datetime:
-        """Row ``i``'s timestamp as written: its own offset, or UTC."""
-        if i in written:
-            return written[i]
-        return datetime.fromtimestamp(table.values[i, 0], tz=timezone.utc)
+    micros, columns, stamps, lines = zip(*blocks)
+    del blocks
+    micros, columns = np.concatenate(micros), np.concatenate(columns)
+    written = {line: ts for by_line in stamps for line, ts in by_line.items()}
+    # a plain block's lines follow on from the one before; the csv route gives one block
+    lineno = lines[0] if len(lines) == 1 else range(lines[0].start, lines[-1].stop)
+    source = source_id if source_id is not None else Path(path).stem
 
     order = np.argsort(micros, kind="stable")
     micros = micros[order]
-    columns = table.values[order, 1:]
+    columns = columns[order]
+
+    def stamp(p: int) -> datetime:
+        """The timestamp of sample ``p`` in time order as written: its own offset, or UTC."""
+        return written.get(lineno[order[p]]) or _EPOCH + timedelta(microseconds=int(micros[p]))
+
     if schema.soc_in_percent:
         columns[:, 2] /= 100.0
     soc = columns[:, 2]
@@ -570,26 +630,37 @@ def parse_fleet_file(
     firsts = np.flatnonzero(opens)
     time = (micros - micros[firsts][chunk]) / 1e6
 
-    # a sample whose SOC is below the running maximum of its segment is a dip
-    rank = np.unique(soc, return_inverse=True)[1].ravel()
-    level = chunk * (len(soc) + 1) + rank  # resets the running maximum at each segment
+    # a sample whose SOC is below the running maximum of its segment is a dip;
+    # equal SOCs share a rank, and the offset resets the running maximum at each segment
+    level = chunk * (len(soc) + 1) + np.searchsorted(np.sort(soc), soc)
     keep = level >= np.maximum.accumulate(level)
+    del level
     # a kept sample at the time of the previous kept one repeats it or conflicts with it
     k = np.flatnonzero(keep)
     twin = np.flatnonzero((chunk[k[1:]] == chunk[k[:-1]]) & (time[k[1:]] == time[k[:-1]]))
     equal = np.all(columns[k[twin + 1]] == columns[k[twin]], axis=1)
     keep[k[twin[equal] + 1]] = False
     conflicts = k[twin[~equal] + 1]
+    del k, twin, equal
     # the segments before the first conflict are built, and checked, before it is reported
     last = chunk[conflicts[0]] if conflicts.size else chunk[-1] + 1
-
     k = np.flatnonzero(keep & (chunk < last))
+    del keep
     bounds = np.flatnonzero(np.diff(chunk[k], prepend=-1, append=-1) != 0)
+    spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a >= 2]
+    # the few stamps and the line still needed, so that the per-sample arrays can go
+    starts = [stamp(firsts[chunk[k[a]]]) for a, _ in spans]
+    conflict = None
+    if conflicts.size:
+        c = conflicts[0]
+        conflict = (
+            f"{path}:{lineno[order[c]]}: timestamp {stamp(c).isoformat()} "
+            "repeated with different values"
+        )
+    del order, micros, chunk, firsts, conflicts, written
+
     segments: list[ChargeSegment] = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a < 2:
-            continue
-        start_ts = stamp(order[firsts[chunk[k[a]]]])
+    for (a, b), start_ts in zip(spans, starts):
         samples = columns[k[a:b]]
         try:
             segments.append(ChargeSegment(
@@ -598,12 +669,8 @@ def parse_fleet_file(
             ))
         except ValueError as exc:
             raise ParseError(f"{path}: segment starting {start_ts.isoformat()}: {exc}") from None
-    if conflicts.size:
-        row = order[conflicts[0]]
-        raise ParseError(
-            f"{path}:{table.lineno[row]}: timestamp {stamp(row).isoformat()} "
-            "repeated with different values"
-        )
+    if conflict is not None:
+        raise ParseError(conflict)
     return segments
 
 

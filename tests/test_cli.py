@@ -236,6 +236,35 @@ class TestInputErrors:
         assert code == 1
         assert f"{hi_table}, line 7: expected 3 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("4,nan,0.99", "non-finite MF value 'nan'"),
+        ("4,inf,0.99", "non-finite MF value 'inf'"),
+        ("4,1e400,0.99", "non-finite MF value '1e400'"),
+        ("4,0.54,nan", "SOH 'nan' outside (0, 1.05]"),
+        ("4,0.54,1e400", "SOH '1e400' outside (0, 1.05]"),
+        ("4,0.54,0", "SOH '0' outside (0, 1.05]"),
+        ("4,0.54,1.2", "SOH '1.2' outside (0, 1.05]"),
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, tiny_config, hi_table, capsys, row, message):
+        lines = hi_table.read_text().splitlines()
+        lines[6] = row
+        hi_table.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert f"{hi_table}, line 7: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("reorder, line, message", [
+        (lambda rows: rows[::-1], 4, "index 38 does not follow 39"),
+        (lambda rows: rows + rows[-1:], 43, "index 39 does not follow 39"),
+    ], ids=["descending", "repeated-last-row"])
+    def test_indices_must_increase(self, tmp_path, tiny_config, hi_table, capsys, reorder, line, message):
+        lines = hi_table.read_text().splitlines()
+        hi_table.write_text("\n".join(lines[:2] + reorder(lines[2:])) + "\n")
+        code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert f"{hi_table}, line {line}: {message}" in capsys.readouterr().err
+
     def test_concat_candidate_form_rejected(self, tmp_path, tiny_config, hi_table, capsys):
         cfg = yaml.safe_load(Path(tiny_config).read_text())
         cfg["experiment"]["network"]["candidate_form"] = "concat"

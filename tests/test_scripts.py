@@ -2,8 +2,8 @@
 
 The scripts call the pipeline API directly (``run_single_battery``,
 ``run_hi_ablation``, ``run_fleet`` and the aggregate report's
-``per_seed_rmse``), or the network's step functions, so an API change that
-breaks them shows up here.
+``per_seed_rmse``), the network's step functions, or the CLI, so an API
+change that breaks them shows up here.
 """
 
 import os
@@ -18,7 +18,7 @@ import sohpred
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, code=0):
     # the children import the same sohpred the suite imported
     src = str(Path(sohpred.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -26,7 +26,7 @@ def run_script(name, *args, cwd):
         [sys.executable, str(SCRIPTS / name), *map(str, args)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -54,8 +54,14 @@ def table_rows(lines, first_column):
          "vehicle", 3),  # V02, V03 and the mean line
         ("step_cost.py",
          ["--units", 2, 3, "--batches", 1, 2, "--steps", 2], "units", 4),
+        ("cli_peak.py", ["-n", 2, "--", "synth", "--out", "synth"], "run", 3),  # 2 runs, the medians
     ],
 )
 def test_script_prints_its_table(tmp_path, script, args, first_column, n_rows):
     rows = table_rows(run_script(script, *args, cwd=tmp_path), first_column)
     assert len(rows) == n_rows, rows
+
+
+def test_cli_peak_stops_at_a_failed_call(tmp_path):
+    lines = run_script("cli_peak.py", "-n", 3, "--", "extract", "--out", "x", cwd=tmp_path, code=1)
+    assert len(lines) == 1  # the header only
