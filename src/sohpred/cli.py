@@ -303,7 +303,10 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
     network, training = "ssa-tuned" if searched else "baseline", None
     if net == "ssa-tuned" and not searched:
         raise ConfigError("network: ssa-tuned requires the hpo subcommand")
-    if isinstance(net, dict) and not searched:
+    if not searched:
+        given = isinstance(net, dict)
+        if not given:  # the schema's defaults, which are the baseline network's
+            net = _checked({}, "", "experiment.network")
         if net["candidate_form"] != "reset_gated":
             raise ConfigError(
                 f"candidate_form {net['candidate_form']!r} is not supported (only reset_gated)"
@@ -316,12 +319,16 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
         explicit = {**{f"gru_units[{i}]": u for i, u in enumerate(net["gru_units"], 1)},
                     **{k: tr[k] for k in ("max_epochs", "learning_rate", "batch_size")},
                     **{f"dropout_rates[{i}]": d for i, d in enumerate(net["dropout_rates"], 1)}}
-        problems = domain.violations(list(explicit.values()), list(explicit))
+        names = [f"experiment.{'training' if key in tr else 'network'}.{key}" for key in explicit]
+        problems = domain.violations(list(explicit.values()), names)
         if problems:
-            raise ConfigError("hyperparameters violate bounds: " + "; ".join(problems))
-        network = DualBiGRUSpec(exp["window_length"], net["gru_units"], net["dropout_rates"])
-        period = round(ssa.LR_DROP_RATIO * tr["max_epochs"])
-        training = TrainingConfig(**{"lr_drop_period": period, **tr}, seed=seeds[0])
+            raise ConfigError(f"{args.config}: hyperparameters violate bounds: " + "; ".join(problems))
+        if given:
+            network = DualBiGRUSpec(exp["window_length"], net["gru_units"], net["dropout_rates"])
+        # a training section left at its defaults is the baseline's, which the pipeline supplies
+        if given or tr != _checked({}, "", "experiment.training"):
+            period = round(ssa.LR_DROP_RATIO * tr["max_epochs"])
+            training = TrainingConfig(**{"lr_drop_period": period, **tr}, seed=seeds[0])
 
     s, ranges = conf["ssa"], conf["ssa"]["ranges"]
     return pipeline.ExperimentConfig(

@@ -163,11 +163,10 @@ class _Columns:
     A field that is missing or is not a number reads NaN in ``values`` and
     False in ``parsed``; ``blank`` marks the empty ones.  ``lineno`` is each
     row's 1-based line in the file and ``fields(i)`` gives row ``i`` as split
-    (for a block that ``np.loadtxt`` converted, reading its line from the
-    file again), so that an error can name the line and quote the field.
-    ``error`` is a ``csv`` failure that ended the rows early: it is raised
-    once the rows before it have passed their checks, as a streaming reader
-    would.
+    from the block's own lines, so that an error can name the line and quote
+    the field.  ``error`` is a ``csv`` failure that ended the rows early: it
+    is raised once the rows before it have passed their checks, as a
+    streaming reader would.
     """
 
     path: Path
@@ -198,33 +197,33 @@ class _Columns:
             raise self.error
 
 
-_BLOCK_CHARS = 1 << 16  # characters of whole lines that np.loadtxt converts at a time
-# line breaks that ``str.splitlines`` honours and universal newlines do not
-_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BLOCK_CHARS = 1 << 16  # characters of whole lines read and converted at a time
 
 
-class _NotPlain(Exception):
-    """Raised at a block that only the ``csv`` route reads as ``csv`` would."""
+class _Lines:
+    """An open file's lines as ``str.splitlines`` splits the whole text, read a block at a time.
 
-
-def _check_plain(lines: list[str]) -> None:
-    """Raise ``_NotPlain`` unless ``csv`` would split each of ``lines`` at the delimiter alone.
-
-    Plain lines hold no quote and no line break but ``\\n`` (universal
-    newlines have turned ``\\r\\n`` and ``\\r`` into it), so they are the
-    lines ``str.splitlines`` gives; and none of them, with its line break,
-    is longer than the ``csv`` field-size limit.
+    A block is ``_BLOCK_CHARS`` characters and the rest of the line they end
+    in.  It ends at a ``\\n`` (universal newlines have turned ``\\r\\n`` and
+    ``\\r`` into it) or at the end of the file, so splitting each block
+    gives the lines that splitting the whole text would.  Iterating gives
+    one line at a time; ``block()`` gives all the lines not given yet.
     """
-    text = "".join(lines)
-    if (
-        '"' in text
-        or any(c in text for c in _SPLITLINES_ONLY)
-        or max(map(len, lines)) > csv.field_size_limit()
-    ):
-        raise _NotPlain
+
+    def __init__(self, f: TextIO) -> None:
+        self.f, self.rest = f, iter([])
+
+    def __iter__(self) -> Iterator[str]:
+        while block := self.block():
+            self.rest = iter(block)
+            yield from self.rest
+
+    def block(self) -> list[str]:
+        """The lines left of the block read last, else the next block's; ``[]`` at the end."""
+        return list(self.rest) or (self.f.read(_BLOCK_CHARS) + self.f.readline()).splitlines()
 
 
-def _header(lines: Iterator[str], path: Path) -> tuple[str, list[str], int]:
+def _header(lines: Iterable[str], path: Path) -> tuple[str, list[str], int]:
     """The delimiter, the header row and the number of lines up to and including it.
 
     The delimiter is a tab if the first non-blank line holds one, else a
@@ -247,37 +246,21 @@ def _header(lines: Iterator[str], path: Path) -> tuple[str, list[str], int]:
     return delimiter, [h.strip() for h in header], reader.line_num
 
 
-def _reread(path: Path, delimiter: str, lineno: range) -> Callable[[int], list[str]]:
-    """``fields`` of a plain block: row ``i``'s line, read again from the file and split."""
+def _loaded(
+    lines: list[str], start: int, path: Path, delimiter: str, cols: list[int], optional: int | None
+) -> _Columns | None:
+    """The rows of ``lines``, the file's lines after line ``start``, converted by ``np.loadtxt``.
 
-    def fields(i: int) -> list[str]:
-        with path.open() as f:
-            line = next(itertools.islice(f, lineno[i] - 1, None))
-        return line.removesuffix("\n").split(delimiter)
-
-    return fields
-
-
-def _plain_blocks(
-    f: TextIO, path: Path, resolve: Callable[[list[str]], list[int]], optional: int | None
-) -> Iterator[_Columns]:
-    """An open file's data rows in blocks of ``_BLOCK_CHARS`` of lines, converted by ``np.loadtxt``.
-
-    Raises ``_NotPlain`` at the first line before the header, or the first
-    block, that is not plain (``_check_plain``), at a block with a blank row
-    (which ``csv`` skips), and at a block that ``np.loadtxt`` refuses even
-    with ``cols[optional]`` read by ``_empty_as_nan``.
+    None where ``csv`` might split them otherwise: a line holds a quote, is
+    blank (``csv`` skips it) or is longer than the ``csv`` field-size limit.
+    None too where ``np.loadtxt`` refuses them, even when asked once more
+    with ``cols[optional]`` read by ``_empty_as_nan``.  Its number parser
+    accepts the same strings as ``float`` and gives the same value.
     """
+    if not all(lines) or '"' in "".join(lines) or max(map(len, lines)) > csv.field_size_limit():
+        return None
 
-    def head() -> Iterator[str]:
-        for line in f:
-            _check_plain([line])
-            yield line
-
-    delimiter, header, start = _header(head(), path)
-    cols = resolve(header)
-
-    def load(lines: list[str], converters: dict | None = None) -> np.ndarray | None:
+    def load(converters: dict | None = None) -> np.ndarray | None:
         try:
             return np.loadtxt(
                 lines, dtype=float, delimiter=delimiter, usecols=cols, comments=None, ndmin=2,
@@ -286,80 +269,45 @@ def _plain_blocks(
         except ValueError:
             return None
 
-    while lines := f.readlines(_BLOCK_CHARS):
-        if "\n" in lines:  # a blank row: csv skips it, and np.loadtxt warns on a block of them
-            raise _NotPlain
-        _check_plain(lines)
-        values = load(lines)
-        read_empty = values is None and optional is not None and optional < len(cols)
-        if read_empty:  # refused at an empty field, most likely
-            values = load(lines, {cols[optional]: _empty_as_nan})
-        if values is None or len(values) != len(lines):
-            raise _NotPlain
-        del lines
-        blank = np.zeros(values.shape, dtype=bool)
-        if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
-            blank[:, optional] = np.isnan(values[:, optional])
-        lineno = range(start + 1, start + 1 + len(values))
-        start = lineno.stop - 1
-        yield _Columns(path, cols, values, ~blank, blank, lineno, _reread(path, delimiter, lineno))
+    values = load()
+    read_empty = values is None and optional is not None and optional < len(cols)
+    if read_empty:  # refused at an empty field, most likely
+        values = load({cols[optional]: _empty_as_nan})
+    if values is None or len(values) != len(lines):
+        return None
+    blank = np.zeros(values.shape, dtype=bool)
+    if read_empty:  # only an empty field reads as NaN there; a written "nan" is refused
+        blank[:, optional] = np.isnan(values[:, optional])
+    lineno = range(start + 1, start + 1 + len(lines))
+    return _Columns(path, cols, values, ~blank, blank, lineno, lambda i: lines[i].split(delimiter))
 
 
-def _read_columns(
-    path: Path | str,
-    resolve: Callable[[list[str]], list[int]],
-    each: Callable[[_Columns], object],
-    optional: int | None = None,
-) -> list:
-    """Read a delimited file block by block, and return ``each`` of every block in file order.
+def _split(
+    lines: list[str], more: Iterable[str], start: int, path: Path, delimiter: str, cols: list[int]
+) -> _Columns:
+    """The rows of ``lines``, the file's lines after line ``start``, split by ``csv``.
 
-    The header is found as ``_header`` finds it, and later rows with only
-    whitespace and delimiters are skipped too.  ``resolve(header)`` returns
-    the header positions to convert, or raises; ``cols[optional]``, when
-    there is one, may hold empty fields.  The file is decoded as
-    ``read_text`` decodes it.
-
-    ``np.loadtxt`` converts a block of lines at a time while plain
-    splitting is what ``csv`` would do (``_plain_blocks``).  Its number
-    parser accepts the same strings as ``float`` and gives the same value.
-    When it refuses a block, it is asked once more with the optional column
-    read by ``_empty_as_nan``.  At the first block that is not plain, or
-    that it refuses, or that holds a blank row, the results so far are
-    dropped and the file takes the ``csv`` route, as one block: it is read
-    whole and split into lines as ``str.splitlines`` splits it, the rows are
-    split with ``csv`` and each column is converted with ``float``, field by
-    field where a column holds a bad field, which is what finds and names
-    the bad line.  Rows that ``each`` rejects in a plain block are rejected
-    on the ``csv`` route too, so the file is not read again for them; but it
-    is read to its end, so that a file that cannot be decoded is reported
-    as such first.
+    Rows with only whitespace and delimiters are skipped.  A quoted field
+    still open at the last line takes the lines it needs from ``more``, and
+    they are appended to ``lines``.  Each column is converted with
+    ``float``, field by field where it holds a bad field.
     """
-    path = Path(path)
-    try:
-        with path.open() as f:
-            try:
-                return [each(block) for block in _plain_blocks(f, path, resolve, optional)]
-            except _NotPlain:
-                pass
-            except ParseError:
-                while f.read(_BLOCK_CHARS):
-                    pass
-                raise
-        lines = path.read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: unreadable file: {exc}") from exc
-    delimiter, header, start = _header(iter(lines), path)
-    cols = resolve(header)
-    body = lines[start:]
+    n = len(lines)
+
+    def source() -> Iterator[str]:
+        yield from lines
+        for line in more:  # only while a quoted field is open at the last line
+            lines.append(line)
+            yield line
 
     picked: list[str | None] = []  # the fields of ``cols``, row after row
-    begin: list[int] = []  # the first line of each row, as an index into ``body``
+    begin: list[int] = []  # the first line of each row, as an index into ``lines``
     lineno: list[int] = []
     error = None
     pick = operator.itemgetter(*cols)  # a tuple: both parsers map at least four columns
-    reader = csv.reader(body, delimiter=delimiter)
+    reader = csv.reader(source(), delimiter=delimiter)
+    end = 0
     try:
-        end = 0
         for row in reader:
             if "".join(row).strip():
                 try:
@@ -369,6 +317,8 @@ def _read_columns(
                 begin.append(end)
                 lineno.append(start + reader.line_num)
             end = reader.line_num
+            if end >= n:
+                break
     except csv.Error as exc:
         error = ParseError(f"{path}:{start + reader.line_num}: {exc}")
     values = np.full((len(lineno), len(cols)), np.nan)
@@ -393,12 +343,54 @@ def _read_columns(
 
     def fields(i: int) -> list[str]:
         first, stop = begin[i], lineno[i] - start
-        if stop == first + 1 and '"' not in body[first]:  # split as csv would
-            return body[first].split(delimiter)
-        return next(csv.reader(body[first:stop], delimiter=delimiter))
+        if stop == first + 1 and '"' not in lines[first]:  # split as csv would
+            return lines[first].split(delimiter)
+        return next(csv.reader(lines[first:stop], delimiter=delimiter))
 
-    table = _Columns(path, cols, values, parsed, blank, np.array(lineno, dtype=int), fields, error)
-    return [each(table)]
+    return _Columns(path, cols, values, parsed, blank, np.array(lineno, dtype=int), fields, error)
+
+
+def _read_columns(
+    path: Path | str,
+    resolve: Callable[[list[str]], list[int]],
+    each: Callable[[_Columns], object],
+    optional: int | None = None,
+) -> list:
+    """Read a delimited file block by block, and return ``each`` of every block in file order.
+
+    The header is found as ``_header`` finds it, and later rows with only
+    whitespace and delimiters are skipped too.  ``resolve(header)`` returns
+    the header positions to convert, or raises; ``cols[optional]``, when
+    there is one, may hold empty fields.  The file is decoded in the
+    locale's encoding with universal newlines, and split into lines as
+    ``str.splitlines`` splits the whole text (``_Lines``).
+
+    A block is converted by ``np.loadtxt`` where it gives what ``csv`` and
+    ``float`` would (``_loaded``), else split by ``csv`` on its own
+    (``_split``); either way an error names the same line and field.  A
+    ``ParseError`` ends the reading, but only once the file is read to its
+    end, so that a file that cannot be decoded is reported as such first.
+    """
+    path = Path(path)
+    try:
+        with path.open() as f:
+            lines = _Lines(f)
+            try:
+                delimiter, header, start = _header(lines, path)
+                cols = resolve(header)
+                found = []
+                while block := lines.block():
+                    table = (_loaded(block, start, path, delimiter, cols, optional)
+                             or _split(block, lines, start, path, delimiter, cols))
+                    start += len(block)
+                    found.append(each(table))
+                return found
+            except ParseError:
+                while f.read(_BLOCK_CHARS):
+                    pass
+                raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: unreadable file: {exc}") from exc
 
 
 def _empty_as_nan(raw: str) -> float:
@@ -610,8 +602,8 @@ def parse_fleet_file(
     del blocks
     micros, columns = np.concatenate(micros), np.concatenate(columns)
     written = {line: ts for by_line in stamps for line, ts in by_line.items()}
-    # a plain block's lines follow on from the one before; the csv route gives one block
-    lineno = lines[0] if len(lines) == 1 else range(lines[0].start, lines[-1].stop)
+    plain = all(isinstance(block, range) for block in lines)  # each follows the one before
+    lineno = range(lines[0].start, lines[-1].stop) if plain else np.concatenate(lines)
     source = source_id if source_id is not None else Path(path).stem
 
     order = np.argsort(micros, kind="stable")

@@ -138,7 +138,14 @@ _Layer = tuple[_CellStack] | tuple[GRUCellParams, GRUCellParams]
 # allocates and frees, and glibc then hands more of that memory back to the
 # system and faults it in again: a fresh process training 128 units at batch
 # 16 took 5-8 % longer stacked (about 4 times the page faults), 64 and 96
-# units tied, and 32 units ran 20 % faster.
+# units tied, and 32 units ran 20 % faster.  Now that Adam keeps no
+# model-sized scratch, stacking 128 units costs no time, but it still costs
+# memory: without the limit, the train-paper workload's `train` call peaked
+# at 58.8-58.9 MB against 56.8-57.0 MB (+1.9 MB, +3.4 %, 6 alternating runs
+# of scripts/cli_peak.py), with byte-identical outputs and wall and CPU time
+# in the noise.  Its traced peak rose by 1.3 MB (18.46 to 19.74 MB): a
+# stacked step allocates both directions' temporaries as one array each, so
+# they are alive at once.
 STACK_MAX_UNITS = 64
 
 

@@ -3,13 +3,14 @@
 import importlib.util
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from sohpred import cli
-from sohpred.neuralnet import TrainingConfig, load_model
+from sohpred import cli, pipeline
+from sohpred.neuralnet import DivergenceError, TrainingConfig, load_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -255,3 +256,34 @@ def test_best_config_trains_the_recorded_network(tmp_path):
     model = load_model(tmp_path / "train" / "model.bin")
     assert list(model.gru_units) == recorded["gru_units"]
     assert list(model.dropout_rates) == recorded["dropout_rates"]
+
+
+# ---------------------------------------------------------------------------
+# a training section without a network mapping trains the baseline network
+
+
+@pytest.mark.parametrize("key, value, problem", [
+    ("batch_size", 0, "experiment.training.batch_size = 0 outside [1, 20]"),
+    ("learning_rate", -1, "experiment.training.learning_rate = -1.0 outside [0.005, 0.015]"),
+    ("max_epochs", 0, "experiment.training.max_epochs = 0 outside [1, 700]"),
+])
+def test_training_alone_is_checked_against_the_domain(tmp_path, hi_table, capsys, key, value, problem):
+    code, out = train_with(tmp_path, f"experiment:\n  training: {{{key}: {value}}}\n", hi_table)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'cfg.yaml'}: hyperparameters violate bounds: {problem}\n"
+
+
+def test_training_alone_applies_to_the_baseline_network(tmp_path, hi_table, monkeypatch):
+    seen = []
+
+    def stop(spec, training, batch):
+        seen.append((spec, training))
+        raise DivergenceError("stopped once the settings are known")
+
+    monkeypatch.setattr(pipeline, "train", stop)
+    code, _ = train_with(tmp_path, "experiment:\n  training: {max_epochs: 2, batch_size: 4}\n", hi_table)
+    assert code == 1
+    (spec, training), = seen
+    assert spec == pipeline.baseline_network(spec.window_length)
+    assert training == replace(pipeline.baseline_training(), max_epochs=2, lr_drop_period=1, batch_size=4)

@@ -65,3 +65,14 @@ def test_script_prints_its_table(tmp_path, script, args, first_column, n_rows):
 def test_cli_peak_stops_at_a_failed_call(tmp_path):
     lines = run_script("cli_peak.py", "-n", 3, "--", "extract", "--out", "x", cwd=tmp_path, code=1)
     assert len(lines) == 1  # the header only
+
+
+def test_cli_peak_prints_cpu_time(tmp_path):
+    lines = run_script("cli_peak.py", "-n", 2, "--", "synth", "--out", "synth", cwd=tmp_path)
+    header = lines[0].split()
+    assert header == ["run", "wall_s", "cpu_s", "peak_rss_mb"]
+    rows = table_rows(lines, "run")
+    assert [row[0] for row in rows] == ["1", "2", "median"]
+    for row in rows:
+        cpu = float(row[header.index("cpu_s")])
+        assert 0.0 < cpu, row
