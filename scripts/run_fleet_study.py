@@ -50,7 +50,8 @@ def main():
         seeds=(0,),
     )
     # the predictors do not depend on the starting month: fit them once
-    predictors = pipeline.fit_fleet_predictors(config, vehicle_soh[args.train_vehicle])
+    history = vehicle_soh[args.train_vehicle].values
+    predictors, _, _ = pipeline.fit_predictors(config, history, history)
     for start in args.starts:
         results = pipeline.run_fleet(
             args.train_vehicle, vehicle_soh, pipeline.SplitSpec.index(start), config, predictors

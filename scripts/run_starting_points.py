@@ -49,7 +49,7 @@ def main():
             training=training,
             seeds=tuple(range(args.seeds)),
         )
-        report = pipeline.run_single_battery(config, hi, soh)
+        report = pipeline.train_and_predict(config, hi, soh).report
         per_seed = " ".join(f"{r:.4f}" for r in report.detail["per_seed_rmse"])
         print(
             f"{frac:6.0%} {report.rmse:10.5f} {report.mae:10.5f} "

@@ -6,9 +6,10 @@ on one thread, for each pair of units per layer and batch size (by default
 the domain's corners: 25 and 200 units, batch 1 and 20).  It then prices
 one candidate at the domain's lowest and highest epoch counts, 150 and 700
 epochs of ceil(windows / batch) steps, and the whole protocol: pop 6 × 11
-evaluations (the first generation and 10 iterations) × 3 seeds.  Every step
-is counted at the full batch and every candidate as trained, though a search
-trains each distinct candidate once, so both prices are upper bounds.
+evaluations (the first generation and 10 iterations), one search whatever
+the number of seeds.  Every step is counted at the full batch and every
+candidate as trained, though a search trains each distinct candidate once,
+so both prices are upper bounds.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from sohpred.ssa import EPOCHS_RANGE, _openblas_threads
 
 WINDOW_LENGTH = 5  # pipeline.DEFAULT_WINDOW_LENGTH
 WINDOWS = 17  # README config: 100 cycles at start fraction 0.25 give 21, the search holds out 4
-CANDIDATES = 6 * 11 * 3  # the README config: pop_size 6, max_iter 10, seeds [0, 1, 2]
+CANDIDATES = 6 * 11  # the README config: pop_size 6, max_iter 10; one search for all seeds
 
 
 def step_times(units, batch, steps):

@@ -300,35 +300,35 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
         raise ConfigError(f"{args.config}: experiment.split: {exc}") from None
 
     net, tr = exp.get("network"), exp["training"]
-    network, training = "ssa-tuned" if searched else "baseline", None
     if net == "ssa-tuned" and not searched:
         raise ConfigError("network: ssa-tuned requires the hpo subcommand")
-    if not searched:
-        given = isinstance(net, dict)
-        if not given:  # the schema's defaults, which are the baseline network's
-            net = _checked({}, "", "experiment.network")
-        if net["candidate_form"] != "reset_gated":
-            raise ConfigError(
-                f"candidate_form {net['candidate_form']!r} is not supported (only reset_gated)"
-            )
-        # the raw values, so every violation is listed before the spec checks any; units,
-        # epochs and batch may sit below the searched domain for desk-scale runs
-        domain = ssa.encode_hyperparameters(
-            unit_range=(1, ssa.UNIT_RANGE[1]), epochs_range=(1, ssa.EPOCHS_RANGE[1])
+    # checked with a search too, though it picks both, so one file serves train and hpo
+    given = isinstance(net, dict)
+    if not given:  # the schema's defaults, which are the baseline network's
+        net = _checked({}, "", "experiment.network")
+    if net["candidate_form"] != "reset_gated":
+        raise ConfigError(
+            f"candidate_form {net['candidate_form']!r} is not supported (only reset_gated)"
         )
-        explicit = {**{f"gru_units[{i}]": u for i, u in enumerate(net["gru_units"], 1)},
-                    **{k: tr[k] for k in ("max_epochs", "learning_rate", "batch_size")},
-                    **{f"dropout_rates[{i}]": d for i, d in enumerate(net["dropout_rates"], 1)}}
-        names = [f"experiment.{'training' if key in tr else 'network'}.{key}" for key in explicit]
-        problems = domain.violations(list(explicit.values()), names)
-        if problems:
-            raise ConfigError(f"{args.config}: hyperparameters violate bounds: " + "; ".join(problems))
-        if given:
-            network = DualBiGRUSpec(exp["window_length"], net["gru_units"], net["dropout_rates"])
-        # a training section left at its defaults is the baseline's, which the pipeline supplies
-        if given or tr != _checked({}, "", "experiment.training"):
-            period = round(ssa.LR_DROP_RATIO * tr["max_epochs"])
-            training = TrainingConfig(**{"lr_drop_period": period, **tr}, seed=seeds[0])
+    # the raw values, so every violation is listed before the spec checks any; units,
+    # epochs and batch may sit below the searched domain for desk-scale runs
+    domain = ssa.encode_hyperparameters(
+        unit_range=(1, ssa.UNIT_RANGE[1]), epochs_range=(1, ssa.EPOCHS_RANGE[1])
+    )
+    explicit = {**{f"gru_units[{i}]": u for i, u in enumerate(net["gru_units"], 1)},
+                **{k: tr[k] for k in ("max_epochs", "learning_rate", "batch_size")},
+                **{f"dropout_rates[{i}]": d for i, d in enumerate(net["dropout_rates"], 1)}}
+    names = [f"experiment.{'training' if key in tr else 'network'}.{key}" for key in explicit]
+    problems = domain.violations(list(explicit.values()), names)
+    if problems:
+        raise ConfigError(f"{args.config}: hyperparameters violate bounds: " + "; ".join(problems))
+    network, training = "ssa-tuned" if searched else "baseline", None
+    if given and not searched:
+        network = DualBiGRUSpec(exp["window_length"], net["gru_units"], net["dropout_rates"])
+    # a training section left at its defaults is the baseline's, which the pipeline supplies
+    if not searched and (given or tr != _checked({}, "", "experiment.training")):
+        period = round(ssa.LR_DROP_RATIO * tr["max_epochs"])
+        training = TrainingConfig(**{"lr_drop_period": period, **tr}, seed=seeds[0])
 
     s, ranges = conf["ssa"], conf["ssa"]["ranges"]
     return pipeline.ExperimentConfig(
@@ -493,42 +493,39 @@ def _run_experiment(args, searched: bool) -> int:
     table, hi, soh = _load_hi_inputs(args, conf)
     config = _experiment_config(conf, args, searched)
     manifest = build_manifest("hpo" if searched else "train", written, [table], list(config.seeds))
-    results = [pipeline.train_and_predict(config, hi, soh, seed) for seed in config.seeds]
-    aggregate = pipeline.aggregate_reports([r.report for r in results])
+    report, predictors, training, history = pipeline.train_and_predict(config, hi, soh)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
 
-    _write_report(out_dir, h, "report.csv", aggregate)
+    _write_report(out_dir, h, "report.csv", report)
     _write_summary(
         out_dir,
         h,
-        [[aggregate.fingerprint, hi.name, config.split.label(),
-          aggregate.rmse, aggregate.mae, aggregate.mape]],
+        [[report.fingerprint, hi.name, config.split.label(), report.rmse, report.mae, report.mape]],
     )
-    first = results[0]
-    first.predictor.save(out_dir)  # the first seed's predictor
-    if searched:
+    predictors[0].save(out_dir)  # the first seed's predictor
+    if searched:  # the one search, whose winner every seed trained
         _write_table(
             out_dir / "ssa_history.csv",
             h,
             ["iteration", "best_fitness", "evaluations", "failures"]
-            + [f"pos{i}" for i in range(len(first.search_history[0].best_position))]
+            + [f"pos{i}" for i in range(len(history[0].best_position))]
             + ["repeats"],
             [[r.iteration, r.best_fitness, r.evaluations, r.failures,
               *[float(v) for v in r.best_position], r.repeats]
-             for r in first.search_history],
+             for r in history],
         )
-        model = first.predictor.model
+        model = predictors[0].model
         best = {"experiment": {
             "window_length": model.window_length,
             "network": {"gru_units": [int(u) for u in model.gru_units],
                         "dropout_rates": [float(d) for d in model.dropout_rates]},
-            "training": {k: getattr(first.training, k) for k in (
+            "training": {k: getattr(training, k) for k in (
                 "max_epochs", "learning_rate", "lr_drop_period", "lr_drop_factor", "batch_size")},
         }}
         (out_dir / "best_config.yaml").write_text(yaml.safe_dump(best, sort_keys=True))
     _write_manifest(out_dir, manifest)
-    print(f"{out_dir} rmse={aggregate.rmse!r}")
+    print(f"{out_dir} rmse={report.rmse!r}")
     return 0
 
 
@@ -637,7 +634,8 @@ def _read_fleet_while_training(files, train_index, schema, stat, settings, worke
 
     def fit() -> list[pipeline.Predictor]:
         _, config = settled.result()
-        return pipeline.fit_fleet_predictors(config, reads[train_index].result().soh)
+        values = reads[train_index].result().soh.values
+        return pipeline.fit_predictors(config, values, values)[0]
 
     context = multiprocessing.get_context("fork")
     gate = context.Semaphore(workers)

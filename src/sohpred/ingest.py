@@ -198,6 +198,7 @@ class _Columns:
 
 
 _BLOCK_CHARS = 1 << 16  # characters of whole lines read and converted at a time
+_SLICE_ROWS = 256  # rows whose mapped fields ``_split`` holds as ``str`` before converting them
 
 
 class _Lines:
@@ -282,6 +283,30 @@ def _loaded(
     return _Columns(path, cols, values, ~blank, blank, lineno, lambda i: lines[i].split(delimiter))
 
 
+def _converted(picked: list[str | None], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``width`` fields laid end to end in ``picked``, as values, parsed and blank."""
+    values = np.full((len(picked) // width, width), np.nan)
+    parsed = np.zeros(values.shape, dtype=bool)
+    blank = np.zeros(values.shape, dtype=bool)
+    for j in range(width):
+        fields = picked[j::width]
+        try:  # a whole column of numbers converts at once
+            values[:, j] = [float(f) for f in fields]
+            parsed[:, j] = True
+            continue
+        except (ValueError, TypeError):
+            pass
+        for i, f in enumerate(fields):
+            if f is not None:
+                blank[i, j] = f == ""
+                try:
+                    values[i, j] = float(f)
+                    parsed[i, j] = True
+                except ValueError:
+                    pass
+    return values, parsed, blank
+
+
 def _split(
     lines: list[str], more: Iterable[str], start: int, path: Path, delimiter: str, cols: list[int]
 ) -> _Columns:
@@ -289,8 +314,9 @@ def _split(
 
     Rows with only whitespace and delimiters are skipped.  A quoted field
     still open at the last line takes the lines it needs from ``more``, and
-    they are appended to ``lines``.  Each column is converted with
-    ``float``, field by field where it holds a bad field.
+    they are appended to ``lines``.  The mapped fields are converted
+    ``_SLICE_ROWS`` rows at a time, with ``float``, field by field where
+    a column of the slice holds a bad field.
     """
     n = len(lines)
 
@@ -300,7 +326,8 @@ def _split(
             lines.append(line)
             yield line
 
-    picked: list[str | None] = []  # the fields of ``cols``, row after row
+    picked: list[str | None] = []  # the fields of ``cols``, row after row, since the last slice
+    slices = []
     begin: list[int] = []  # the first line of each row, as an index into ``lines``
     lineno: list[int] = []
     error = None
@@ -316,30 +343,16 @@ def _split(
                     picked.extend(row[c] if c < len(row) else None for c in cols)
                 begin.append(end)
                 lineno.append(start + reader.line_num)
+                if len(picked) == _SLICE_ROWS * len(cols):
+                    slices.append(_converted(picked, len(cols)))
+                    picked = []
             end = reader.line_num
             if end >= n:
                 break
     except csv.Error as exc:
         error = ParseError(f"{path}:{start + reader.line_num}: {exc}")
-    values = np.full((len(lineno), len(cols)), np.nan)
-    parsed = np.zeros(values.shape, dtype=bool)
-    blank = np.zeros(values.shape, dtype=bool)
-    for j in range(len(cols)):
-        fields = picked[j :: len(cols)]
-        try:  # a whole column of numbers converts at once
-            values[:, j] = [float(f) for f in fields]
-            parsed[:, j] = True
-            continue
-        except (ValueError, TypeError):
-            pass
-        for i, f in enumerate(fields):
-            if f is not None:
-                blank[i, j] = f == ""
-                try:
-                    values[i, j] = float(f)
-                    parsed[i, j] = True
-                except ValueError:
-                    pass
+    slices.append(_converted(picked, len(cols)))
+    values, parsed, blank = (np.concatenate(arrays) for arrays in zip(*slices))
 
     def fields(i: int) -> list[str]:
         first, stop = begin[i], lineno[i] - start

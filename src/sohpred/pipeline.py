@@ -12,7 +12,7 @@ import json
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -263,12 +263,10 @@ class AnchoredScale:
 
 
 def _resolve_network(
-    config: ExperimentConfig,
-    train_inputs: np.ndarray,
-    train_targets: np.ndarray,
-    seed: int,
+    config: ExperimentConfig, train_inputs: np.ndarray, train_targets: np.ndarray
 ) -> tuple[DualBiGRUSpec, TrainingConfig, list[ssa.IterationRecord]]:
-    """Pick hyperparameters: given spec, baseline defaults, or a search."""
+    """Pick hyperparameters: given spec, baseline defaults, or one search on the first seed."""
+    seed = config.seeds[0]
     if config.network != "ssa-tuned":
         spec = config.network
         if spec == "baseline":
@@ -391,14 +389,14 @@ class Predictor:
             raise ValueError(f"{scaler}: malformed scaler file ({exc})") from None
 
 
-def fit_predictor(
-    config: ExperimentConfig,
-    values: np.ndarray,
-    soh: np.ndarray,
-    seed: int,
-    offset: int = 0,
-) -> tuple[Predictor, TrainingConfig, list[ssa.IterationRecord]]:
-    """Fit the scales on one training region, then resolve and train the network."""
+def fit_predictors(
+    config: ExperimentConfig, values: np.ndarray, soh: np.ndarray, offset: int = 0
+) -> tuple[list[Predictor], TrainingConfig, list[ssa.IterationRecord]]:
+    """Fit a training region's scales and network once, then train the network for every seed.
+
+    No seed changes the conditioning or the search, so each seed differs
+    only in its initial weights, dropout masks and batch order.
+    """
     input_scale = AnchoredScale.fit(values, config.scale_band)
     rank = config.denoise_rank if config.denoise else None
     batch = make_windows(
@@ -406,40 +404,12 @@ def fit_predictor(
     )
     target_scale = AnchoredScale.fit(batch.targets, config.scale_band)
     batch = replace(batch, targets=target_scale.forward(batch.targets))
-    spec, training, history = _resolve_network(config, batch.inputs, batch.targets, seed)
-    fitted, _losses = train(spec, training, batch)
-    return Predictor(fitted, input_scale, target_scale, rank), training, history
-
-
-@dataclass(frozen=True)
-class SingleRunResult:
-    """Everything produced by one seeded experiment run."""
-
-    report: PredictionReport
-    predictor: Predictor
-    training: TrainingConfig
-    search_history: list[ssa.IterationRecord]
-
-
-def train_and_predict(
-    config: ExperimentConfig,
-    hi: HISeries,
-    soh: SOHSeries,
-    seed: int,
-) -> SingleRunResult:
-    """One full experiment for one seed."""
-    w = config.resolved_window()
-    train_region, test_region = split_series(hi, soh, config.split)
-    for name, region in (("training", train_region), ("test", test_region)):
-        if region.hi.size < w:
-            raise ValueError(f"{name} region ({region.hi.size}) shorter than window ({w})")
-    predictor, training, history = fit_predictor(
-        config, train_region.hi, train_region.soh, seed, train_region.offset
-    )
-    report = predictor.report(
-        config_fingerprint(config), test_region.hi, test_region.soh, test_region.offset
-    )
-    return SingleRunResult(report, predictor, training, history)
+    spec, training, history = _resolve_network(config, batch.inputs, batch.targets)
+    predictors = [
+        Predictor(train(spec, replace(training, seed=s), batch)[0], input_scale, target_scale, rank)
+        for s in config.seeds
+    ]
+    return predictors, training, history
 
 
 def aggregate_reports(reports: list[PredictionReport]) -> PredictionReport:
@@ -459,12 +429,31 @@ def aggregate_reports(reports: list[PredictionReport]) -> PredictionReport:
     )
 
 
-def run_single_battery(
-    config: ExperimentConfig, hi: HISeries, soh: SOHSeries
-) -> PredictionReport:
-    """Train on the leading region, predict the rest; metrics averaged over seeds."""
-    reports = [train_and_predict(config, hi, soh, seed).report for seed in config.seeds]
-    return aggregate_reports(reports)
+class ExperimentResult(NamedTuple):
+    """One experiment over the seed list: the seed-mean report and what produced it."""
+
+    report: PredictionReport
+    predictors: list[Predictor]  # one per seed, in seed-list order
+    training: TrainingConfig
+    search_history: list[ssa.IterationRecord]
+
+
+def train_and_predict(config: ExperimentConfig, hi: HISeries, soh: SOHSeries) -> ExperimentResult:
+    """Train on the leading region for every seed, predict the rest; metrics averaged over seeds."""
+    w = config.resolved_window()
+    train_region, test_region = split_series(hi, soh, config.split)
+    for name, region in (("training", train_region), ("test", test_region)):
+        if region.hi.size < w:
+            raise ValueError(f"{name} region ({region.hi.size}) shorter than window ({w})")
+    predictors, training, history = fit_predictors(
+        config, train_region.hi, train_region.soh, train_region.offset
+    )
+    fingerprint = config_fingerprint(config)
+    report = aggregate_reports([
+        p.report(fingerprint, test_region.hi, test_region.soh, test_region.offset)
+        for p in predictors
+    ])
+    return ExperimentResult(report, predictors, training, history)
 
 
 @dataclass(frozen=True)
@@ -505,21 +494,11 @@ def run_hi_ablation(
         split_rows = []
         for series, denoised in prepared:
             config = replace(base, split=split, denoise=False)
-            report = run_single_battery(config, series, soh)
+            report = train_and_predict(config, series, soh).report
             split_rows.append(AblationRow(series.name, denoised, split.label(), report))
         split_rows.sort(key=lambda r: r.report.rmse)
         rows.extend(split_rows)
     return rows
-
-
-def fit_fleet_predictors(config: ExperimentConfig, train_soh: SOHSeries) -> list[Predictor]:
-    """One predictor per seed, fitted on a vehicle's full SOH history.
-
-    The monthly SOH history itself is the model input; scaling is fitted on
-    the training vehicle, so test vehicles never influence the model.
-    """
-    values = train_soh.values
-    return [fit_predictor(config, values, values, seed)[0] for seed in config.seeds]
 
 
 def run_fleet(
@@ -531,14 +510,18 @@ def run_fleet(
 ) -> list[tuple[str, PredictionReport]]:
     """Train on one vehicle's full SOH history, predict every other vehicle.
 
-    ``predictors`` are those :func:`fit_fleet_predictors` returns for the
-    training vehicle; they are fitted here when not given.
+    The monthly SOH history itself is the model input; scaling is fitted on
+    the training vehicle, so test vehicles never influence the model.
+    ``predictors`` are those :func:`fit_predictors` returns for the training
+    vehicle's history as both values and SOH; they are fitted here when not
+    given.
     """
     if train_vehicle not in vehicle_soh:
         raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
     w = config.resolved_window()
     if predictors is None:
-        predictors = fit_fleet_predictors(config, vehicle_soh[train_vehicle])
+        values = vehicle_soh[train_vehicle].values
+        predictors = fit_predictors(config, values, values)[0]
 
     results: list[tuple[str, PredictionReport]] = []
     fingerprint = config_fingerprint(config)

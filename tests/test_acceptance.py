@@ -231,7 +231,7 @@ def test_c09_starting_point_ordering():
         means = {}
         for frac in (0.25, 0.15, 0.05):
             config = small_experiment(pipeline.SplitSpec.fraction(frac), seeds)
-            means[frac] = pipeline.run_single_battery(config, hi, soh).rmse
+            means[frac] = pipeline.train_and_predict(config, hi, soh).report.rmse
         assert means[0.25] <= means[0.15] <= means[0.05], means
 
 

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import sohpred
-from sohpred import cli, pipeline
+from sohpred import cli, pipeline, ssa
 from sohpred.neuralnet import DivergenceError
 
 
@@ -324,6 +324,43 @@ class TestHpo:
         match, mismatch, errors = filecmp.cmpfiles(outs[1], outs[2], names, shallow=False)
         assert (mismatch, errors) == ([], [])
 
+    def test_one_search_trains_its_winner_for_every_seed(self, tmp_path, tiny_config, monkeypatch):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        cfg = yaml.safe_load(tiny_config.read_text())
+        cfg["experiment"]["seeds"] = seeds = [0, 1, 2]
+        config = tmp_path / "seeds.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        real_optimize, real_train = ssa.optimize, pipeline.train
+        searches, fitness_trainings, seed_trainings = [], [], []
+
+        def counted_optimize(*args, **kwargs):
+            searches.append(args[1])
+            return real_optimize(*args, **kwargs)
+
+        def recorded_train(spec, training, batch):
+            fitted, losses = real_train(spec, training, batch)
+            if training.seed in seeds:
+                seed_trainings.append((training, fitted))
+            else:  # a search candidate, trained under the derived fitness seed
+                fitness_trainings.append(training)
+            return fitted, losses
+
+        monkeypatch.setattr(ssa, "optimize", counted_optimize)
+        monkeypatch.setattr(pipeline, "train", recorded_train)
+        out = tmp_path / "hpo"
+        assert run_cli("hpo", "--config", config, "--hi-table", ext / "hi_top.csv",
+                       "--jobs", 1, "--out", out) == 0
+        assert len(searches) == 1
+        history = [line.split(",") for line in (out / "ssa_history.csv").read_text().splitlines()[2:]]
+        scored = sum(int(row[2]) - int(row[-1]) for row in history)  # evaluations - repeats
+        assert len(fitness_trainings) == scored
+        best = yaml.safe_load((out / "best_config.yaml").read_text())["experiment"]
+        assert [training.seed for training, _ in seed_trainings] == seeds
+        for training, fitted in seed_trainings:
+            assert list(fitted.gru_units) == best["network"]["gru_units"]
+            assert list(fitted.dropout_rates) == best["network"]["dropout_rates"]
+            assert {k: getattr(training, k) for k in best["training"]} == best["training"]
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_an_error(self, tmp_path, tiny_config, jobs, capsys):
         _, ext = chain_synth_extract(tmp_path, tiny_config)
@@ -523,7 +560,7 @@ class TestFleetFanOut:
                                                          monkeypatch):
         parent = os.getpid()
         real_parse = cli.ingest.parse_fleet_file
-        real_fit = pipeline.fit_fleet_predictors
+        real_fit = pipeline.fit_predictors
         read_here = []
         fit_end = []
         reads = tmp_path / "reads.txt"
@@ -545,7 +582,7 @@ class TestFleetFanOut:
                 fit_end.append(time.monotonic())
 
         monkeypatch.setattr(cli.ingest, "parse_fleet_file", slow_in_workers)
-        monkeypatch.setattr(pipeline, "fit_fleet_predictors", timed_fit)
+        monkeypatch.setattr(pipeline, "fit_predictors", timed_fit)
         config, data, lines = self.broken_copy(tmp_path, fleet, ("V02",))
         for vid in ("V05", "V06", "V07"):
             (data / f"fleet_{vid}.csv").write_text((data / "fleet_V03.csv").read_text())

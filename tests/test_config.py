@@ -287,3 +287,40 @@ def test_training_alone_applies_to_the_baseline_network(tmp_path, hi_table, monk
     (spec, training), = seen
     assert spec == pipeline.baseline_network(spec.window_length)
     assert training == replace(pipeline.baseline_training(), max_epochs=2, lr_drop_period=1, batch_size=4)
+
+
+# ---------------------------------------------------------------------------
+# hpo checks the sections its search replaces, as train does
+
+
+TINY_SEARCH = "ssa: {pop_size: 2, max_iter: 1, ranges: {units: [4, 8], epochs: [1, 2]}}\n"
+
+
+@pytest.mark.parametrize("section, problem", [
+    ("training: {batch_size: 0}", "experiment.training.batch_size = 0 outside [1, 20]"),
+    ("training: {learning_rate: -1}",
+     "experiment.training.learning_rate = -1.0 outside [0.005, 0.015]"),
+    ("training: {max_epochs: 0}", "experiment.training.max_epochs = 0 outside [1, 700]"),
+    ("network: {gru_units: [8, 0, 8, 8]}", "experiment.network.gru_units[2] = 0 outside [1, 200]"),
+    ("network: {dropout_rates: [0.02, 0.02, 0.9, 0.02]}",
+     "experiment.network.dropout_rates[3] = 0.9 outside [0.002, 0.2]"),
+])
+def test_hpo_checks_the_sections_it_searches(tmp_path, hi_table, capsys, section, problem):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"experiment:\n  {section}\n" + TINY_SEARCH)
+    out = tmp_path / "out"
+    code = cli.main(["hpo", "--config", str(config), "--hi-table", str(hi_table), "--jobs", "1",
+                     "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: hyperparameters violate bounds: {problem}\n"
+
+
+def test_hpo_checks_the_candidate_form(tmp_path, hi_table, capsys):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("experiment:\n  network: {candidate_form: concat}\n" + TINY_SEARCH)
+    out = tmp_path / "out"
+    code = cli.main(["hpo", "--config", str(config), "--hi-table", str(hi_table), "--jobs", "1",
+                     "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "candidate_form 'concat' is not supported" in capsys.readouterr().err

@@ -949,8 +949,9 @@ class TestPeakMemory:
     # Now only the block that holds the line goes through csv, and the bounds
     # of the plain files above hold.  A block's lines are kept while its rows
     # are checked (about 0.12 MB), so the plain lab file reads 0.70x.  A block
-    # that csv splits holds its mapped fields as str objects, about 7x the
-    # block's 64 KiB at their peak, so the blank-row file reads 0.98x.
+    # that csv splits converts its mapped fields every _SLICE_ROWS rows; held
+    # as str objects for the whole block, they came to about 7x the block's
+    # 64 KiB at their peak, and the blank-row file read 0.98x.
 
     @pytest.mark.parametrize("edit", [quoting_header, blank_row_halfway], ids=["quoted-header", "blank-row"])
     def test_irregular_cycle_file_in_blocks_under_its_size(self, tmp_path, edit):
@@ -961,6 +962,19 @@ class TestPeakMemory:
         path.write_text(edit(path.read_text()))
         assert path.stat().st_size >= 8 * ingest._BLOCK_CHARS
         assert traced_peak(lambda: ingest.parse_cycle_file(path)) < 1.0 * path.stat().st_size
+
+    def test_csv_split_block_holds_a_slice_of_fields(self, tmp_path):
+        # A mapped field held as str is a ~50-byte object plus its ~13
+        # characters and an 8-byte list slot: ~71 bytes, 5 a row.  A slice of
+        # 256 rows holds ~91 KB of them, 0.08x this 1.08 MB file, on top of
+        # the plain file's 0.70x: about 0.78x, and 0.75x was measured.  The
+        # whole block's ~1000 rows held at once read 0.98x.
+        from sohpred import pipeline
+
+        params = pipeline.CycleSynthesisParams(n_cycles=20)
+        path = pipeline.synthesize_cycles(params, 0, tmp_path / "c.csv")
+        path.write_text(blank_row_halfway(path.read_text()))
+        assert traced_peak(lambda: ingest.parse_cycle_file(path)) < 0.85 * path.stat().st_size
 
     @pytest.mark.parametrize("edit, bound", [
         (quoting_header, 2.5),

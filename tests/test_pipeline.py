@@ -20,10 +20,9 @@ from sohpred.pipeline import (
     Predictor,
     SplitSpec,
     evaluate_metrics,
-    fit_predictor,
+    fit_predictors,
     run_fleet,
     run_hi_ablation,
-    run_single_battery,
     split_series,
     synthesize_cycles,
     synthesize_dataset,
@@ -162,15 +161,15 @@ class TestSingleBattery:
 
     def test_identity_synthetic_is_accurate_at_quarter_split(self):
         hi, soh = identity_series()
-        report = run_single_battery(self.config(), hi, soh)
+        report = train_and_predict(self.config(), hi, soh).report
         assert report.rmse < 0.02
         assert report.rmse + 1e-12 >= report.mae
 
     def test_reports_reproducible(self):
         hi, soh = identity_series(n=60)
         config = self.config(seeds=(0,))
-        a = run_single_battery(config, hi, soh)
-        b = run_single_battery(config, hi, soh)
+        a = train_and_predict(config, hi, soh).report
+        b = train_and_predict(config, hi, soh).report
         assert np.array_equal(a.predicted_soh, b.predicted_soh)
         assert (a.rmse, a.mae, a.mape) == (b.rmse, b.mae, b.mape)
         assert a.fingerprint == b.fingerprint
@@ -180,17 +179,42 @@ class TestSingleBattery:
         config = self.config(seeds=(0,))
         k = config.split.boundary(80)
 
-        result_real = train_and_predict(config, hi, soh, seed=0)
+        result_real = train_and_predict(config, hi, soh)
         corrupted = HISeries(hi.name, hi.values.copy())
         corrupted.values[k:] = 123.456  # vandalize the test region
-        result_fake = train_and_predict(config, corrupted, soh, seed=0)
+        result_fake = train_and_predict(config, corrupted, soh)
 
         for (ka, va), (kb, vb) in zip(
-            iter_arrays(result_real.predictor.model.params),
-            iter_arrays(result_fake.predictor.model.params),
+            iter_arrays(result_real.predictors[0].model.params),
+            iter_arrays(result_fake.predictors[0].model.params),
         ):
             assert ka == kb
             assert np.array_equal(va, vb), f"trained parameter {ka} depends on test data"
+
+    def test_shared_conditioning_leaks_nothing_between_seeds(self):
+        # the seeds share the scales, the windows and the network; each must
+        # train exactly as it would alone, and the report is their mean
+        hi, soh = identity_series(n=60)
+        config = replace(self.config(seeds=(0, 1, 2)), training=small_training(epochs=30))
+        together = train_and_predict(config, hi, soh)
+        alone = [train_and_predict(replace(config, seeds=(s,)), hi, soh) for s in config.seeds]
+        assert len(together.predictors) == 3
+        for predictor, single in zip(together.predictors, alone):
+            (own,) = single.predictors
+            assert (predictor.input_scale, predictor.target_scale) == (own.input_scale, own.target_scale)
+            for (ka, va), (kb, vb) in zip(
+                iter_arrays(predictor.model.params), iter_arrays(own.model.params)
+            ):
+                assert ka == kb
+                assert np.array_equal(va, vb), f"parameter {ka} differs from the seed's own run"
+        reports = [single.report for single in alone]
+        assert np.array_equal(
+            together.report.predicted_soh, np.mean([r.predicted_soh for r in reports], axis=0)
+        )
+        assert together.report.rmse == np.mean([r.rmse for r in reports])
+        assert together.report.mae == np.mean([r.mae for r in reports])
+        assert together.report.mape == np.mean([r.mape for r in reports])
+        assert together.report.detail["per_seed_rmse"] == [r.rmse for r in reports]
 
     def test_training_region_too_small(self):
         hi, soh = identity_series(n=30)
@@ -198,7 +222,7 @@ class TestSingleBattery:
             split=SplitSpec.index(3), network=small_net(), training=small_training(), seeds=(0,)
         )
         with pytest.raises(ValueError, match="shorter than window"):
-            run_single_battery(config, hi, soh)
+            train_and_predict(config, hi, soh).report
 
 
 class TestPredictor:
@@ -214,8 +238,8 @@ class TestPredictor:
     @pytest.mark.parametrize("denoise", [True, False])
     def test_save_load_reproduces_report_bitwise(self, tmp_path, denoise):
         hi, soh = identity_series(n=60)
-        result = train_and_predict(self.config(denoise), hi, soh, seed=0)
-        result.predictor.save(tmp_path)
+        result = train_and_predict(self.config(denoise), hi, soh)
+        result.predictors[0].save(tmp_path)
         loaded = Predictor.load(tmp_path / "model.bin", tmp_path / "scaler.yaml")
         assert loaded.denoise_rank == (2 if denoise else None)
         k = self.config().split.boundary(60)
@@ -241,7 +265,7 @@ class TestPredictor:
     )
     def test_malformed_scaler_names_file(self, tmp_path, text):
         hi, soh = identity_series(n=40)
-        predictor, _, _ = fit_predictor(self.config(), hi.values, soh.values, seed=0)
+        (predictor,), _, _ = fit_predictors(self.config(), hi.values, soh.values)
         predictor.save(tmp_path)
         scaler = tmp_path / "scaler.yaml"
         scaler.write_text(text)

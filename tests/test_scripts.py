@@ -1,8 +1,8 @@
 """Smoke runs of the experiment scripts at toy sizes.
 
-The scripts call the pipeline API directly (``run_single_battery``,
-``run_hi_ablation``, ``run_fleet`` and the aggregate report's
-``per_seed_rmse``), the network's step functions, or the CLI, so an API
+The scripts call the pipeline API directly (``train_and_predict``,
+``fit_predictors``, ``run_hi_ablation``, ``run_fleet`` and the aggregate
+report's ``per_seed_rmse``), the network's step functions, or the CLI, so an API
 change that breaks them shows up here.
 """
 
