@@ -488,6 +488,29 @@ def _write_summary(out_dir: Path, h: str, rows: list[list]) -> None:
     )
 
 
+def _write_search(out_dir: Path, h: str, model: DualBiGRUSpec, training: TrainingConfig,
+                  history: list[ssa.IterationRecord]) -> None:
+    """Write a search's ``ssa_history.csv`` and its winner, ``best_config.yaml``."""
+    _write_table(
+        out_dir / "ssa_history.csv",
+        h,
+        ["iteration", "best_fitness", "evaluations", "failures"]
+        + [f"pos{i}" for i in range(len(history[0].best_position))]
+        + ["repeats"],
+        [[r.iteration, r.best_fitness, r.evaluations, r.failures,
+          *[float(v) for v in r.best_position], r.repeats]
+         for r in history],
+    )
+    best = {"experiment": {
+        "window_length": model.window_length,
+        "network": {"gru_units": [int(u) for u in model.gru_units],
+                    "dropout_rates": [float(d) for d in model.dropout_rates]},
+        "training": {k: getattr(training, k) for k in (
+            "max_epochs", "learning_rate", "lr_drop_period", "lr_drop_factor", "batch_size")},
+    }}
+    (out_dir / "best_config.yaml").write_text(yaml.safe_dump(best, sort_keys=True))
+
+
 def _run_experiment(args, searched: bool) -> int:
     written, conf = _load_config(args.config)
     table, hi, soh = _load_hi_inputs(args, conf)
@@ -505,25 +528,7 @@ def _run_experiment(args, searched: bool) -> int:
     )
     predictors[0].save(out_dir)  # the first seed's predictor
     if searched:  # the one search, whose winner every seed trained
-        _write_table(
-            out_dir / "ssa_history.csv",
-            h,
-            ["iteration", "best_fitness", "evaluations", "failures"]
-            + [f"pos{i}" for i in range(len(history[0].best_position))]
-            + ["repeats"],
-            [[r.iteration, r.best_fitness, r.evaluations, r.failures,
-              *[float(v) for v in r.best_position], r.repeats]
-             for r in history],
-        )
-        model = predictors[0].model
-        best = {"experiment": {
-            "window_length": model.window_length,
-            "network": {"gru_units": [int(u) for u in model.gru_units],
-                        "dropout_rates": [float(d) for d in model.dropout_rates]},
-            "training": {k: getattr(training, k) for k in (
-                "max_epochs", "learning_rate", "lr_drop_period", "lr_drop_factor", "batch_size")},
-        }}
-        (out_dir / "best_config.yaml").write_text(yaml.safe_dump(best, sort_keys=True))
+        _write_search(out_dir, h, predictors[0].model, training, history)
     _write_manifest(out_dir, manifest)
     print(f"{out_dir} rmse={report.rmse!r}")
     return 0
@@ -583,36 +588,21 @@ def _read_vehicle(path: Path, schema: ingest.FleetSchema, stat: str) -> _Vehicle
     return _VehicleLog(soh, rows, _file_sha256(path))
 
 
-_read_gate = None  # in a fleet reader: the shared permits to read a log
+def _read_fleet_and_fit(files, train_vehicle, schema, stat, settings, workers):
+    """Read every log and fit the training vehicle's predictors.
 
-
-def _hold_gate(gate) -> None:
-    global _read_gate
-    _read_gate = gate
-
-
-def _read_vehicle_gated(path: Path, schema: ingest.FleetSchema, stat: str) -> _VehicleLog:
-    with _read_gate:
-        return _read_vehicle(path, schema, stat)
-
-
-def _read_fleet_while_training(files, train_index, schema, stat, settings, workers):
-    """Read every log and fit the training vehicle's predictors at the same time.
-
-    This process reads the training vehicle's log, resolves ``settings()``
-    (the split start and the experiment config) and fits the predictors,
-    while forked readers read the logs of the other vehicles.  The readers
-    share ``workers`` permits to read, and the pool forks one reader more
-    than that where there are logs for it: the fit's end adds a permit, so
-    ``workers`` readers run beside the fit and one more after it.  This
-    process reads no log but the training vehicle's, because a parse after
-    the fit would raise its peak memory by 3.3 MB at 16 units on 1.9 MB
-    logs, and only in the runs where the readers lagged.  Returns the logs
-    in file order, the start, the config and a future of the predictors.
-    Errors come out in the order of a serial run: a read error of an
-    earlier file before that of a later one, any read error before a
+    With no ``workers``, this process reads every log in file order, then
+    resolves ``settings()`` (the split start and the experiment config) and
+    fits.  Otherwise a pool of ``workers`` forked readers reads the other
+    vehicles' logs while this process reads the training vehicle's log and
+    fits, so at most ``workers`` + 1 processes compute at once.  This
+    process reads no other log, so its peak memory does not depend on how
+    fast the readers were.  Returns the logs in file order, the start, the
+    config and a settled future of what :func:`pipeline.fit_predictors`
+    returns.  Errors come out in the order of a serial run: a read error of
+    an earlier file before that of a later one, any read error before a
     settings error, and a fitting error only once the caller asks the
-    future for the predictors.
+    future for its result.
 
     The readers are forked, not spawned: a spawned reader would import
     NumPy and the package again, which takes about as long as a parse.
@@ -632,33 +622,36 @@ def _read_fleet_while_training(files, train_index, schema, stat, settings, worke
             future.set_exception(exc)
         return future
 
-    def fit() -> list[pipeline.Predictor]:
+    def fit():
         _, config = settled.result()
-        values = reads[train_index].result().soh.values
-        return pipeline.fit_predictors(config, values, values)[0]
+        for i in here:  # no fit after a read error in this process
+            reads[i].result()
+        if train_vehicle not in vids:
+            raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
+        values = reads[vids.index(train_vehicle)].result().soh.values
+        return pipeline.fit_predictors(config, values, values)
 
+    vids = [_vehicle_id(path) for path in files]
+    here = [i for i, vid in enumerate(vids) if not workers or vid == train_vehicle]
     context = multiprocessing.get_context("fork")
-    gate = context.Semaphore(workers)
-    pool = ProcessPoolExecutor(
-        min(workers + 1, len(files) - 1), mp_context=context,
-        initializer=_hold_gate, initargs=(gate,),
-    )
+    pool = ProcessPoolExecutor(workers, mp_context=context) if workers else None
     try:
-        reads = [
-            None if i == train_index else pool.submit(_read_vehicle_gated, path, schema, stat)
-            for i, path in enumerate(files)
-        ]
-        reads[train_index] = settle(_read_vehicle, files[train_index], schema, stat)
+        reads = [None if i in here else pool.submit(_read_vehicle, path, schema, stat)
+                 for i, path in enumerate(files)]
+        for i in here:  # in file order, up to the first read error
+            reads[i] = settle(_read_vehicle, files[i], schema, stat)
+            if reads[i].exception() is not None:
+                break
         settled = settle(settings)
         fitted = settle(fit)
-        gate.release()  # this process is done computing
         logs = [read.result() for read in reads]
     except BrokenProcessPool as exc:
         raise ssa.WorkerLostError(
             "the fleet lost a worker process before it returned a vehicle's log"
         ) from exc
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return (logs, *settled.result(), fitted)
 
 
@@ -681,21 +674,16 @@ def cmd_fleet(args) -> int:
         return start, _experiment_config(conf, args, searched)
 
     # --jobs counts this process too; a search keeps the cores for its own pool
-    workers = min(args.jobs - 1, len(files) - 1)
-    if workers > 0 and not searched and train_vehicle in vids:
-        logs, start, config, fitted = _read_fleet_while_training(
-            files, vids.index(train_vehicle), schema, stat, settings, workers
-        )
-    else:
-        logs = [_read_vehicle(path, schema, stat) for path in files]
-        start, config = settings()
-        fitted = None
+    workers = 0 if searched else min(args.jobs - 1, len(files) - 1)
+    logs, start, config, fitted = _read_fleet_and_fit(
+        files, train_vehicle, schema, stat, settings, workers
+    )
     vehicle_soh = {vid: log.soh for vid, log in zip(vids, logs)}
 
     manifest = build_manifest(
         "fleet", written, files, list(config.seeds), [log.sha256 for log in logs]
     )
-    predictors = None if fitted is None else fitted.result()
+    predictors, training, history = fitted.result()
     results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config, predictors)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
@@ -710,6 +698,8 @@ def cmd_fleet(args) -> int:
         _write_report(out_dir, h, f"fleet_{vid}_report.csv", report)
         summary_rows.append([report.fingerprint, vid, start.label(), report.rmse, report.mae, report.mape])
     _write_summary(out_dir, h, summary_rows)
+    if searched:
+        _write_search(out_dir, h, predictors[0].model, training, history)
     _write_manifest(out_dir, manifest)
     mean_rmse = float(np.mean([r.rmse for _, r in results]))
     print(f"{out_dir} vehicles={len(results)} mean_rmse={mean_rmse!r}")

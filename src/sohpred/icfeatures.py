@@ -156,12 +156,8 @@ def savitzky_golay(
     return replace(curve, dqdv=smoothed, smoothed=True)
 
 
-def locate_peak(
-    curve: ICCurve,
-    search_window: tuple[float, float] | None = None,
-    halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V,
-) -> PeakDescriptor:
-    """Find the maximum of a smoothed IC curve inside a voltage window.
+def locate_peak(curve: ICCurve, halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V) -> PeakDescriptor:
+    """Find the maximum of a smoothed IC curve.
 
     Ties break toward lower voltage.  The integration bounds start at
     peak +/- halfwidth, clipped to the grid extent.
@@ -169,15 +165,7 @@ def locate_peak(
     if not curve.smoothed:
         raise ValueError("locate_peak expects a smoothed curve")
     grid = curve.voltage_grid
-    if search_window is None:
-        mask = np.ones(grid.size, dtype=bool)
-    else:
-        lo, hi = search_window
-        mask = (grid >= lo) & (grid <= hi)
-        if not mask.any():
-            raise ValueError(f"search window {search_window} misses the voltage grid")
-    idx = np.flatnonzero(mask)
-    best = idx[np.argmax(curve.dqdv[idx])]
+    best = np.argmax(curve.dqdv)
     peak_v = float(grid[best])
     return PeakDescriptor(
         peak_voltage=peak_v,
@@ -210,7 +198,6 @@ def integrate_area(curve: ICCurve, lower: float, upper: float) -> float:
 def dimensionless_features(
     curve: ICCurve,
     area_halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V,
-    search_window: tuple[float, float] | None = None,
 ) -> FeatureRow:
     """Scalar indicators of one IC curve.
 
@@ -232,7 +219,7 @@ def dimensionless_features(
     kur = np.mean(a**4) / np.mean(a**2) ** 2 - 3.0
 
     if curve.smoothed:
-        peak = locate_peak(curve, search_window, halfwidth=area_halfwidth)
+        peak = locate_peak(curve, halfwidth=area_halfwidth)
         area = integrate_area(curve, peak.lower_bound, peak.upper_bound)
         peak_height = peak.peak_height
     else:
@@ -265,7 +252,6 @@ def sweep_area_boundaries(
     curves: list[ICCurve],
     soh: SOHSeries,
     candidate_halfwidths: tuple[float, ...] = DEFAULT_AREA_HALFWIDTHS_V,
-    search_window: tuple[float, float] | None = None,
 ) -> BoundarySweepResult:
     """Pick the area window (around each cycle's own peak) that correlates best.
 
@@ -279,7 +265,7 @@ def sweep_area_boundaries(
     if len(curves) != soh.values.size:
         raise ValueError("need exactly one curve per SOH value")
 
-    peaks = [locate_peak(c, search_window) for c in curves]
+    peaks = [locate_peak(c) for c in curves]
 
     def areas_for(hw: float) -> np.ndarray:
         out = np.empty(len(curves))

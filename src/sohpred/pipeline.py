@@ -53,14 +53,13 @@ def baseline_network(window_length: int = DEFAULT_WINDOW_LENGTH) -> DualBiGRUSpe
     )
 
 
-def baseline_training(seed: int = 0) -> TrainingConfig:
+def baseline_training() -> TrainingConfig:
     return TrainingConfig(
         max_epochs=BASELINE_EPOCHS,
         learning_rate=BASELINE_LEARNING_RATE,
         lr_drop_period=BASELINE_DROP_PERIOD,
         lr_drop_factor=BASELINE_DROP_FACTOR,
         batch_size=BASELINE_BATCH_SIZE,
-        seed=seed,
     )
 
 
@@ -506,23 +505,18 @@ def run_fleet(
     vehicle_soh: dict[str, SOHSeries],
     start: SplitSpec,
     config: ExperimentConfig,
-    predictors: list[Predictor] | None = None,
+    predictors: list[Predictor],
 ) -> list[tuple[str, PredictionReport]]:
-    """Train on one vehicle's full SOH history, predict every other vehicle.
+    """Predict every vehicle but the training one with its fitted predictors.
 
-    The monthly SOH history itself is the model input; scaling is fitted on
-    the training vehicle, so test vehicles never influence the model.
-    ``predictors`` are those :func:`fit_predictors` returns for the training
-    vehicle's history as both values and SOH; they are fitted here when not
-    given.
+    The monthly SOH history itself is the model input.  ``predictors`` are
+    those :func:`fit_predictors` returns for the training vehicle's full
+    history as both values and SOH, so test vehicles never influence the
+    model; their reports are means over the predictors.
     """
     if train_vehicle not in vehicle_soh:
         raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
     w = config.resolved_window()
-    if predictors is None:
-        values = vehicle_soh[train_vehicle].values
-        predictors = fit_predictors(config, values, values)[0]
-
     results: list[tuple[str, PredictionReport]] = []
     fingerprint = config_fingerprint(config)
     for vid in sorted(v for v in vehicle_soh if v != train_vehicle):

@@ -427,6 +427,34 @@ class TestFleetCommand:
         out = tmp_path / "out"
         return run_cli("fleet", "--config", path, "--dataset", data, "--out", out), out
 
+    def test_search_records_its_search(self, tmp_path):
+        cfg = {
+            "synth": {"kind": "fleet", "n_vehicles": 3, "n_months": 12, "events_per_month": 3},
+            "experiment": {"window_length": 4, "seeds": [0], "network": "ssa-tuned"},
+            "ssa": {"pop_size": 2, "max_iter": 1, "ranges": {"units": [4, 6], "epochs": [5, 8]}},
+        }
+        path = tmp_path / "fleet.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        data = tmp_path / "data"
+        assert run_cli("synth", "--config", path, "--out", data) == 0
+        searched = tmp_path / "searched"
+        assert run_cli("fleet", "--config", path, "--dataset", data, "--out", searched) == 0
+        history = (searched / "ssa_history.csv").read_text().splitlines()
+        assert history[1].startswith("iteration,best_fitness,evaluations,failures,pos0")
+        assert len(history) == 2 + 2  # comment+header, init record, 1 iteration
+
+        # the network best_config.yaml names, given as such, gives the same reports
+        best = yaml.safe_load((searched / "best_config.yaml").read_text())["experiment"]
+        cfg["experiment"].update(best)
+        del cfg["ssa"]
+        path.write_text(yaml.safe_dump(cfg))
+        given = tmp_path / "given"
+        assert run_cli("fleet", "--config", path, "--dataset", data, "--out", given) == 0
+        for vid in ("V02", "V03"):
+            name = f"fleet_{vid}_report.csv"
+            assert (given / name).read_text().splitlines()[1:] == \
+                (searched / name).read_text().splitlines()[1:]
+
     def test_mean_stat_feeds_mean_capacities_into_soh(self, tmp_path):
         code, out = self.fleet_run(tmp_path, "mean")
         assert code == 0
@@ -556,33 +584,19 @@ class TestFleetFanOut:
             assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_spare_reader_after_training_keeps_file_order(self, tmp_path, fleet, capsys,
-                                                         monkeypatch):
+    def test_slow_readers_keep_file_order(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()
         real_parse = cli.ingest.parse_fleet_file
-        real_fit = pipeline.fit_predictors
         read_here = []
-        fit_end = []
-        reads = tmp_path / "reads.txt"
 
         def slow_in_workers(path, *args, **kwargs):
             if os.getpid() == parent:
                 read_here.append(Path(path).name)
             else:
-                start = time.monotonic()
                 time.sleep(1.0)  # training ends while the readers are still on their first logs
-                with open(reads, "a") as fh:
-                    fh.write(f"{os.getpid()} {start} {time.monotonic()}\n")
             return real_parse(path, *args, **kwargs)
 
-        def timed_fit(*args, **kwargs):
-            try:
-                return real_fit(*args, **kwargs)
-            finally:
-                fit_end.append(time.monotonic())
-
         monkeypatch.setattr(cli.ingest, "parse_fleet_file", slow_in_workers)
-        monkeypatch.setattr(pipeline, "fit_predictors", timed_fit)
         config, data, lines = self.broken_copy(tmp_path, fleet, ("V02",))
         for vid in ("V05", "V06", "V07"):
             (data / f"fleet_{vid}.csv").write_text((data / "fleet_V03.csv").read_text())
@@ -591,16 +605,14 @@ class TestFleetFanOut:
         (data / "fleet_V07.csv").write_text("\n".join(rows) + "\n")
         errors = self.fleet_errors(tmp_path, config, data, capsys, jobs_values=("2",))
         assert errors["2"].startswith(lines["V02"] + " bad row")
-        # --jobs 2: this process reads the training vehicle's log only; one reader
-        # reads beside training, and a second joins it once training has ended
+        # --jobs 2: this process reads the training vehicle's log only
         assert read_here == ["fleet_V01.csv"]
-        spans = [line.split() for line in reads.read_text().splitlines()]
-        overlaps = [
-            max(float(s1), float(s2))
-            for p1, s1, e1 in spans for p2, s2, e2 in spans
-            if p1 < p2 and float(s1) < float(e2) and float(s2) < float(e1)
-        ]
-        assert overlaps and min(overlaps) >= fit_end[0]
+
+    def test_missing_training_vehicle_reported_as_in_a_serial_run(self, tmp_path, fleet, capsys):
+        config, data, _ = self.broken_copy(tmp_path, fleet, train_vehicle="V99")
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors["2"] == errors["1"]
+        assert errors["2"] == "error: training vehicle 'V99' not in dataset\n"
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()

@@ -137,8 +137,8 @@ class TestLocatePeak:
 
     def test_constant_curve_tie_breaks_low(self):
         curve = curve_from_values(np.ones(40))
-        peak = locate_peak(curve, search_window=(3.05, 3.30))
-        assert peak.peak_voltage == pytest.approx(3.05)
+        peak = locate_peak(curve)
+        assert peak.peak_voltage == pytest.approx(3.0)
 
     def test_two_equal_peaks_take_lower_voltage(self):
         grid = 3.0 + 0.01 * np.arange(121)
@@ -147,11 +147,6 @@ class TestLocatePeak:
         values[np.argmin(np.abs(grid - 4.0))] = 5.0
         peak = locate_peak(ICCurve(1, grid, values, smoothed=True))
         assert peak.peak_voltage == pytest.approx(3.6)
-
-    def test_window_outside_grid_rejected(self):
-        curve = curve_from_values(np.ones(40))
-        with pytest.raises(ValueError, match="misses the voltage grid"):
-            locate_peak(curve, search_window=(5.0, 6.0))
 
     def test_unsmoothed_rejected(self):
         curve = curve_from_values(np.ones(40), smoothed=False)

@@ -353,29 +353,34 @@ class TestFleet:
             seeds=seeds,
         )
 
+    def run(self, train_vehicle, soh_map):
+        """``run_fleet`` with predictors fitted on V01's history."""
+        config = self.config()
+        values = soh_map["V01"].values
+        predictors = fit_predictors(config, values, values)[0]
+        return run_fleet(train_vehicle, soh_map, SplitSpec.index(2), config, predictors)
+
     def test_self_consistency_on_identical_vehicle(self):
         soh_map = synthetic_fleet_soh(n_vehicles=1)
         soh_map["V02"] = soh_map["V01"]  # test vehicle identical to the trainer
-        results = run_fleet("V01", soh_map, SplitSpec.index(2), self.config())
+        results = self.run("V01", soh_map)
         assert len(results) == 1
         vid, report = results[0]
         assert vid == "V02"
         assert report.rmse < 0.005
 
     def test_report_count_matches_test_vehicles(self):
-        soh_map = synthetic_fleet_soh(n_vehicles=4)
-        results = run_fleet("V01", soh_map, SplitSpec.index(2), self.config())
+        results = self.run("V01", synthetic_fleet_soh(n_vehicles=4))
         assert [vid for vid, _ in results] == ["V02", "V03", "V04"]
 
     def test_shared_trend_predicts_well(self):
-        soh_map = synthetic_fleet_soh(n_vehicles=4)
-        results = run_fleet("V01", soh_map, SplitSpec.index(2), self.config())
+        results = self.run("V01", synthetic_fleet_soh(n_vehicles=4))
         for vid, report in results:
             assert report.rmse < 0.01, vid
 
     def test_unknown_train_vehicle(self):
         with pytest.raises(ValueError, match="not in dataset"):
-            run_fleet("V99", synthetic_fleet_soh(), SplitSpec.index(2), self.config())
+            self.run("V99", synthetic_fleet_soh())
 
 
 class TestSynthesis:
