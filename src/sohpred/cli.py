@@ -105,7 +105,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def read_hi_table(path: Path | str) -> tuple[str, np.ndarray, HISeries, ingest.SOHSeries]:
+def read_hi_table(path: Path | str) -> tuple[HISeries, ingest.SOHSeries]:
     """Read an indicator table written by the extract step.
 
     Each row is checked as the extract step writes it: finite values, an
@@ -138,10 +138,7 @@ def read_hi_table(path: Path | str) -> tuple[str, np.ndarray, HISeries, ingest.S
             raise ConfigError(f"{path}, line {lineno}: {exc}") from None
     if not indices:
         raise ConfigError(f"{path}: empty indicator table")
-    idx = np.array(indices)
     return (
-        name,
-        idx,
         HISeries(name=name, values=np.array(his)),
         ingest.SOHSeries(index=tuple(indices), values=np.array(sohs)),
     )
@@ -298,6 +295,10 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
                  else pipeline.SplitSpec.fraction(sp["start_fraction"]))
     except ValueError as exc:
         raise ConfigError(f"{args.config}: experiment.split: {exc}") from None
+    if not 0.0 < exp["scale_band"] <= 1.0:  # NaN fails too
+        raise ConfigError(
+            f"{args.config}: experiment.scale_band = {exp['scale_band']} outside (0, 1]"
+        )
 
     net, tr = exp.get("network"), exp["training"]
     if net == "ssa-tuned" and not searched:
@@ -465,7 +466,7 @@ def _load_hi_inputs(args, conf: dict) -> tuple[Path, HISeries, ingest.SOHSeries]
     table = Path(table)
     if not table.is_file():
         raise ConfigError(f"indicator table not found: {table}")
-    _, _, hi, soh = read_hi_table(table)
+    hi, soh = read_hi_table(table)
     return table, hi, soh
 
 

@@ -24,12 +24,18 @@ followed by the buffer.
 A block whose two cells have equal hidden sizes, up to STACK_MAX_UNITS,
 runs both directions as one stack: its cells sit at a constant offset in
 the buffer, so each matmul takes both directions' weights as one strided
-view.
+view; such a stack is a :class:`GRUCellParams` with a leading axis of 2.
+:func:`network_forward` is the one forward pass.  Train mode keeps the
+caches that :func:`network_backward` reads; eval mode, which
+:func:`predict` runs, keeps none, so each direction's sequence arrays are
+freed when its loop ends.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -49,13 +55,19 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
+CELL_NAMES = ("m1f", "m1b", "m2f", "m2b")
+CELL_FIELDS = ("W_U", "W_R", "W_h", "b_U", "b_R", "b_h")
+
+
 @dataclass
 class GRUCellParams:
-    """Weights of one GRU cell.
+    """Weights of one GRU cell, or of a stack of cells of one shape.
 
     Gate matrices act on [x, h_prev]; the candidate matrix acts on
-    [x, R*h_prev].  Only shapes are checked here: finiteness is checked
-    once, where parameters enter a :class:`DualBiGRUSpec`.
+    [x, R*h_prev].  A stack (see :func:`_layer_stacks`) has a leading axis
+    on every array: ``W_*`` (2, H, J), ``b_*`` (2, H).  Only shapes are
+    checked here: finiteness is checked once, where parameters enter a
+    :class:`DualBiGRUSpec`.
     """
 
     W_U: np.ndarray
@@ -68,16 +80,10 @@ class GRUCellParams:
     hidden_size: int
 
     def __post_init__(self) -> None:
-        joint = self.input_size + self.hidden_size
-        expected = {
-            "W_U": (self.hidden_size, joint),
-            "W_R": (self.hidden_size, joint),
-            "W_h": (self.hidden_size, joint),
-            "b_U": (self.hidden_size,),
-            "b_R": (self.hidden_size,),
-            "b_h": (self.hidden_size,),
-        }
-        for name, shape in expected.items():
+        lead = self.W_U.shape[:-2]  # (2,) for a stack, () for one cell
+        H, joint = self.hidden_size, self.input_size + self.hidden_size
+        for name in CELL_FIELDS:
+            shape = (*lead, H, joint) if name[0] == "W" else (*lead, H)
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -89,49 +95,12 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -> GRUCellParams:
-    joint = input_size + hidden_size
-    return GRUCellParams(
-        W_U=_glorot(rng, (hidden_size, joint)),
-        W_R=_glorot(rng, (hidden_size, joint)),
-        W_h=_glorot(rng, (hidden_size, joint)),
-        b_U=np.zeros(hidden_size),
-        b_R=np.zeros(hidden_size),
-        b_h=np.zeros(hidden_size),
-        input_size=input_size,
-        hidden_size=hidden_size,
-    )
-
-
-def flip(sequence: np.ndarray) -> np.ndarray:
-    """Reverse the time axis (axis 0)."""
-    return np.asarray(sequence)[::-1].copy()
-
-
-@dataclass(frozen=True)
-class _CellStack:
-    """A layer's two cells of one shape, stacked: ``W_*`` (2, H, J), ``b_*`` (2, H).
-
-    Every array is a view of the cells' own arrays, so gradients written
-    into a stack of gradient cells land in their buffer.
-    """
-
-    W_U: np.ndarray
-    W_R: np.ndarray
-    W_h: np.ndarray
-    b_U: np.ndarray
-    b_R: np.ndarray
-    b_h: np.ndarray
-    input_size: int
-    hidden_size: int
-
-
 def _address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
 
 # A block's cells as its sequence loops take them: one stack of both, or the two cells
-_Layer = tuple[_CellStack] | tuple[GRUCellParams, GRUCellParams]
+_Layer = tuple[GRUCellParams, ...]
 
 # Widest cells that stack.  A stack halves the NumPy calls of a step, which is
 # what a step of a few dozen units costs, but it doubles the arrays each call
@@ -172,7 +141,7 @@ def _layer_stacks(first: GRUCellParams, second: GRUCellParams) -> _Layer:
         views = (
             np.lib.stride_tricks.as_strided(a, (2, *a.shape), (gap, *a.strides)) for a, _ in pairs
         )
-        return (_CellStack(*views, *sizes),)
+        return (GRUCellParams(*views, *sizes),)
     return first, second
 
 
@@ -210,7 +179,7 @@ def _dropout_mask(
 
 
 def _gru_sequence_forward(
-    cells: GRUCellParams | _CellStack, sequences: tuple[np.ndarray, ...], keep: bool = True
+    cells: GRUCellParams, sequences: tuple[np.ndarray, ...], keep: bool
 ) -> tuple[np.ndarray, _SequenceCache | None]:
     """Run one cell over its (T, B, width) sequence, or a stack over one sequence per direction.
 
@@ -264,20 +233,30 @@ def _bigru_forward(
     sequence: np.ndarray,
     mode: str,
     rng: np.random.Generator | None,
-    keep: bool = True,
-) -> tuple[np.ndarray, _BiGRUCache]:
+) -> tuple[np.ndarray, _BiGRUCache | None]:
+    """Run both directions over a (time, batch, width) sequence.
+
+    The backward direction consumes the flipped sequence and its output is
+    flipped back, so output step t concatenates the forward state after
+    seeing x[0..t] with the backward state after seeing x[t..T-1].
+    Inverted dropout is applied per direction in train mode only, the
+    forward direction's mask drawn first.  A stack of both cells (see
+    :func:`_layer_stacks`) runs as one.  Only train mode keeps the
+    caches; eval mode returns None for them, so that each direction's
+    sequence arrays are freed when its loop ends.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
     if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
         raise ValueError("train mode with dropout needs an rng")
     if len(stacks) == 1:
-        out, cache = _gru_sequence_forward(stacks[0], (sequence, sequence[::-1]), keep)
+        out, cache = _gru_sequence_forward(stacks[0], (sequence, sequence[::-1]), train)
         out_f, out_b_rev = out.swapaxes(0, 1)
         runs = (cache,)
     else:
         (out_f, cache_f), (out_b_rev, cache_b) = (
-            _gru_sequence_forward(cells, (seq,), keep)
+            _gru_sequence_forward(cells, (seq,), train)
             for cells, seq in zip(stacks, (sequence, sequence[::-1]))
         )
         runs = (cache_f, cache_b)
@@ -288,38 +267,14 @@ def _bigru_forward(
             out *= mask
         masks.append(mask)
     out = np.concatenate([out_f, out_b_rev[::-1]], axis=2)
-    return out, _BiGRUCache(runs, *masks)
-
-
-def bigru_forward(
-    forward_params: GRUCellParams,
-    backward_params: GRUCellParams,
-    dropout_fwd: float,
-    dropout_bwd: float,
-    sequence: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, _BiGRUCache]:
-    """Run both directions over a (time, batch, width) sequence.
-
-    The backward direction consumes the flipped sequence and its output is
-    flipped back, so output step t concatenates the forward state after
-    seeing x[0..t] with the backward state after seeing x[t..T-1].
-    Inverted dropout is applied per direction in train mode only, the
-    forward direction's mask drawn first.  Cells that stack (see
-    :func:`_layer_stacks`) run both directions as one stack.
-    """
-    return _bigru_forward(
-        _layer_stacks(forward_params, backward_params),
-        dropout_fwd, dropout_bwd, sequence, mode, rng,
-    )
+    return out, (_BiGRUCache(runs, *masks) if train else None)
 
 
 def _gru_sequence_backward(
-    cells: GRUCellParams | _CellStack,
+    cells: GRUCellParams,
     d_out: np.ndarray,
     cache: _SequenceCache,
-    grads: GRUCellParams | _CellStack,
+    grads: GRUCellParams,
 ) -> np.ndarray:
     """Backprop one cell, or a stack, over its T steps into ``grads`` (overwritten).
 
@@ -377,9 +332,10 @@ def _bigru_backward(
     dout: np.ndarray,
     cache: _BiGRUCache,
 ) -> np.ndarray:
+    """Backprop both directions into ``grad_stacks``, which stack as ``stacks``; returns d(input)."""
     hf = stacks[0].hidden_size
     d_f = dout[:, :, :hf]
-    d_b_rev = flip(dout[:, :, hf:])
+    d_b_rev = dout[::-1, :, hf:]
     if cache.mask_fwd is not None:
         d_f = d_f * cache.mask_fwd
     if cache.mask_bwd is not None:
@@ -393,30 +349,6 @@ def _bigru_backward(
             for args in zip(stacks, (d_f, d_b_rev), cache.runs, grad_stacks)
         )
     return dx_f + dx_b_rev[::-1]
-
-
-def bigru_backward(
-    forward_params: GRUCellParams,
-    backward_params: GRUCellParams,
-    dout: np.ndarray,
-    cache: _BiGRUCache,
-    grads_fwd: GRUCellParams,
-    grads_bwd: GRUCellParams,
-) -> np.ndarray:
-    """Backprop through both directions into the cells' gradients; returns d(input).
-
-    The gradient cells must stack as the parameter cells do, as those of
-    two :class:`ModelParams` of the same units do.
-    """
-    stacks = _layer_stacks(forward_params, backward_params)
-    grad_stacks = _layer_stacks(grads_fwd, grads_bwd)
-    if len(grad_stacks) != len(stacks):
-        raise ValueError("the gradient cells do not stack as the parameter cells do")
-    return _bigru_backward(stacks, grad_stacks, dout, cache)
-
-
-CELL_NAMES = ("m1f", "m1b", "m2f", "m2b")
-CELL_FIELDS = ("W_U", "W_R", "W_h", "b_U", "b_R", "b_h")
 
 
 def _cell_sizes(gru_units: tuple[int, int, int, int]):
@@ -539,22 +471,14 @@ def network_forward(
     windows: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, tuple]:
+) -> tuple[np.ndarray, tuple | None]:
     """Predict one scalar per window.
 
     ``windows`` is (batch, window_length) of indicator values; returns the
-    (batch,) predictions and the caches needed by :func:`network_backward`.
+    (batch,) predictions and, in train mode, the caches needed by
+    :func:`network_backward`.  Eval mode keeps no caches and returns None
+    for them.
     """
-    return _network_forward(spec, windows, mode, rng)
-
-
-def _network_forward(
-    spec: DualBiGRUSpec,
-    windows: np.ndarray,
-    mode: str,
-    rng: np.random.Generator | None,
-    keep: bool = True,
-) -> tuple[np.ndarray, tuple]:
     if spec.params is None:
         raise ValueError("spec has no parameters; call init_params or train first")
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
@@ -565,11 +489,11 @@ def _network_forward(
     d1, d2, d3, d4 = spec.dropout_rates
     layer1, layer2 = spec.params.layers
     seq = windows.T[:, :, None]  # (T, B, 1)
-    out1, cache1 = _bigru_forward(layer1, d1, d2, seq, mode, rng, keep)
-    out2, cache2 = _bigru_forward(layer2, d3, d4, out1, mode, rng, keep)
+    out1, cache1 = _bigru_forward(layer1, d1, d2, seq, mode, rng)
+    out2, cache2 = _bigru_forward(layer2, d3, d4, out1, mode, rng)
     last = out2[-1]
     y = last @ spec.params.dense_w + spec.params.dense_b
-    return y, (cache1, cache2, last, out2.shape)
+    return y, (None if cache1 is None else (cache1, cache2, last, out2.shape))
 
 
 def network_backward(
@@ -769,12 +693,8 @@ def train(
 
 
 def predict(spec: DualBiGRUSpec, windows: np.ndarray) -> np.ndarray:
-    """Deterministic eval-mode predictions, one per window.
-
-    The forward of :func:`network_forward`, keeping no backprop caches:
-    each sequence's arrays are freed when its loop ends.
-    """
-    return _network_forward(spec, windows, "eval", None, keep=False)[0]
+    """Deterministic eval-mode predictions, one per window."""
+    return network_forward(spec, windows)[0]
 
 
 MODEL_MAGIC = "dual-bigru-model v1"
@@ -809,6 +729,8 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
 
     The header is read line by line up to the first ``end-header``, then the
     data section straight into a parameter buffer of the size the header gives.
+    A regular file must hold exactly that many bytes before the buffer is
+    allocated, so a corrupt header cannot ask for more memory than the file.
     """
     path = Path(path)
     if not path.exists():
@@ -838,6 +760,9 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
             if lines != _header_lines(spec):
                 raise ValueError("header does not match the v1 layout for its gru_units")
             size = sum(math.prod(shape) for _, shape in tensor_layout(spec.gru_units))
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and (left := info.st_size - fh.tell()) != 8 * size:
+                raise ValueError(f"{left} data bytes, but units {spec.gru_units} need {8 * size}")
             flat = np.empty(size, dtype="<f8")
             got = fh.readinto(memoryview(flat).cast("B"))
             extra = fh.read(1)

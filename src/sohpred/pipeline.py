@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -247,6 +248,14 @@ class AnchoredScale:
     top: float
     span: float
     band: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.top):
+            raise ValueError(f"top = {self.top} is not finite")
+        if not (math.isfinite(self.span) and self.span > 0.0):
+            raise ValueError(f"span = {self.span} is not finite and positive")
+        if not 0.0 < self.band <= 1.0:
+            raise ValueError(f"band = {self.band} outside (0, 1]")
 
     @classmethod
     def fit(cls, train_values: np.ndarray, band: float) -> "AnchoredScale":

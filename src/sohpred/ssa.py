@@ -4,8 +4,8 @@ The population splits into producers (the best-ranked fraction, which
 explore), scroungers (which follow the best producer), and randomly chosen
 warners (which relocate relative to the global best).  Positions stay
 continuous internally; integer dimensions are rounded whenever a position
-is evaluated or decoded.  Also provides the encoding between positions and
-the network/training hyperparameters searched here.
+is evaluated or decoded.  Also provides the hyperparameter domain searched
+here and the decoding of its positions into network and training settings.
 """
 
 from __future__ import annotations
@@ -480,15 +480,3 @@ def decode(
     )
     return spec, training
 
-
-def encode(spec: DualBiGRUSpec, training: TrainingConfig) -> np.ndarray:
-    """Inverse of :func:`decode` on the searched fields."""
-    return np.array(
-        [
-            *(float(g) for g in spec.gru_units),
-            float(training.max_epochs),
-            training.learning_rate,
-            float(training.batch_size),
-            *spec.dropout_rates,
-        ]
-    )

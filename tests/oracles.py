@@ -1,8 +1,11 @@
 """Independent recomputations used as oracles by the test suite, and its memory probe.
 
-Everything here is deliberately written separately from the vectorized
-implementations it checks: scalar by scalar, or step by step where the
-implementation works on a whole sequence at once.
+The recomputations are deliberately written separately from the vectorized
+implementations they check: scalar by scalar, or step by step where the
+implementation works on a whole sequence at once.  The first few functions
+are not oracles but the handles the tests take the package by: a cell in
+arrays of its own, one block's forward and backward through the package's
+private loops, and the inverse of ``ssa.decode``.
 """
 
 import csv
@@ -15,6 +18,61 @@ import numpy as np
 
 from sohpred import ingest
 from sohpred import neuralnet as nn
+
+
+def init_gru_cell(input_size, hidden_size, rng):
+    """One Glorot-uniform cell with zero biases, in arrays of its own."""
+    joint = input_size + hidden_size
+    return nn.GRUCellParams(
+        W_U=nn._glorot(rng, (hidden_size, joint)),
+        W_R=nn._glorot(rng, (hidden_size, joint)),
+        W_h=nn._glorot(rng, (hidden_size, joint)),
+        b_U=np.zeros(hidden_size),
+        b_R=np.zeros(hidden_size),
+        b_h=np.zeros(hidden_size),
+        input_size=input_size,
+        hidden_size=hidden_size,
+    )
+
+
+def flip(sequence):
+    """Reverse the time axis (axis 0), as a copy."""
+    return np.asarray(sequence)[::-1].copy()
+
+
+def bigru_forward(forward_params, backward_params, dropout_fwd, dropout_bwd,
+                  sequence, mode="eval", rng=None):
+    """One block's two cells through :func:`nn._bigru_forward`, as one stack where they stack."""
+    return nn._bigru_forward(
+        nn._layer_stacks(forward_params, backward_params),
+        dropout_fwd, dropout_bwd, sequence, mode, rng,
+    )
+
+
+def bigru_backward(forward_params, backward_params, dout, cache, grads_fwd, grads_bwd):
+    """:func:`nn._bigru_backward` of one block's cells into their gradient cells; returns d(input).
+
+    The gradient cells must stack as the parameter cells do, as those of
+    two :class:`nn.ModelParams` of the same units do.
+    """
+    stacks = nn._layer_stacks(forward_params, backward_params)
+    grad_stacks = nn._layer_stacks(grads_fwd, grads_bwd)
+    if len(grad_stacks) != len(stacks):
+        raise ValueError("the gradient cells do not stack as the parameter cells do")
+    return nn._bigru_backward(stacks, grad_stacks, dout, cache)
+
+
+def encode(spec, training):
+    """Inverse of :func:`ssa.decode` on the searched fields."""
+    return np.array(
+        [
+            *(float(g) for g in spec.gru_units),
+            float(training.max_epochs),
+            training.learning_rate,
+            float(training.batch_size),
+            *spec.dropout_rates,
+        ]
+    )
 
 
 def scalar_cell_oracle(cell, x, h_prev):
@@ -89,7 +147,7 @@ def gru_cell_forward(params, x, h_prev):
 
 def per_step_bigru_forward(forward_params, backward_params, dropout_fwd, dropout_bwd,
                            sequence, mode="eval", rng=None):
-    """:func:`nn.bigru_forward` with one :func:`gru_cell_forward` call per step."""
+    """:func:`bigru_forward` with one :func:`gru_cell_forward` call per step."""
     train = mode == "train"
 
     def direction(cell, seq):
@@ -181,7 +239,7 @@ def sequence_backward_reference(params, d_out, cache, grads):
 
 def bigru_forward_reference(forward_params, backward_params, dropout_fwd, dropout_bwd,
                             sequence, mode="eval", rng=None):
-    """:func:`nn.bigru_forward` with each direction run alone; returns (out, cache)."""
+    """:func:`bigru_forward` with each direction run alone; returns (out, cache)."""
     train = mode == "train"
     out_f, cache_f = sequence_forward_reference(forward_params, sequence)
     mask_f = nn._dropout_mask(rng, out_f.shape, dropout_fwd) if train else None
@@ -196,17 +254,17 @@ def bigru_forward_reference(forward_params, backward_params, dropout_fwd, dropou
 
 
 def bigru_backward_reference(forward_params, backward_params, dout, cache, grads_fwd, grads_bwd):
-    """:func:`nn.bigru_backward` with each direction run alone; returns d(input)."""
+    """:func:`bigru_backward` with each direction run alone; returns d(input)."""
     cache_f, cache_b, mask_f, mask_b = cache
     hf = forward_params.hidden_size
     d_f = dout[:, :, :hf]
-    d_b_rev = nn.flip(dout[:, :, hf:])
+    d_b_rev = flip(dout[:, :, hf:])
     if mask_f is not None:
         d_f = d_f * mask_f
     if mask_b is not None:
         d_b_rev = d_b_rev * mask_b
     dseq = sequence_backward_reference(forward_params, d_f, cache_f, grads_fwd)
-    dseq += nn.flip(sequence_backward_reference(backward_params, d_b_rev, cache_b, grads_bwd))
+    dseq += flip(sequence_backward_reference(backward_params, d_b_rev, cache_b, grads_bwd))
     return dseq
 
 

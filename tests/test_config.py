@@ -194,6 +194,14 @@ def test_unknown_split_mode(tmp_path, hi_table, capsys):
     assert "'indx'" in err
 
 
+@pytest.mark.parametrize("value, shown", [("0", "0.0"), ("-1.0", "-1.0"), (".nan", "nan")])
+def test_scale_band_outside_the_unit_interval_names_the_key(tmp_path, hi_table, capsys, value, shown):
+    code, out = train_with(tmp_path, f"experiment:\n  scale_band: {value}\n", hi_table)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'cfg.yaml'}: experiment.scale_band = {shown} outside (0, 1]\n"
+
+
 def test_every_key_read_before_is_settable():
     settable = set(cli.CONFIG_SCHEMA)
     assert len(settable) == 70  # 69 values and experiment.network itself

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     adam_reference,
+    bigru_backward,
     bigru_backward_reference,
+    bigru_forward,
     bigru_forward_reference,
+    flip,
     forward_oracle,
     gradcheck,
     gru_cell_forward,
+    init_gru_cell,
     network_reference,
     per_step_bigru_forward,
     per_step_network_backward,
@@ -27,7 +31,7 @@ from sohpred.seeding import derive_rng
 
 
 def zeroed_cell(input_size, hidden_size):
-    cell = nn.init_gru_cell(input_size, hidden_size, np.random.default_rng(0))
+    cell = init_gru_cell(input_size, hidden_size, np.random.default_rng(0))
     for name in ("W_U", "W_R", "W_h"):
         getattr(cell, name)[:] = 0.0
     return cell
@@ -56,14 +60,14 @@ class TestGRUCell:
         assert np.allclose(U, 0.5) and np.allclose(R, 0.5) and np.allclose(h_tilde, 0.0)
 
     def test_zero_input_zero_state(self):
-        cell = nn.init_gru_cell(2, 3, np.random.default_rng(1))
+        cell = init_gru_cell(2, 3, np.random.default_rng(1))
         h, _ = gru_cell_forward(cell, np.zeros(2), np.zeros(3))
         assert np.allclose(h, 0.0)
 
     @ONLY_FORM
     def test_random_case_matches_scalar_oracle(self, form):
         rng = np.random.default_rng(42)
-        cell = nn.init_gru_cell(2, 3, rng)
+        cell = init_gru_cell(2, 3, rng)
         cell.b_U[:] = rng.normal(size=3)
         cell.b_R[:] = rng.normal(size=3)
         cell.b_h[:] = rng.normal(size=3)
@@ -74,19 +78,19 @@ class TestGRUCell:
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        cell = nn.init_gru_cell(2, 3, np.random.default_rng(0))
+        cell = init_gru_cell(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="dimension mismatch"):
             gru_cell_forward(cell, np.zeros(5), np.zeros(3))
 
     def test_update_gate_forced_closed_keeps_state(self):
-        cell = nn.init_gru_cell(1, 4, np.random.default_rng(3))
+        cell = init_gru_cell(1, 4, np.random.default_rng(3))
         cell.b_U[:] = -1e3  # update gate exactly 0 in float64
         h_prev = np.array([0.3, -0.8, 0.1, 0.9])
         h, _ = gru_cell_forward(cell, np.array([0.5]), h_prev)
         assert np.array_equal(h, h_prev)
 
     def test_update_gate_forced_open_takes_candidate(self):
-        cell = nn.init_gru_cell(1, 4, np.random.default_rng(3))
+        cell = init_gru_cell(1, 4, np.random.default_rng(3))
         cell.b_U[:] = 1e3  # update gate exactly 1
         h_prev = np.array([0.3, -0.8, 0.1, 0.9])
         x = np.array([0.5])
@@ -97,7 +101,7 @@ class TestGRUCell:
     @settings(max_examples=30, deadline=None)
     def test_hidden_state_bounded_from_zero_init(self, seed):
         rng = np.random.default_rng(seed)
-        cell = nn.init_gru_cell(1, 3, rng)
+        cell = init_gru_cell(1, 3, rng)
         h = np.zeros(3)
         for t in range(6):
             h, _ = gru_cell_forward(cell, rng.normal(size=1) * 5.0, h)
@@ -120,25 +124,25 @@ class TestGRUCell:
 class TestFlip:
     def test_three_elements(self):
         seq = np.array([[[1.0]], [[2.0]], [[3.0]]])
-        assert np.array_equal(nn.flip(seq)[:, 0, 0], [3.0, 2.0, 1.0])
+        assert np.array_equal(flip(seq)[:, 0, 0], [3.0, 2.0, 1.0])
 
     def test_singleton(self):
         seq = np.array([[[5.0]]])
-        assert np.array_equal(nn.flip(seq), seq)
+        assert np.array_equal(flip(seq), seq)
 
     @given(n=st.integers(1, 8), seed=st.integers(0, 999))
     @settings(max_examples=30, deadline=None)
     def test_involution(self, n, seed):
         seq = np.random.default_rng(seed).normal(size=(n, 2, 3))
-        assert np.array_equal(nn.flip(nn.flip(seq)), seq)
+        assert np.array_equal(flip(flip(seq)), seq)
 
 
 class TestBiGRU:
     def test_palindrome_symmetry_with_shared_params(self):
         rng = np.random.default_rng(5)
-        cell = nn.init_gru_cell(1, 3, rng)
+        cell = init_gru_cell(1, 3, rng)
         seq = np.array([0.3, -0.7, 1.1, -0.7, 0.3])[:, None, None]
-        out, _ = nn.bigru_forward(cell, cell, 0.0, 0.0, seq, mode="eval")
+        out, _ = bigru_forward(cell, cell, 0.0, 0.0, seq, mode="eval")
         fwd, bwd = out[:, 0, :3], out[:, 0, 3:]
         # reversing time swaps the roles of the two directions
         assert np.allclose(fwd, bwd[::-1], atol=1e-12)
@@ -146,25 +150,25 @@ class TestBiGRU:
     def test_eval_mode_ignores_rng(self):
         rng_a = np.random.default_rng(1)
         rng_b = np.random.default_rng(2)
-        cell_f = nn.init_gru_cell(1, 2, np.random.default_rng(0))
-        cell_b = nn.init_gru_cell(1, 2, np.random.default_rng(9))
+        cell_f = init_gru_cell(1, 2, np.random.default_rng(0))
+        cell_b = init_gru_cell(1, 2, np.random.default_rng(9))
         seq = np.random.default_rng(3).normal(size=(4, 2, 1))
-        out_a, _ = nn.bigru_forward(cell_f, cell_b, 0.3, 0.3, seq, "eval", rng_a)
-        out_b, _ = nn.bigru_forward(cell_f, cell_b, 0.3, 0.3, seq, "eval", rng_b)
+        out_a, _ = bigru_forward(cell_f, cell_b, 0.3, 0.3, seq, "eval", rng_a)
+        out_b, _ = bigru_forward(cell_f, cell_b, 0.3, 0.3, seq, "eval", rng_b)
         assert np.array_equal(out_a, out_b)
 
     def test_zero_cells_zero_output(self):
         cell_f = zeroed_cell(1, 2)
         cell_b = zeroed_cell(1, 3)
         seq = np.random.default_rng(0).normal(size=(5, 2, 1))
-        out, _ = nn.bigru_forward(cell_f, cell_b, 0.0, 0.0, seq, "eval")
+        out, _ = bigru_forward(cell_f, cell_b, 0.0, 0.0, seq, "eval")
         assert np.allclose(out, 0.0)
 
     def test_train_mode_needs_rng_with_dropout(self):
-        cell = nn.init_gru_cell(1, 2, np.random.default_rng(0))
+        cell = init_gru_cell(1, 2, np.random.default_rng(0))
         seq = np.zeros((3, 1, 1))
         with pytest.raises(ValueError, match="needs an rng"):
-            nn.bigru_forward(cell, cell, 0.2, 0.0, seq, "train", None)
+            bigru_forward(cell, cell, 0.2, 0.0, seq, "train", None)
 
     @pytest.mark.parametrize("units", [(2, 1, 2, 1), (3, 3, 3, 3), (5, 7, 4, 6)])
     @pytest.mark.parametrize("steps", [1, 5])
@@ -178,7 +182,7 @@ class TestBiGRU:
                 bias[:] = rng.normal(size=cell.hidden_size) * 0.3
         seq = rng.normal(size=(steps, batch, 1))
         for pair in (cells[:2], cells[2:]):  # block 2 reads block 1's output
-            ours, _ = nn.bigru_forward(*pair, dropout, dropout, seq, "train", derive_rng(4, "mask"))
+            ours, _ = bigru_forward(*pair, dropout, dropout, seq, "train", derive_rng(4, "mask"))
             ref = per_step_bigru_forward(
                 *pair, dropout, dropout, seq, "train", derive_rng(4, "mask")
             )
@@ -214,6 +218,18 @@ class TestNetworkForward:
         preds, _ = nn.network_forward(spec, windows)
         for i in range(5):
             assert preds[i] == pytest.approx(forward_oracle(spec, windows[i]), abs=1e-10)
+
+    # both blocks stacked, neither, and one of each
+    @pytest.mark.parametrize("units", [(3, 3, 4, 4), (3, 2, 4, 3), (16, 16, 12, 16)])
+    def test_eval_mode_keeps_no_cache_and_predicts_as_train_mode(self, units):
+        spec = built_spec(units=units, window=5)
+        windows = np.random.default_rng(4).normal(size=(6, 5))
+        preds, cache = nn.network_forward(spec, windows)
+        assert cache is None
+        train_preds, train_cache = nn.network_forward(spec, windows, "train")
+        assert train_cache is not None
+        assert np.array_equal(preds, nn.predict(spec, windows))
+        assert np.array_equal(preds, train_preds)
 
     def test_window_length_checked(self):
         spec = built_spec(window=4)
@@ -292,7 +308,7 @@ class TestBackward:
         g3 = spec.gru_units[2]
         spec.params.dense_w[g3:] = 0.0  # block-2 backward half unread
         windows = np.random.default_rng(0).normal(size=(3, 3))
-        preds, cache = nn.network_forward(spec, windows)
+        preds, cache = nn.network_forward(spec, windows, "train")
         _, dy = nn.mse_loss(preds, np.zeros(3))
         grads = nn.network_backward(spec, dy, cache, spec.params.zeros_like())
         for name in nn.CELL_FIELDS:
@@ -304,7 +320,7 @@ class TestBackward:
         windows = np.random.default_rng(1).normal(size=(3, 3))
         outs = []
         for _ in range(2):
-            preds, cache = nn.network_forward(spec, windows)
+            preds, cache = nn.network_forward(spec, windows, "train")
             _, dy = nn.mse_loss(preds, np.zeros(3))
             grads = nn.network_backward(spec, dy, cache, spec.params.zeros_like())
             outs.append({k: v.copy() for k, v in nn.iter_arrays(grads)})
@@ -376,13 +392,13 @@ class TestStackedDirections:
         seq = windows.T[:, :, None]
         for k in (0, 2):  # block 2 reads block 1's output
             pair = cells[k : k + 2]
-            out, cache = nn.bigru_forward(*pair, dropout, dropout, seq, "train", mask_rng)
+            out, cache = bigru_forward(*pair, dropout, dropout, seq, "train", mask_rng)
             ref_out, ref_cache = bigru_forward_reference(
                 *pair, dropout, dropout, seq, "train", ref_mask_rng
             )
             assert np.array_equal(out, ref_out)
             dout = rng.normal(size=out.shape)
-            dx = nn.bigru_backward(*pair, dout, cache, *grads.cells[k : k + 2])
+            dx = bigru_backward(*pair, dout, cache, *grads.cells[k : k + 2])
             ref_dx = bigru_backward_reference(*pair, dout, ref_cache, *ref_grads.cells[k : k + 2])
             assert np.array_equal(dx, ref_dx)
             seq = out
@@ -430,7 +446,7 @@ class TestStackedDirections:
 
     def test_cells_of_separate_buffers_do_not_stack(self):
         rng = np.random.default_rng(0)
-        cells = nn.init_gru_cell(1, 3, rng), nn.init_gru_cell(1, 3, rng)
+        cells = init_gru_cell(1, 3, rng), init_gru_cell(1, 3, rng)
         first, second = nn._layer_stacks(*cells)
         assert first is cells[0] and second is cells[1]
 
@@ -710,6 +726,15 @@ class TestSerialization:
         nn.save_model(built_spec(units=(2, 1, 2, 1), window=3), path)
         path.write_bytes(edit(path.read_bytes()))
         return path
+
+    def test_header_larger_than_the_data_names_path(self, tmp_path):
+        # the header of a 200,000-unit network asks for 7 TiB; the file holds 16 bytes
+        huge = nn.DualBiGRUSpec(3, (200_000,) * 4, (0.0,) * 4)
+        path = self.saved(
+            tmp_path, lambda b: ("\n".join(nn._header_lines(huge)) + "\n").encode() + bytes(16)
+        )
+        with pytest.raises(ValueError, match=r"model\.bin: corrupt model file \(16 data bytes"):
+            nn.load_model(path)
 
     def test_missing_header_field_names_path(self, tmp_path):
         path = self.saved(tmp_path, lambda b: b.replace(b"window_length 3\n", b""))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -132,6 +133,17 @@ class TestAnchoredScale:
         scale = AnchoredScale.fit(np.full(5, 3.0), band=0.25)
         assert np.all(np.isfinite(scale.forward(np.full(5, 3.0))))
 
+    @pytest.mark.parametrize("fields, problem", [
+        ({"top": np.inf}, "top = inf is not finite"),
+        ({"span": 0.0}, "span = 0.0 is not finite and positive"),
+        ({"span": np.nan}, "span = nan is not finite and positive"),
+        ({"band": 0.0}, "band = 0.0 outside (0, 1]"),
+        ({"band": 1.5}, "band = 1.5 outside (0, 1]"),
+    ])
+    def test_degenerate_scale_rejected(self, fields, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            AnchoredScale(**{"top": 1.0, "span": 1.0, "band": 0.25, **fields})
+
 
 class TestWindowAudit:
     def test_windows_never_cross_the_boundary(self):
@@ -261,6 +273,11 @@ class TestPredictor:
             "target_scale: {top: 1.0, span: 1.0, band: 0.25}\ndenoise_rank: two\n",
             "input_scale: [unclosed\n",
             "just text\n",
+            # degenerate scales, which would divide by zero
+            "input_scale: {top: 1.0, span: 0, band: 0.25}\n"
+            "target_scale: {top: 1.0, span: 1.0, band: 0.25}\ndenoise_rank: 2\n",
+            "input_scale: {top: 1.0, span: 1.0, band: 0.25}\n"
+            "target_scale: {top: 1.0, span: 1.0, band: 0}\ndenoise_rank: 2\n",
         ],
     )
     def test_malformed_scaler_names_file(self, tmp_path, text):

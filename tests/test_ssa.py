@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import encode
 
 from sohpred import ssa
 from sohpred.ssa import (
@@ -13,7 +14,6 @@ from sohpred.ssa import (
     Sparrow,
     SSAConfig,
     decode,
-    encode,
     encode_hyperparameters,
     initialize_population,
     optimize,
