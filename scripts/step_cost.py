@@ -20,9 +20,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from sohpred import blas
 from sohpred import neuralnet as nn
 from sohpred.seeding import derive_rng
-from sohpred.ssa import EPOCHS_RANGE, _openblas_threads
+from sohpred.ssa import EPOCHS_RANGE
 
 WINDOW_LENGTH = 5  # pipeline.DEFAULT_WINDOW_LENGTH
 WINDOWS = 17  # README config: 100 cycles at start fraction 0.25 give 21, the search holds out 4
@@ -58,10 +59,8 @@ def main():
     ap.add_argument("--steps", type=int, default=20, help="timed steps per row")
     args = ap.parse_args()
 
-    blas = _openblas_threads()
-    if blas:
-        blas[1](1)
-    threads = blas[0]() if blas else "left as found (no OpenBLAS setter)"
+    getter = blas.openblas_threads()
+    threads = getter[0]() if getter else "left as found (no OpenBLAS setter)"
     print(f"BLAS threads: {threads}; window length {WINDOW_LENGTH}, {WINDOWS} windows; "
           f"medians of {args.steps} steps; {CANDIDATES} candidates per protocol")
     low, high = EPOCHS_RANGE
@@ -78,4 +77,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    with blas.one_thread():
+        main()

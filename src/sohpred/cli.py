@@ -361,6 +361,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_extract(ex: dict, source: str | None) -> None:
+    """ConfigError naming the first key of the extract section that the stage cannot use."""
+    window, order, denoise = ex["sg_window"], ex["sg_order"], ex["denoise"]
+    checks = [  # NaN fails the comparisons too
+        ("bin_width", ex["bin_width"], 0.0 < ex["bin_width"] < math.inf, "is not a positive width"),
+        ("sg_order", order, order >= 0, "is negative"),
+        ("sg_window", window, window % 2 == 1, "is not odd"),
+        ("sg_window", window, window > order, f"does not exceed extract.sg_order = {order}"),
+        ("area_halfwidths", [], bool(ex["area_halfwidths"]), "is empty"),
+        *((f"area_halfwidths[{i}]", hw, 0.0 < hw < math.inf, "is not a positive width")
+          for i, hw in enumerate(ex["area_halfwidths"], 1)),
+        ("denoise", denoise, 0.0 < denoise < 1.0 if isinstance(denoise, float) else denoise >= 1,
+         "is neither a rank >= 1 nor an energy fraction in (0, 1)"),
+    ]
+    for key, value, ok, why in checks:
+        if not ok:
+            raise ConfigError(f"{source}: extract.{key} = {value} {why}")
+
+
 def _extract_artifacts(conf: dict, dataset: Path):
     """Shared extract stage: parse cycles, build indicators, rank them."""
     ex = conf["extract"]
@@ -372,14 +391,15 @@ def _extract_artifacts(conf: dict, dataset: Path):
         denominator=ex["soh_denominator"],
         index=[r.cycle_index for r in records],
     )
-    curves = [
-        icfeatures.savitzky_golay(
-            icfeatures.compute_ic_curve(r, ex["bin_width"]), ex["sg_window"], ex["sg_order"]
+    try:
+        curves = icfeatures.smooth_curves(
+            [icfeatures.compute_ic_curve(r, ex["bin_width"]) for r in records],
+            ex["sg_window"], ex["sg_order"],
         )
-        for r in records
-    ]
-    sweep = icfeatures.sweep_area_boundaries(curves, soh, ex["area_halfwidths"])
-    rows = [icfeatures.dimensionless_features(c, area_halfwidth=sweep.halfwidth) for c in curves]
+        sweep = icfeatures.sweep_area_boundaries(curves, soh, ex["area_halfwidths"])
+        rows = icfeatures.feature_rows(curves, area_halfwidth=sweep.halfwidth)
+    except ValueError as exc:
+        raise ValueError(f"{dataset}: {exc}") from None
 
     candidates = [
         HISeries("MF", np.array([r.mf for r in rows])),
@@ -397,7 +417,7 @@ def _extract_artifacts(conf: dict, dataset: Path):
         chosen = select_hi(report, candidates, top_k=1)[0]
     else:
         chosen = next(c for c in candidates if c.name == ex["hi"])
-    return records, dropped, soh, curves, sweep, rows, candidates, report, chosen
+    return records, dropped, soh, sweep, rows, report, chosen
 
 
 def _dataset_path(args, conf: dict) -> Path:
@@ -409,13 +429,12 @@ def _dataset_path(args, conf: dict) -> Path:
 
 def cmd_extract(args) -> int:
     written, conf = _load_config(args.config)
+    _check_extract(conf["extract"], args.config)
     dataset = _dataset_path(args, conf)
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
     manifest = build_manifest("extract", written, [dataset], [args.seed])
-    records, dropped, soh, curves, sweep, rows, candidates, report, chosen = (
-        _extract_artifacts(conf, dataset)
-    )
+    records, dropped, soh, sweep, rows, report, chosen = _extract_artifacts(conf, dataset)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import blas
 from .ingest import SOHSeries
 
 HI_NAMES = ("MF", "PF", "Kur", "CF", "WF", "Area", "Peak")
@@ -89,7 +90,10 @@ def hankel_svd_denoise(
     if n < 4:
         raise ValueError(f"series too short to denoise (n={n} < 4)")
     H = hankel_matrix(series.values)
-    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    # on one thread: a second one gains nothing at this size, and on 2 shared
+    # cores it stretched some processes' seven SVDs from 0.04 s to about 1 s
+    with blas.one_thread():
+        U, s, Vt = np.linalg.svd(H, full_matrices=False)
     if isinstance(rank, (int, np.integer)) and not isinstance(rank, bool):
         k = int(rank)
         if k < 1:
@@ -104,13 +108,11 @@ def hankel_svd_denoise(
         k = min(k, s.size)
     approx = (U[:, :k] * s[:k]) @ Vt[:k]
 
+    # each anti-diagonal summed in row order, as np.add.at would
     length, width = approx.shape
-    out = np.zeros(n)
-    counts = np.zeros(n)
-    offsets = np.arange(length)[:, None] + np.arange(width)[None, :]
-    np.add.at(out, offsets, approx)
-    np.add.at(counts, offsets, 1.0)
-    return replace(series, values=out / counts, denoised=True)
+    offsets = (np.arange(length)[:, None] + np.arange(width)).ravel()
+    sums = np.bincount(offsets, weights=approx.ravel())
+    return replace(series, values=sums / np.bincount(offsets), denoised=True)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

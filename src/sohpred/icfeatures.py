@@ -7,12 +7,19 @@ boundaries, so the trapezoidal integral of the curve over its full range
 recovers the cycle's total charge exactly.  Indicators extracted per cycle:
 crest/pulse/margin/waveform factors and kurtosis of the curve samples, the
 peak height, and the area inside a voltage window around the peak.
+
+Every step after the IC curve works on a list of curves at once.  Curves of
+equal length are smoothed and reduced as one 2-D stack, and area windows
+with equal numbers of interior grid points are integrated together; a cell
+of 300 cycles has 4-5 curve lengths.  The per-curve functions are a batch
+of one, so a curve gets the same bits alone as in its cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,9 +48,9 @@ class ICCurve:
         dqdv = np.asarray(self.dqdv, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or grid.size != dqdv.size:
             raise ValueError("grid and dqdv must be 1-D, equal length >= 2")
-        if np.any(np.diff(grid) <= 0):
+        if (grid[1:] <= grid[:-1]).any():
             raise ValueError("voltage grid must be strictly increasing")
-        if not np.all(np.isfinite(dqdv)):
+        if not np.isfinite(dqdv).all():
             raise ValueError("dqdv must be finite everywhere")
         object.__setattr__(self, "voltage_grid", grid)
         object.__setattr__(self, "dqdv", dqdv)
@@ -91,29 +98,51 @@ def compute_ic_curve(
     The voltage span is partitioned into bins of ``bin_width``; accumulated
     charge is linearly interpolated at the bin boundaries (which also fills
     bins without samples) and differenced, giving charge per volt on the
-    boundary grid.
+    boundary grid.  A cycle whose curve cannot be built fails naming it.
     """
     t, v, q = record.charge_curve.T
-    # enforce a monotone voltage axis: keep the running upper envelope
-    keep = v >= np.maximum.accumulate(v)
-    v_clean, q_clean = v[keep], q[keep]
-    v_clean, unique_idx = np.unique(v_clean, return_index=True)
-    q_clean = q_clean[unique_idx]
+    # a monotone voltage axis with one sample per voltage: the running upper
+    # envelope, taking the first sample of each run of equal voltages as
+    # np.unique(return_index=True) would.  Those are the first sample and every
+    # one above all before it, so one comparison finds them, without a sort.
+    rises = np.ones(v.size, dtype=bool)
+    rises[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
+    v_clean, q_clean = v[rises], q[rises]
+    cycle = f"cycle {record.cycle_index}"
     if v_clean.size < 2:
-        raise ValueError("voltage non-monotone: fewer than 2 distinct points survive")
+        raise ValueError(f"{cycle}: voltage non-monotone: fewer than 2 distinct points survive")
 
     lo = np.floor(v_clean[0] / bin_width) * bin_width
     n_bins = int(np.ceil((v_clean[-1] - lo) / bin_width - 1e-9))
-    if n_bins < 2:
-        raise ValueError(f"fewer than 2 occupied bins at bin width {bin_width}")
+    # floor division is exact, so the bins rise with the voltage, and fewer
+    # than 2 of them are occupied when the first and last samples share one
+    first, last = np.clip((v_clean[[0, -1]] - lo) // bin_width, 0, n_bins - 1)
+    if n_bins < 2 or first == last:
+        raise ValueError(f"{cycle}: fewer than 2 occupied bins at bin width {bin_width}")
     edges = lo + bin_width * np.arange(n_bins + 1)
-    occupied = np.unique(np.clip((v_clean - lo) // bin_width, 0, n_bins - 1))
-    if occupied.size < 2:
-        raise ValueError(f"fewer than 2 occupied bins at bin width {bin_width}")
 
     q_edges = np.interp(edges, v_clean, q_clean)
-    dqdv = np.gradient(q_edges, bin_width)
+    # np.gradient(q_edges, bin_width) written out: central differences inside,
+    # one-sided ones at the two ends
+    dqdv = np.empty_like(q_edges)
+    dqdv[1:-1] = (q_edges[2:] - q_edges[:-2]) / (2.0 * bin_width)
+    dqdv[[0, -1]] = (q_edges[[1, -1]] - q_edges[[0, -2]]) / bin_width
     return ICCurve(record.cycle_index, edges, dqdv, smoothed=False)
+
+
+def _stacks(curves: list[ICCurve]) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The curves grouped by length, in order of first appearance.
+
+    Each group is its positions in ``curves`` and their grids and dQ/dV
+    values stacked as two 2-D arrays, one row per curve.  The groups are
+    made one at a time, so one group's copies are alive at once.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, curve in enumerate(curves):
+        groups.setdefault(curve.dqdv.size, []).append(i)
+    for rows in groups.values():
+        yield (rows, np.array([curves[i].voltage_grid for i in rows]),
+               np.array([curves[i].dqdv for i in rows]))
 
 
 @lru_cache(maxsize=None)
@@ -131,29 +160,60 @@ def _savgol_hat(window: int, poly_order: int) -> np.ndarray:
     return hat
 
 
-def savitzky_golay(
-    curve: ICCurve, window: int = DEFAULT_SG_WINDOW, poly_order: int = DEFAULT_SG_ORDER
-) -> ICCurve:
-    """Least-squares polynomial smoothing on the uniform voltage grid.
+def smooth_curves(
+    curves: list[ICCurve], window: int = DEFAULT_SG_WINDOW, poly_order: int = DEFAULT_SG_ORDER
+) -> list[ICCurve]:
+    """Least-squares polynomial smoothing of each curve on its uniform voltage grid.
 
     Edge points come from evaluating the polynomial fitted to the boundary
     window at their positions (SciPy's ``savgol_filter(mode="interp")``).
+    Interior points are each window's product with the hat matrix's middle
+    row, and edge points the edge rows' products with the boundary window;
+    every product takes one stack of equal-length curves at once.
     """
-    n = curve.dqdv.size
     if window % 2 == 0:
         raise ValueError(f"window must be odd, got {window}")
     if window <= poly_order:
         raise ValueError(f"window {window} must exceed polynomial order {poly_order}")
-    if window > n:
-        raise ValueError(f"window {window} exceeds curve length {n}")
+    if poly_order < 0:
+        raise ValueError(f"polynomial order must be >= 0, got {poly_order}")
     hat = _savgol_hat(window, poly_order)
     half = window // 2
-    dqdv = curve.dqdv
-    smoothed = np.empty(n)
-    smoothed[half : n - half] = sliding_window_view(dqdv, window) @ hat[half]
-    smoothed[:half] = hat[:half] @ dqdv[:window]
-    smoothed[n - half :] = hat[half + 1 :] @ dqdv[n - window :]
-    return replace(curve, dqdv=smoothed, smoothed=True)
+    smoothed = list(curves)
+    for rows, _, dqdv in _stacks(curves):
+        n = dqdv.shape[1]
+        if window > n:
+            cycle = curves[rows[0]].cycle_index
+            raise ValueError(f"cycle {cycle}: window {window} exceeds curve length {n}")
+        out = np.empty_like(dqdv)
+        out[:, half : n - half] = sliding_window_view(dqdv, window, axis=1) @ hat[half]
+        out[:, :half] = np.matmul(hat[:half], dqdv[:, :window, None])[..., 0]
+        out[:, n - half :] = np.matmul(hat[half + 1 :], dqdv[:, n - window :, None])[..., 0]
+        for i, values in zip(rows, out):
+            smoothed[i] = replace(curves[i], dqdv=values, smoothed=True)
+    return smoothed
+
+
+def savitzky_golay(
+    curve: ICCurve, window: int = DEFAULT_SG_WINDOW, poly_order: int = DEFAULT_SG_ORDER
+) -> ICCurve:
+    """One curve through :func:`smooth_curves`."""
+    return smooth_curves([curve], window, poly_order)[0]
+
+
+def _peak_windows(grid: np.ndarray, dqdv: np.ndarray, halfwidths: np.ndarray):
+    """Each row's maximum and the windows of ``halfwidths`` around it, clipped to its grid.
+
+    Returns the peak voltages and heights, one per row, and the lower and
+    upper bounds, one row per curve and one column per half-width.  Ties
+    break toward lower voltage.
+    """
+    rows = np.arange(len(grid))
+    best = np.argmax(dqdv, axis=1)
+    voltage = grid[rows, best]
+    lower = np.maximum(grid[:, :1], voltage[:, None] - halfwidths)
+    upper = np.minimum(grid[:, -1:], voltage[:, None] + halfwidths)
+    return voltage, dqdv[rows, best], lower, upper
 
 
 def locate_peak(curve: ICCurve, halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V) -> PeakDescriptor:
@@ -164,15 +224,70 @@ def locate_peak(curve: ICCurve, halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V) -> 
     """
     if not curve.smoothed:
         raise ValueError("locate_peak expects a smoothed curve")
-    grid = curve.voltage_grid
-    best = np.argmax(curve.dqdv)
-    peak_v = float(grid[best])
-    return PeakDescriptor(
-        peak_voltage=peak_v,
-        peak_height=float(curve.dqdv[best]),
-        lower_bound=max(float(grid[0]), peak_v - halfwidth),
-        upper_bound=min(float(grid[-1]), peak_v + halfwidth),
+    voltage, height, lower, upper = _peak_windows(
+        curve.voltage_grid[None], curve.dqdv[None], np.array([halfwidth])
     )
+    return PeakDescriptor(
+        float(voltage[0]), float(height[0]), float(lower[0, 0]), float(upper[0, 0])
+    )
+
+
+def _interpolated(grid: np.ndarray, dqdv: np.ndarray, j: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``np.interp(at[i, k], grid[i], dqdv[i])`` for every ``i, k``, with np.interp's arithmetic.
+
+    ``j[i, k]`` is the grid point at or below ``at[i, k]``, which lies within
+    its row's grid; ``grid`` has a column of +inf past the last point.
+    """
+    rows = np.arange(len(grid))[:, None]
+    x0, y0 = grid[rows, j], dqdv[rows, j]
+    slope = (dqdv[rows, j + 1] - y0) / (grid[rows, j + 1] - x0)
+    return np.where(x0 == at, y0, slope * (at - x0) + y0)
+
+
+def _areas(curves: list[ICCurve], lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Trapezoidal integrals of dQ/dV in ampere-hours, one per window.
+
+    Row ``i`` of ``lower`` and ``upper`` holds the windows of ``curves[i]``.
+    A window's points are its two bounds, whose values are interpolated,
+    and the grid points strictly inside it, whose values are the curve's
+    own; windows with equal numbers of inside points are integrated as one
+    stack.  Each area has the bits of ``np.trapezoid`` over those points.
+    """
+    sizes = np.array([c.dqdv.size for c in curves])
+    # one column of +inf past the longest grid, so no grid point lies beyond
+    # a window and the point after the last one can always be indexed
+    grid = np.full((len(curves), sizes.max(initial=0) + 1), np.inf)
+    dqdv = np.zeros(grid.shape)
+    for i, curve in enumerate(curves):
+        grid[i, : sizes[i]] = curve.voltage_grid
+        dqdv[i, : sizes[i]] = curve.dqdv
+    first, last = grid[:, :1], grid[np.arange(len(curves)), sizes - 1][:, None]
+    for problem, bad in (
+        ("bounds out of order", lower >= upper),
+        ("bounds outside grid", (lower < first - 1e-12) | (upper > last + 1e-12)),
+    ):
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise ValueError(
+                f"cycle {curves[i].cycle_index}: {problem}: [{float(lower[i, k])}, "
+                f"{float(upper[i, k])}] on grid [{float(first[i, 0])}, {float(last[i, 0])}]"
+            )
+    lower, upper = np.maximum(lower, first), np.minimum(upper, last)
+    # the grid point at or below each bound, and the number strictly between them
+    below_lower, below_upper = (
+        np.sum(grid[:, None, :] <= bound[..., None], axis=-1) - 1 for bound in (lower, upper)
+    )
+    inside = below_upper - below_lower - (grid[np.arange(len(curves))[:, None], below_upper] == upper)
+    ends = (_interpolated(grid, dqdv, below_lower, lower),
+            _interpolated(grid, dqdv, below_upper, upper))
+    areas = np.empty(lower.shape)
+    for m in np.unique(inside):
+        i, k = np.nonzero(inside == m)
+        cols = below_lower[i, k, None] + 1 + np.arange(m)
+        xs = np.concatenate((lower[i, k, None], grid[i[:, None], cols], upper[i, k, None]), axis=1)
+        ys = np.concatenate((ends[0][i, k, None], dqdv[i[:, None], cols], ends[1][i, k, None]), axis=1)
+        areas[i, k] = np.trapezoid(ys, xs, axis=-1)
+    return areas
 
 
 def integrate_area(curve: ICCurve, lower: float, upper: float) -> float:
@@ -180,61 +295,62 @@ def integrate_area(curve: ICCurve, lower: float, upper: float) -> float:
 
     Values at fractional endpoints are linearly interpolated.
     """
-    grid = curve.voltage_grid
-    if lower >= upper:
-        raise ValueError(f"bounds out of order: [{lower}, {upper}]")
-    if lower < grid[0] - 1e-12 or upper > grid[-1] + 1e-12:
-        raise ValueError(
-            f"bounds [{lower}, {upper}] outside grid [{grid[0]}, {grid[-1]}]"
+    return float(_areas([curve], np.array([[lower]]), np.array([[upper]]))[0, 0])
+
+
+def _libm_squares(values: np.ndarray) -> np.ndarray:
+    """Each value squared as a NumPy scalar squares it: by the C library's ``pow``.
+
+    An array's ``** 2`` is one correctly rounded product, which differs from
+    ``pow`` in about one value in a thousand.  The features have always
+    squared scalar means; squared as an array, one kurtosis of a generated
+    300-cycle cell moved by an ulp.
+    """
+    return np.array([v**2 for v in values.tolist()])
+
+
+def feature_rows(
+    curves: list[ICCurve], area_halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V
+) -> list[FeatureRow]:
+    """Scalar indicators of each IC curve.
+
+    Crest factor peak/rms, pulse factor peak/mean-abs, margin factor
+    peak/(mean of square roots) squared, waveform factor rms/mean-abs,
+    excess kurtosis, plus the curve's peak height and the area inside
+    ``area_halfwidth`` of the peak (over the whole grid for a raw curve).
+    Equal-length curves are reduced as one stack, along its rows.
+    """
+    values = np.empty((len(curves), 7))  # cf pf mf wf kur area peak
+    lower, upper = np.empty((len(curves), 1)), np.empty((len(curves), 1))
+    for rows, grid, a in _stacks(curves):
+        abs_a = np.abs(a)
+        peak_abs = abs_a.max(axis=1)
+        if not peak_abs.all():
+            cycle = curves[rows[int(np.argmin(peak_abs))]].cycle_index
+            raise ValueError(f"cycle {cycle}: all-zero curve: features undefined")
+        mean_sq = np.mean(a**2, axis=1)
+        rms = np.sqrt(mean_sq)
+        mean_abs = np.mean(abs_a, axis=1)
+        root_mean_sq = _libm_squares(np.mean(np.sqrt(abs_a), axis=1))
+        kur = np.mean(a**4, axis=1) / _libm_squares(mean_sq) - 3.0
+        _, height, lo, hi = _peak_windows(grid, a, np.array([area_halfwidth]))
+        raw = ~np.array([curves[i].smoothed for i in rows])
+        lo[raw], hi[raw] = grid[raw, :1], grid[raw, -1:]
+        lower[rows], upper[rows] = lo, hi
+        values[rows, :5] = np.column_stack(
+            (peak_abs / rms, peak_abs / mean_abs, peak_abs / root_mean_sq, rms / mean_abs, kur)
         )
-    lower = max(lower, float(grid[0]))
-    upper = min(upper, float(grid[-1]))
-    inside = grid[(grid > lower) & (grid < upper)]
-    xs = np.concatenate(([lower], inside, [upper]))
-    ys = np.interp(xs, grid, curve.dqdv)
-    return float(np.trapezoid(ys, xs))
+        values[rows, 6] = height
+    values[:, 5] = _areas(curves, lower, upper)[:, 0]
+    return [FeatureRow(c.cycle_index, *row) for c, row in zip(curves, values.tolist())]
 
 
 def dimensionless_features(
     curve: ICCurve,
     area_halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V,
 ) -> FeatureRow:
-    """Scalar indicators of one IC curve.
-
-    Crest factor peak/rms, pulse factor peak/mean-abs, margin factor
-    peak/(mean of square roots) squared, waveform factor rms/mean-abs,
-    excess kurtosis, plus the curve's peak height and the area inside
-    ``area_halfwidth`` of the peak.
-    """
-    a = curve.dqdv
-    if a.size < 2:
-        raise ValueError("curve must have at least 2 points")
-    abs_a = np.abs(a)
-    peak_abs = abs_a.max()
-    if peak_abs == 0.0:
-        raise ValueError("all-zero curve: features undefined")
-    rms = np.sqrt(np.mean(a**2))
-    mean_abs = np.mean(abs_a)
-    root_mean_sq = np.mean(np.sqrt(abs_a)) ** 2
-    kur = np.mean(a**4) / np.mean(a**2) ** 2 - 3.0
-
-    if curve.smoothed:
-        peak = locate_peak(curve, halfwidth=area_halfwidth)
-        area = integrate_area(curve, peak.lower_bound, peak.upper_bound)
-        peak_height = peak.peak_height
-    else:
-        peak_height = float(a.max())
-        area = integrate_area(curve, float(curve.voltage_grid[0]), float(curve.voltage_grid[-1]))
-    return FeatureRow(
-        cycle_index=curve.cycle_index,
-        cf=float(peak_abs / rms),
-        pf=float(peak_abs / mean_abs),
-        mf=float(peak_abs / root_mean_sq),
-        wf=float(rms / mean_abs),
-        kur=float(kur),
-        area=float(area),
-        peak=float(peak_height),
-    )
+    """One curve through :func:`feature_rows`."""
+    return feature_rows([curve], area_halfwidth)[0]
 
 
 @dataclass(frozen=True)
@@ -258,28 +374,26 @@ def sweep_area_boundaries(
     For every candidate half-width the per-cycle peak-area series is built
     and correlated with SOH; the half-width with the largest absolute
     coefficient wins.  Degenerate candidates (constant area series) are
-    skipped and reported.
+    skipped and reported.  Every curve's areas for every half-width are
+    integrated in one pass.
     """
     if not candidate_halfwidths:
         raise ValueError("candidate half-width list must be non-empty")
     if len(curves) != soh.values.size:
         raise ValueError("need exactly one curve per SOH value")
+    if not all(c.smoothed for c in curves):
+        raise ValueError("locate_peak expects a smoothed curve")
 
-    peaks = [locate_peak(c) for c in curves]
-
-    def areas_for(hw: float) -> np.ndarray:
-        out = np.empty(len(curves))
-        for i, (curve, peak) in enumerate(zip(curves, peaks)):
-            lo = max(float(curve.voltage_grid[0]), peak.peak_voltage - hw)
-            hi = min(float(curve.voltage_grid[-1]), peak.peak_voltage + hw)
-            out[i] = integrate_area(curve, lo, hi)
-        return out
+    shape = (len(curves), len(candidate_halfwidths))
+    lower, upper = np.empty(shape), np.empty(shape)
+    for rows, grid, dqdv in _stacks(curves):
+        _, _, lower[rows], upper[rows] = _peak_windows(grid, dqdv, np.array(candidate_halfwidths))
+    by_halfwidth = np.ascontiguousarray(_areas(curves, lower, upper).T)
 
     best: tuple[float, float, np.ndarray] | None = None  # |coeff|, halfwidth, series
     correlations: list[tuple[float, float]] = []
     skipped: list[float] = []
-    for hw in candidate_halfwidths:
-        areas = areas_for(hw)
+    for hw, areas in zip(candidate_halfwidths, by_halfwidth):
         coeff, degenerate = spearman(areas, soh.values, return_degenerate=True)
         correlations.append((hw, coeff))
         if degenerate and np.all(areas == areas[0]):
@@ -290,20 +404,12 @@ def sweep_area_boundaries(
 
     if best is None:
         # every candidate degenerate (constant SOH or constant areas): keep the first
-        hw = candidate_halfwidths[0]
-        best = (0.0, hw, areas_for(hw))
+        best = (0.0, candidate_halfwidths[0], by_halfwidth[0])
 
     _, hw, areas = best
-    ref = peaks[0]
-    reference = PeakDescriptor(
-        peak_voltage=ref.peak_voltage,
-        peak_height=ref.peak_height,
-        lower_bound=max(float(curves[0].voltage_grid[0]), ref.peak_voltage - hw),
-        upper_bound=min(float(curves[0].voltage_grid[-1]), ref.peak_voltage + hw),
-    )
     return BoundarySweepResult(
         halfwidth=hw,
-        reference_peak=reference,
+        reference_peak=locate_peak(curves[0], hw),
         series=HISeries(name="Area", values=areas),
         correlations=tuple(correlations),
         skipped=tuple(skipped),

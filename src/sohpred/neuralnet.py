@@ -698,6 +698,7 @@ def predict(spec: DualBiGRUSpec, windows: np.ndarray) -> np.ndarray:
 
 
 MODEL_MAGIC = "dual-bigru-model v1"
+PIPE_CHUNK_BYTES = 1 << 20  # the most load_model reads from a pipe at once
 
 
 def _header_lines(spec: DualBiGRUSpec) -> list[str]:
@@ -730,7 +731,8 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
     The header is read line by line up to the first ``end-header``, then the
     data section straight into a parameter buffer of the size the header gives.
     A regular file must hold exactly that many bytes before the buffer is
-    allocated, so a corrupt header cannot ask for more memory than the file.
+    allocated, and a pipe is read in bounded chunks, so a corrupt header
+    cannot ask for more memory than the file or pipe holds.
     """
     path = Path(path)
     if not path.exists():
@@ -760,17 +762,21 @@ def load_model(path: Path | str) -> DualBiGRUSpec:
             if lines != _header_lines(spec):
                 raise ValueError("header does not match the v1 layout for its gru_units")
             size = sum(math.prod(shape) for _, shape in tensor_layout(spec.gru_units))
+            need = 8 * size
             info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode) and (left := info.st_size - fh.tell()) != 8 * size:
-                raise ValueError(f"{left} data bytes, but units {spec.gru_units} need {8 * size}")
-            flat = np.empty(size, dtype="<f8")
-            got = fh.readinto(memoryview(flat).cast("B"))
-            extra = fh.read(1)
-            if got != flat.nbytes or extra:
-                # short or long data: read it all and fail as a whole-file read would
-                data = memoryview(flat).cast("B")[:got].tobytes() + extra + fh.read()
-                flat = np.frombuffer(data, dtype="<f8")
-            flat = flat.astype(float, copy=False)
+            if stat.S_ISREG(info.st_mode):  # sized before anything is allocated
+                left = info.st_size - fh.tell()
+                data = np.empty(size if left == need else 0, dtype="<f8")
+                if left == need:  # counted again, in case the file changed since
+                    left = fh.readinto(memoryview(data).cast("B")) + len(fh.read(1))
+            else:  # a pipe cannot be sized: bounded chunks, of which ``need`` bytes are kept
+                data, left = bytearray(), 0
+                while chunk := fh.read(PIPE_CHUNK_BYTES):
+                    data += chunk[: max(need - left, 0)]
+                    left += len(chunk)
+            if left != need:
+                raise ValueError(f"{left} data bytes, but units {spec.gru_units} need {need}")
+            flat = np.frombuffer(data, dtype="<f8").astype(float, copy=False)
             return replace(spec, params=ModelParams.from_flat(spec.gru_units, flat))
         except KeyError as exc:
             raise ValueError(f"{path}: corrupt model header (missing {exc.args[0]})") from None

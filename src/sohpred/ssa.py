@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import blas
 from .neuralnet import DualBiGRUSpec, TrainingConfig
 from .seeding import derive_rng
 
@@ -151,29 +152,6 @@ def _score_in_worker(row: np.ndarray) -> float:
     return _score(*_worker_task, row)
 
 
-def _openblas_threads():
-    """OpenBLAS's own thread-count getter and setter in NumPy's bundled library, or None.
-
-    The symbols' names depend on how the NumPy wheel built OpenBLAS, so the
-    known names are tried in turn.
-    """
-    import ctypes
-    from pathlib import Path
-
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        dll = ctypes.CDLL(str(lib))
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                get = getattr(dll, f"{prefix}get_num_threads{suffix}", None)
-                set_ = getattr(dll, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.restype = ctypes.c_int
-                    set_.argtypes = [ctypes.c_int]
-                    set_.restype = None
-                    return get, set_
-    return None
-
-
 @contextlib.contextmanager
 def _fork_pool(fitness: Callable[[np.ndarray], float], space: SearchSpace, workers: int):
     """A process pool whose forked workers inherit ``fitness`` and ``space``.
@@ -191,26 +169,17 @@ def _fork_pool(fitness: Callable[[np.ndarray], float], space: SearchSpace, worke
     one thread here, for the life of the pool, and the workers inherit it
     when they fork; setting it inside each worker instead made a pool of
     desk-sized fits about a quarter slower than not setting it at all.
-    Where no OpenBLAS setter is found the thread count is left alone.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    blas = _openblas_threads()
-    previous = blas[0]() if blas else None
-    if blas:
-        blas[1](1)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(fitness, space),
-        ) as pool:
-            yield pool
-    finally:
-        if blas:
-            blas[1](previous)
+    with blas.one_thread(), ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fitness, space),
+    ) as pool:
+        yield pool
 
 
 def _evaluate(

@@ -434,6 +434,76 @@ def direct_feature_oracle(a):
     return peak / rms, peak / mean_abs, peak / root_sq, rms / mean_abs, kur
 
 
+def ic_curve_reference(charge_curve, bin_width):
+    """One cycle's raw IC curve, with np.unique for the distinct voltages and np.gradient."""
+    _, v, q = np.asarray(charge_curve).T
+    keep = v >= np.maximum.accumulate(v)
+    v_clean, first = np.unique(v[keep], return_index=True)
+    q_clean = q[keep][first]
+    lo = np.floor(v_clean[0] / bin_width) * bin_width
+    n_bins = int(np.ceil((v_clean[-1] - lo) / bin_width - 1e-9))
+    edges = lo + bin_width * np.arange(n_bins + 1)
+    return edges, np.gradient(np.interp(edges, v_clean, q_clean), bin_width)
+
+
+def savgol_reference(dqdv, window, poly_order):
+    """One curve's Savitzky-Golay smoothing, with 1-D products and the package's hat matrix."""
+    from sohpred.icfeatures import _savgol_hat
+
+    hat, half, n = _savgol_hat(window, poly_order), window // 2, dqdv.size
+    out = np.empty(n)
+    out[half : n - half] = np.lib.stride_tricks.sliding_window_view(dqdv, window) @ hat[half]
+    out[:half] = hat[:half] @ dqdv[:window]
+    out[n - half :] = hat[half + 1 :] @ dqdv[n - window :]
+    return out
+
+
+def area_reference(grid, dqdv, lower, upper):
+    """One window's trapezoid over its bounds and the grid points inside, all by np.interp."""
+    lower, upper = max(lower, float(grid[0])), min(upper, float(grid[-1]))
+    xs = np.concatenate(([lower], grid[(grid > lower) & (grid < upper)], [upper]))
+    return float(np.trapezoid(np.interp(xs, grid, dqdv), xs))
+
+
+def peak_window_reference(grid, dqdv, halfwidth):
+    """One curve's peak voltage and height, and the window of ``halfwidth`` around it."""
+    best = np.argmax(dqdv)
+    v = float(grid[best])
+    return v, float(dqdv[best]), max(float(grid[0]), v - halfwidth), min(float(grid[-1]), v + halfwidth)
+
+
+def features_reference(grid, a, smoothed, area_halfwidth):
+    """One curve's (cf, pf, mf, wf, kur, area, peak), reduced as a 1-D array and NumPy scalars."""
+    abs_a = np.abs(a)
+    peak_abs = abs_a.max()
+    rms = np.sqrt(np.mean(a**2))
+    mean_abs = np.mean(abs_a)
+    root_mean_sq = np.mean(np.sqrt(abs_a)) ** 2
+    kur = np.mean(a**4) / np.mean(a**2) ** 2 - 3.0
+    if smoothed:
+        _, peak, lower, upper = peak_window_reference(grid, a, area_halfwidth)
+    else:
+        peak, lower, upper = float(a.max()), float(grid[0]), float(grid[-1])
+    area = area_reference(grid, a, lower, upper)
+    return tuple(float(x) for x in (
+        peak_abs / rms, peak_abs / mean_abs, peak_abs / root_mean_sq, rms / mean_abs, kur, area, peak
+    ))
+
+
+def hankel_denoise_reference(values, k):
+    """Rank-``k`` Hankel-SVD reconstruction, averaged over anti-diagonals with np.add.at."""
+    n = values.size
+    length = n // 2 + 1
+    H = values[np.arange(length)[:, None] + np.arange(n - length + 1)]
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    approx = (U[:, :k] * s[:k]) @ Vt[:k]
+    out, counts = np.zeros(n), np.zeros(n)
+    offsets = np.arange(length)[:, None] + np.arange(approx.shape[1])[None, :]
+    np.add.at(out, offsets, approx)
+    np.add.at(counts, offsets, 1.0)
+    return out / counts
+
+
 def centered_product_oracle(x, y):
     """Two-pass recomputation of the centered-product correlation."""
     mx = sum(x) / len(x)

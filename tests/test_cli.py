@@ -126,6 +126,22 @@ class TestSynthExtract:
         for name in ("features.csv", "correlation.csv", "hi_top.csv", "capacity.csv"):
             assert (ext_a / name).read_bytes() == (ext_b / name).read_bytes()
 
+    @pytest.mark.parametrize("second, message", [
+        (np.linspace(3.5, 3.62, 200), "cycle 2: window 21 exceeds curve length 13"),
+        (np.full(200, 3.7), "cycle 2: voltage non-monotone: fewer than 2 distinct points survive"),
+    ])
+    def test_cycle_without_a_curve_names_file_and_cycle(self, tmp_path, capsys, second, message):
+        # a 0.12 V span gives 13 points, too few for the 21-point smoothing window
+        lines = ["cycle,time_s,voltage_v,charge_ah,capacity_ah"]
+        for cycle, volts in enumerate([np.linspace(3.0, 4.0, 200), second, np.linspace(3.0, 4.0, 200)], 1):
+            charge = np.linspace(0.0, 0.7, volts.size)
+            lines += [f"{cycle},{2 * i},{v},{q},0.7" for i, (v, q) in enumerate(zip(volts.tolist(), charge.tolist()))]
+        dataset = tmp_path / "cell.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        assert run_cli("extract", "--dataset", dataset, "--out", tmp_path / "ext") == 1
+        assert capsys.readouterr().err == f"error: {dataset}: {message}\n"
+        assert not (tmp_path / "ext").exists()
+
     def test_missing_dataset_flag_is_usage_error(self, tiny_config, capsys):
         assert run_cli("extract", "--config", tiny_config) == 1
         assert "dataset" in capsys.readouterr().err

@@ -202,6 +202,25 @@ def test_scale_band_outside_the_unit_interval_names_the_key(tmp_path, hi_table, 
     assert err == f"error: {tmp_path / 'cfg.yaml'}: experiment.scale_band = {shown} outside (0, 1]\n"
 
 
+@pytest.mark.parametrize("section, shown", [
+    ("{bin_width: 0}", "extract.bin_width = 0.0 is not a positive width"),
+    ("{sg_order: -1}", "extract.sg_order = -1 is negative"),
+    ("{area_halfwidths: [0.1, 0]}", "extract.area_halfwidths[2] = 0.0 is not a positive width"),
+    ("{sg_window: 20}", "extract.sg_window = 20 is not odd"),
+    ("{sg_window: 3, sg_order: 3}", "extract.sg_window = 3 does not exceed extract.sg_order = 3"),
+    ("{denoise: 1.5}", "extract.denoise = 1.5 is neither a rank >= 1 nor an energy fraction in (0, 1)"),
+])
+def test_extract_value_the_stage_cannot_use_names_the_key(tmp_path, capsys, section, shown):
+    # checked where the config is read, before the dataset is parsed
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"extract: {section}\n")
+    out = tmp_path / "ext"
+    code = cli.main(["extract", "--config", str(config), "--dataset", str(tmp_path / "none.csv"),
+                     "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == f"error: {config}: {shown}\n"
+
+
 def test_every_key_read_before_is_settable():
     settable = set(cli.CONFIG_SCHEMA)
     assert len(settable) == 70  # 69 values and experiment.network itself

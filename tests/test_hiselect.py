@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import hankel_denoise_reference
 from scipy.stats import rankdata, spearmanr
 
+from sohpred import blas
 from sohpred.hiselect import (
     HISeries,
     _average_ranks,
@@ -87,6 +89,23 @@ class TestHankelSVDDenoise:
     def test_energy_threshold_keeps_constant_exact(self):
         out = hankel_svd_denoise(series(np.full(10, 2.0)), rank=0.95)
         assert np.allclose(out.values, 2.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (17, 2), (80, 3), (301, 5)])
+    def test_matches_the_add_at_reference(self, n, k):
+        values = np.random.default_rng(n).normal(size=n)
+        with blas.one_thread():
+            expected = hankel_denoise_reference(values, k)
+        assert np.array_equal(hankel_svd_denoise(series(values), rank=k).values, expected)
+
+    def test_svd_runs_on_one_blas_thread(self, monkeypatch):
+        if blas.openblas_threads() is None:
+            pytest.skip("NumPy's OpenBLAS offers no thread setter here")
+        get, _ = blas.openblas_threads()
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append(get()) or svd(*a, **kw))
+        before = get()
+        hankel_svd_denoise(series(np.arange(12.0)), rank=2)
+        assert seen == [1] and get() == before
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="too short"):

@@ -1,18 +1,34 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import direct_feature_oracle
+from oracles import (
+    area_reference,
+    direct_feature_oracle,
+    features_reference,
+    ic_curve_reference,
+    peak_window_reference,
+    savgol_reference,
+)
 from scipy.signal import savgol_filter
 
 from sohpred import ingest
+from sohpred.hiselect import spearman
 from sohpred.icfeatures import (
+    DEFAULT_AREA_HALFWIDTHS_V,
+    DEFAULT_BIN_WIDTH_V,
+    DEFAULT_SG_ORDER,
+    DEFAULT_SG_WINDOW,
     ICCurve,
     compute_ic_curve,
     dimensionless_features,
+    feature_rows,
     integrate_area,
     locate_peak,
     savitzky_golay,
+    smooth_curves,
     sweep_area_boundaries,
 )
 from sohpred.ingest import CycleRecord, SOHSeries
@@ -282,3 +298,89 @@ class TestSweepAreaBoundaries:
         curves = self.bump_curves([1.0], [0.0], np.random.default_rng(0))
         with pytest.raises(ValueError, match="one curve per SOH value"):
             sweep_area_boundaries(curves, soh)
+
+
+@pytest.fixture(scope="module")
+def cell_records(tmp_path_factory):
+    """A generated 30-cycle cell, whose curves have 6 lengths at 0.01 V and 8 at 0.007 V."""
+    params = CycleSynthesisParams(n_cycles=30, sample_period_s=6.0)
+    path = synthesize_cycles(params, 5, tmp_path_factory.mktemp("cell") / "cell.csv")
+    return ingest.parse_cycle_file(path)[0]
+
+
+class TestStackedMatchesPerCurve:
+    """The stacked stage against per-curve references in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("bin_width, window, order, halfwidths", [
+        (DEFAULT_BIN_WIDTH_V, DEFAULT_SG_WINDOW, DEFAULT_SG_ORDER, DEFAULT_AREA_HALFWIDTHS_V),
+        (0.007, 15, 2, (0.03, 0.08, 0.25, 0.6)),  # 0.6 V clips every window to its grid
+    ])
+    def test_cell(self, cell_records, bin_width, window, order, halfwidths):
+        raw = [compute_ic_curve(r, bin_width) for r in cell_records]
+        assert len({c.dqdv.size for c in raw}) >= 3
+        smoothed = smooth_curves(raw, window, order)
+        for record, curve, smooth in zip(cell_records, raw, smoothed):
+            grid, dqdv = ic_curve_reference(record.charge_curve, bin_width)
+            assert np.array_equal(curve.voltage_grid, grid) and np.array_equal(curve.dqdv, dqdv)
+            assert np.array_equal(smooth.dqdv, savgol_reference(dqdv, window, order))
+            assert np.array_equal(savitzky_golay(curve, window, order).dqdv, smooth.dqdv)
+
+        for curves in (raw, smoothed):
+            rows = feature_rows(curves, halfwidths[1])
+            assert [astuple(row) for row in rows] == [
+                (c.cycle_index, *features_reference(c.voltage_grid, c.dqdv, c.smoothed, halfwidths[1]))
+                for c in curves
+            ]
+            assert [dimensionless_features(c, halfwidths[1]) for c in curves[:5]] == rows[:5]
+
+        soh = ingest.compute_soh([r.measured_capacity for r in cell_records])
+        sweep = sweep_area_boundaries(smoothed, soh, halfwidths)
+        areas = {
+            hw: [area_reference(c.voltage_grid, c.dqdv, *peak_window_reference(c.voltage_grid, c.dqdv, hw)[2:])
+                 for c in smoothed]
+            for hw in halfwidths
+        }
+        assert sweep.correlations == tuple(
+            (hw, spearman(np.array(areas[hw]), soh.values)) for hw in halfwidths
+        )
+        assert sweep.series.values.tolist() == areas[sweep.halfwidth]
+        c = smoothed[0]
+        assert astuple(sweep.reference_peak) == peak_window_reference(c.voltage_grid, c.dqdv, sweep.halfwidth)
+
+    @given(seed=st.integers(0, 2**32 - 1), bin_width=st.sampled_from([0.003, 0.01, 0.021]))
+    @settings(max_examples=60, deadline=None)
+    def test_ic_curve_of_a_jittery_record(self, seed, bin_width):
+        # rounded voltages repeat, and negative steps dip below the running maximum
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 400))
+        v = 3.0 + np.round(np.cumsum(rng.normal(0.004, 0.006, n)), 3)
+        v[-1] = v.max() + 0.05
+        record = record_from_qv(v, np.cumsum(rng.uniform(0.0, 0.01, n)))
+        grid, dqdv = ic_curve_reference(record.charge_curve, bin_width)
+        curve = compute_ic_curve(record, bin_width)
+        assert np.array_equal(curve.voltage_grid, grid) and np.array_equal(curve.dqdv, dqdv)
+
+    @given(lower=st.floats(2.99, 3.5), width=st.floats(0.0001, 0.6))
+    @settings(max_examples=80, deadline=None)
+    def test_area_between_any_bounds(self, lower, width):
+        rng = np.random.default_rng(11)
+        curve = curve_from_values(rng.uniform(0.5, 3.0, size=51))  # grid 3.0 .. 3.5
+        upper = min(lower + width, 3.5)
+        if lower >= upper or lower < 3.0 - 1e-12:
+            with pytest.raises(ValueError, match="cycle 1: bounds"):
+                integrate_area(curve, lower, upper)
+        else:
+            assert integrate_area(curve, lower, upper) == area_reference(
+                curve.voltage_grid, curve.dqdv, lower, upper
+            )
+
+    def test_one_curve_names_its_cycle(self):
+        curves = [curve_from_values(np.ones(30), cycle=4), curve_from_values(np.ones(12), cycle=7)]
+        with pytest.raises(ValueError, match="^cycle 7: window 21 exceeds curve length 12$"):
+            smooth_curves(curves)
+        curves = [curve_from_values(np.ones(30), cycle=4), curve_from_values(np.zeros(30), cycle=5)]
+        with pytest.raises(ValueError, match="^cycle 5: all-zero curve"):
+            feature_rows(curves)
+        v = np.full(20, 3.7)
+        with pytest.raises(ValueError, match="^cycle 9: voltage non-monotone"):
+            compute_ic_curve(record_from_qv(v, np.linspace(0.0, 0.1, 20), cycle=9))

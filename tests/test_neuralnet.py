@@ -696,7 +696,8 @@ class TestSerialization:
         nn.save_model(spec, tmp_path / "model.bin")
         blob = (tmp_path / "model.bin").read_bytes()
         os.mkfifo(tmp_path / "pipe")
-        for data, error in [(blob, None), (blob[:-16], r"pipe.*shape \(14303,\)")]:
+        short = r"pipe: corrupt model file \(114424 data bytes, but units \(24, 24, 24, 24\) need 114440\)"
+        for data, error in [(blob, None), (blob[:-16], short)]:
             writer = threading.Thread(target=(tmp_path / "pipe").write_bytes, args=(data,))
             writer.start()
             if error is None:
@@ -705,6 +706,29 @@ class TestSerialization:
                 with pytest.raises(ValueError, match=error):
                     nn.load_model(tmp_path / "pipe")
             writer.join()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+    @pytest.mark.parametrize("chunk", [7, 4096, nn.PIPE_CHUNK_BYTES])
+    def test_pipe_read_in_bounded_chunks(self, tmp_path, monkeypatch, chunk):
+        # a pipe cannot be sized: a 200,000-unit header (7 TiB of data) followed by
+        # 16 bytes fails naming the length, where a buffer of the header's size had
+        # raised MemoryError; chunks that split values still give the saved bits
+        monkeypatch.setattr(nn, "PIPE_CHUNK_BYTES", chunk)
+        spec = built_spec(units=(3, 2, 4, 3), window=4)
+        nn.save_model(spec, tmp_path / "model.bin")
+        huge = nn.DualBiGRUSpec(3, (200_000,) * 4, (0.0,) * 4)
+        header = ("\n".join(nn._header_lines(huge)) + "\n").encode()
+        os.mkfifo(tmp_path / "pipe")
+        for data in [(tmp_path / "model.bin").read_bytes(), header + bytes(16)]:
+            writer = threading.Thread(target=(tmp_path / "pipe").write_bytes, args=(data,), daemon=True)
+            writer.start()
+            if data.startswith(header):
+                with pytest.raises(ValueError, match=r"pipe: corrupt model file \(16 data bytes, "):
+                    nn.load_model(tmp_path / "pipe")
+            else:
+                assert np.array_equal(nn.load_model(tmp_path / "pipe").params.flat, spec.params.flat)
+            writer.join(timeout=60)
+            assert not writer.is_alive()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import encode
 
-from sohpred import ssa
+from sohpred import blas, ssa
 from sohpred.ssa import (
     Dimension,
     SearchSpace,
@@ -26,7 +26,7 @@ from sohpred.ssa import (
 
 def openblas_threads(_=None):
     """The thread count NumPy's OpenBLAS reports in this process."""
-    get, _ = ssa._openblas_threads()
+    get, _ = blas.openblas_threads()
     return get()
 
 
@@ -319,7 +319,7 @@ class TestOptimize:
         assert int(serial[0][0]) % 2 == 0
 
     def test_forked_workers_run_blas_on_one_thread(self):
-        if ssa._openblas_threads() is None:
+        if blas.openblas_threads() is None:
             pytest.skip("NumPy's OpenBLAS offers no thread setter here")
         before = openblas_threads()
         with ssa._fork_pool(sphere, box(2), 2) as pool:
