@@ -25,7 +25,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 import yaml
 
-from . import __version__, hiselect, icfeatures, ingest, pipeline, ssa
+from . import __version__, blas, hiselect, icfeatures, ingest, pipeline, ssa
 from .hiselect import HI_NAMES, HISeries, rank_his, select_hi
 from .neuralnet import DivergenceError, DualBiGRUSpec, TrainingConfig
 
@@ -410,9 +410,13 @@ def _extract_artifacts(conf: dict, dataset: Path):
         sweep.series,
         HISeries("Peak", np.array([r.peak for r in rows])),
     ]
-    report = rank_his(
-        candidates, soh, denoise_rank=ex["denoise"], ranked_correlation=ex["ranked_correlation"]
-    )
+    # on one BLAS thread: a second gains nothing on a cell's Hankel SVDs (a
+    # 300-cycle cell's are 151 x 150), and on 2 shared cores it stretched
+    # some processes' seven from 0.04 s to about 1 s
+    with blas.one_thread():
+        report = rank_his(
+            candidates, soh, denoise_rank=ex["denoise"], ranked_correlation=ex["ranked_correlation"]
+        )
     if ex["hi"] == "auto":
         chosen = select_hi(report, candidates, top_k=1)[0]
     else:

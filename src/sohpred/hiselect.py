@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import blas
 from .ingest import SOHSeries
 
 HI_NAMES = ("MF", "PF", "Kur", "CF", "WF", "Area", "Peak")
@@ -90,10 +89,7 @@ def hankel_svd_denoise(
     if n < 4:
         raise ValueError(f"series too short to denoise (n={n} < 4)")
     H = hankel_matrix(series.values)
-    # on one thread: a second one gains nothing at this size, and on 2 shared
-    # cores it stretched some processes' seven SVDs from 0.04 s to about 1 s
-    with blas.one_thread():
-        U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
     if isinstance(rank, (int, np.integer)) and not isinstance(rank, bool):
         k = int(rank)
         if k < 1:

@@ -122,11 +122,7 @@ def compute_ic_curve(
     edges = lo + bin_width * np.arange(n_bins + 1)
 
     q_edges = np.interp(edges, v_clean, q_clean)
-    # np.gradient(q_edges, bin_width) written out: central differences inside,
-    # one-sided ones at the two ends
-    dqdv = np.empty_like(q_edges)
-    dqdv[1:-1] = (q_edges[2:] - q_edges[:-2]) / (2.0 * bin_width)
-    dqdv[[0, -1]] = (q_edges[[1, -1]] - q_edges[[0, -2]]) / bin_width
+    dqdv = np.gradient(q_edges, bin_width)
     return ICCurve(record.cycle_index, edges, dqdv, smoothed=False)
 
 
@@ -232,31 +228,19 @@ def locate_peak(curve: ICCurve, halfwidth: float = DEFAULT_PEAK_HALFWIDTH_V) -> 
     )
 
 
-def _interpolated(grid: np.ndarray, dqdv: np.ndarray, j: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """``np.interp(at[i, k], grid[i], dqdv[i])`` for every ``i, k``, with np.interp's arithmetic.
-
-    ``j[i, k]`` is the grid point at or below ``at[i, k]``, which lies within
-    its row's grid; ``grid`` has a column of +inf past the last point.
-    """
-    rows = np.arange(len(grid))[:, None]
-    x0, y0 = grid[rows, j], dqdv[rows, j]
-    slope = (dqdv[rows, j + 1] - y0) / (grid[rows, j + 1] - x0)
-    return np.where(x0 == at, y0, slope * (at - x0) + y0)
-
-
 def _areas(curves: list[ICCurve], lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Trapezoidal integrals of dQ/dV in ampere-hours, one per window.
 
     Row ``i`` of ``lower`` and ``upper`` holds the windows of ``curves[i]``.
-    A window's points are its two bounds, whose values are interpolated,
-    and the grid points strictly inside it, whose values are the curve's
-    own; windows with equal numbers of inside points are integrated as one
-    stack.  Each area has the bits of ``np.trapezoid`` over those points.
+    A window's points are its two bounds, whose values one ``np.interp``
+    per curve gives, and the grid points strictly inside it, whose values
+    are the curve's own; windows with equal numbers of inside points are
+    integrated as one stack.  Each area has the bits of ``np.trapezoid``
+    over those points.
     """
     sizes = np.array([c.dqdv.size for c in curves])
-    # one column of +inf past the longest grid, so no grid point lies beyond
-    # a window and the point after the last one can always be indexed
-    grid = np.full((len(curves), sizes.max(initial=0) + 1), np.inf)
+    # shorter grids padded with +inf, which no window reaches
+    grid = np.full((len(curves), sizes.max(initial=0)), np.inf)
     dqdv = np.zeros(grid.shape)
     for i, curve in enumerate(curves):
         grid[i, : sizes[i]] = curve.voltage_grid
@@ -272,19 +256,18 @@ def _areas(curves: list[ICCurve], lower: np.ndarray, upper: np.ndarray) -> np.nd
                 f"cycle {curves[i].cycle_index}: {problem}: [{float(lower[i, k])}, "
                 f"{float(upper[i, k])}] on grid [{float(first[i, 0])}, {float(last[i, 0])}]"
             )
-    lower, upper = np.maximum(lower, first), np.minimum(upper, last)
-    # the grid point at or below each bound, and the number strictly between them
-    below_lower, below_upper = (
-        np.sum(grid[:, None, :] <= bound[..., None], axis=-1) - 1 for bound in (lower, upper)
-    )
-    inside = below_upper - below_lower - (grid[np.arange(len(curves))[:, None], below_upper] == upper)
-    ends = (_interpolated(grid, dqdv, below_lower, lower),
-            _interpolated(grid, dqdv, below_upper, upper))
+    bounds = np.stack((np.maximum(lower, first), np.minimum(upper, last)))
+    ends = np.empty(bounds.shape)
+    for i, curve in enumerate(curves):
+        ends[:, i] = np.interp(bounds[:, i], curve.voltage_grid, curve.dqdv)
+    # each window's grid points strictly inside it: `inside` of them from `start`
+    start = np.sum(grid[:, None, :] <= bounds[0][..., None], axis=-1)
+    inside = np.sum(grid[:, None, :] < bounds[1][..., None], axis=-1) - start
     areas = np.empty(lower.shape)
     for m in np.unique(inside):
         i, k = np.nonzero(inside == m)
-        cols = below_lower[i, k, None] + 1 + np.arange(m)
-        xs = np.concatenate((lower[i, k, None], grid[i[:, None], cols], upper[i, k, None]), axis=1)
+        cols = start[i, k, None] + np.arange(m)
+        xs = np.concatenate((bounds[0][i, k, None], grid[i[:, None], cols], bounds[1][i, k, None]), axis=1)
         ys = np.concatenate((ends[0][i, k, None], dqdv[i[:, None], cols], ends[1][i, k, None]), axis=1)
         areas[i, k] = np.trapezoid(ys, xs, axis=-1)
     return areas

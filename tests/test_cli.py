@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import sohpred
-from sohpred import cli, pipeline, ssa
+from sohpred import blas, cli, pipeline, ssa
 from sohpred.neuralnet import DivergenceError
 
 
@@ -125,6 +125,20 @@ class TestSynthExtract:
         run_cli("extract", "--config", tiny_config, "--dataset", data / "cycles.csv", "--out", ext_b)
         for name in ("features.csv", "correlation.csv", "hi_top.csv", "capacity.csv"):
             assert (ext_a / name).read_bytes() == (ext_b / name).read_bytes()
+
+    def test_ranking_svds_run_on_one_blas_thread(self, tmp_path, tiny_config, monkeypatch):
+        if blas.openblas_threads() is None:
+            pytest.skip("NumPy's OpenBLAS offers no thread setter here")
+        get, _ = blas.openblas_threads()
+        data = tmp_path / "data"
+        assert run_cli("synth", "--config", tiny_config, "--out", data) == 0
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append(get()) or svd(*a, **kw))
+        before = get()
+        assert run_cli("extract", "--config", tiny_config, "--dataset", data / "cycles.csv",
+                       "--out", tmp_path / "ext") == 0
+        # one SVD per candidate indicator, each on one thread, and the count restored
+        assert seen == [1] * 7 and get() == before
 
     @pytest.mark.parametrize("second, message", [
         (np.linspace(3.5, 3.62, 200), "cycle 2: window 21 exceeds curve length 13"),
