@@ -286,6 +286,13 @@ def _build(cls, section: dict):
     return cls(**{f.name: section[f.name] for f in dataclasses.fields(cls) if f.name in section})
 
 
+NOT_A_RANK = "is neither a rank >= 1 nor an energy fraction in (0, 1)"
+
+
+def _rank_or_fraction(value: int | float) -> bool:  # as hankel_svd_denoise takes it; not NaN
+    return 0.0 < value < 1.0 if isinstance(value, float) else value >= 1
+
+
 def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentConfig:
     exp = conf["experiment"]
     seeds = exp.get("seeds", (args.seed,))
@@ -299,6 +306,8 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
         raise ConfigError(
             f"{args.config}: experiment.scale_band = {exp['scale_band']} outside (0, 1]"
         )
+    if not _rank_or_fraction(rank := exp["denoise_rank"]):  # checked with denoise off too
+        raise ConfigError(f"{args.config}: experiment.denoise_rank = {rank} {NOT_A_RANK}")
 
     net, tr = exp.get("network"), exp["training"]
     if net == "ssa-tuned" and not searched:
@@ -363,7 +372,7 @@ def cmd_synth(args) -> int:
 
 def _check_extract(ex: dict, source: str | None) -> None:
     """ConfigError naming the first key of the extract section that the stage cannot use."""
-    window, order, denoise = ex["sg_window"], ex["sg_order"], ex["denoise"]
+    window, order = ex["sg_window"], ex["sg_order"]
     checks = [  # NaN fails the comparisons too
         ("bin_width", ex["bin_width"], 0.0 < ex["bin_width"] < math.inf, "is not a positive width"),
         ("sg_order", order, order >= 0, "is negative"),
@@ -372,8 +381,7 @@ def _check_extract(ex: dict, source: str | None) -> None:
         ("area_halfwidths", [], bool(ex["area_halfwidths"]), "is empty"),
         *((f"area_halfwidths[{i}]", hw, 0.0 < hw < math.inf, "is not a positive width")
           for i, hw in enumerate(ex["area_halfwidths"], 1)),
-        ("denoise", denoise, 0.0 < denoise < 1.0 if isinstance(denoise, float) else denoise >= 1,
-         "is neither a rank >= 1 nor an energy fraction in (0, 1)"),
+        ("denoise", ex["denoise"], _rank_or_fraction(ex["denoise"]), NOT_A_RANK),
     ]
     for key, value, ok, why in checks:
         if not ok:

@@ -21,14 +21,14 @@ then dense.w and dense.b.  Gradients use the same class over a buffer of
 their own, so Adam updates the whole network with a few vector
 operations per cache-sized block, and the model file is a text header
 followed by the buffer.
-A block whose two cells have equal hidden sizes, up to STACK_MAX_UNITS,
-runs both directions as one stack: its cells sit at a constant offset in
-the buffer, so each matmul takes both directions' weights as one strided
-view; such a stack is a :class:`GRUCellParams` with a leading axis of 2.
+A block whose two cells have equal hidden sizes, at any width, runs both
+directions as one stack: its cells sit at a constant offset in the buffer,
+so each matmul takes both directions' weights as one strided view; such a
+stack is a :class:`GRUCellParams` with a leading axis of 2.
 :func:`network_forward` is the one forward pass.  Train mode keeps the
 caches that :func:`network_backward` reads; eval mode, which
-:func:`predict` runs, keeps none, so each direction's sequence arrays are
-freed when its loop ends.
+:func:`predict` runs, keeps none and holds one step's arrays besides the
+states.  A stack holds no more memory than its two cells run in turn.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ class GRUCellParams:
     """Weights of one GRU cell, or of a stack of cells of one shape.
 
     Gate matrices act on [x, h_prev]; the candidate matrix acts on
-    [x, R*h_prev].  A stack (see :func:`_layer_stacks`) has a leading axis
-    on every array: ``W_*`` (2, H, J), ``b_*`` (2, H).  Only shapes are
-    checked here: finiteness is checked once, where parameters enter a
-    :class:`DualBiGRUSpec`.
+    [x, R*h_prev].  A stack of S cells (see :func:`_layer_stacks`) has a
+    leading axis on every array: ``W_*`` (S, H, J), ``b_*`` (S, H).  Only
+    shapes are checked here: finiteness is checked once, where parameters
+    enter a :class:`DualBiGRUSpec`.
     """
 
     W_U: np.ndarray
@@ -80,7 +80,7 @@ class GRUCellParams:
     hidden_size: int
 
     def __post_init__(self) -> None:
-        lead = self.W_U.shape[:-2]  # (2,) for a stack, () for one cell
+        lead = self.W_U.shape[:-2]  # (S,) for a stack, () for one cell
         H, joint = self.hidden_size, self.input_size + self.hidden_size
         for name in CELL_FIELDS:
             shape = (*lead, H, joint) if name[0] == "W" else (*lead, H)
@@ -95,44 +95,24 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _address(arr: np.ndarray) -> int:
-    return arr.__array_interface__["data"][0]
-
-
-# A block's cells as its sequence loops take them: one stack of both, or the two cells
+# A block's cells as its sequence loops take them: one stack of both, or two stacks of one
 _Layer = tuple[GRUCellParams, ...]
-
-# Widest cells that stack.  A stack halves the NumPy calls of a step, which is
-# what a step of a few dozen units costs, but it doubles the arrays each call
-# allocates and frees, and glibc then hands more of that memory back to the
-# system and faults it in again: a fresh process training 128 units at batch
-# 16 took 5-8 % longer stacked (about 4 times the page faults), 64 and 96
-# units tied, and 32 units ran 20 % faster.  Now that Adam keeps no
-# model-sized scratch, stacking 128 units costs no time, but it still costs
-# memory: without the limit, the train-paper workload's `train` call peaked
-# at 58.8-58.9 MB against 56.8-57.0 MB (+1.9 MB, +3.4 %, 6 alternating runs
-# of scripts/cli_peak.py), with byte-identical outputs and wall and CPU time
-# in the noise.  Its traced peak rose by 1.3 MB (18.46 to 19.74 MB): a
-# stacked step allocates both directions' temporaries as one array each, so
-# they are alive at once.
-STACK_MAX_UNITS = 64
 
 
 def _layer_stacks(first: GRUCellParams, second: GRUCellParams) -> _Layer:
-    """A layer's two cells as one stack of both, or else as the two cells.
+    """A layer's two cells as one stack of both, or else as two stacks of one.
 
-    The cells stack when they are at most ``STACK_MAX_UNITS`` wide and
+    The cells stack when they have equal sizes, whatever their width, and
     every array of ``second`` sits at one nonzero byte offset from the same
     array of ``first`` in one buffer, as the equal cells of a layer in
-    :class:`ModelParams` do.  The stacked arrays are then ``as_strided``
-    views of that buffer: nothing is copied.
+    :class:`ModelParams` do.  Every array is a view: the stacked arrays are
+    ``as_strided`` views of that buffer, and a stack of one views its cell.
     """
     pairs = [(getattr(first, name), getattr(second, name)) for name in CELL_FIELDS]
-    gaps = {_address(b) - _address(a) for a, b in pairs}
+    gaps = {b.ctypes.data - a.ctypes.data for a, b in pairs}
     sizes = (first.input_size, first.hidden_size)
     if (
         sizes == (second.input_size, second.hidden_size)
-        and first.hidden_size <= STACK_MAX_UNITS
         and len(gaps) == 1
         and 0 not in gaps
         and all(a.base is not None and a.base is b.base for a, b in pairs)
@@ -142,18 +122,19 @@ def _layer_stacks(first: GRUCellParams, second: GRUCellParams) -> _Layer:
             np.lib.stride_tricks.as_strided(a, (2, *a.shape), (gap, *a.strides)) for a, _ in pairs
         )
         return (GRUCellParams(*views, *sizes),)
-    return first, second
+    return tuple(
+        replace(c, **{n: getattr(c, n)[None] for n in CELL_FIELDS}) for c in (first, second)
+    )
 
 
 @dataclass
 class _SequenceCache:
-    """The values of one direction, or of a stack of both, at every step.
+    """The values of a stack of S directions at every step.
 
-    With ``S`` the stack axis, present only for a stack: ``z`` holds
-    [x, h_prev] and ``zc`` holds [x, R * h_prev], ([S,] T, B, n_in + H), so
-    that each direction's reshapes to (T*B, n_in + H) with no copy;
-    ``gates`` holds U and R, (T, 2, [S,] B, H), and ``h_tilde`` is
-    (T, [S,] B, H), so that each step's values are one contiguous block.
+    ``z`` holds [x, h_prev] and ``zc`` holds [x, R * h_prev], (S, T, B,
+    n_in + H), so that each direction's reshapes to (T*B, n_in + H) with no
+    copy; ``gates`` holds U and R, (T, 2, S, B, H), and ``h_tilde`` is
+    (T, S, B, H), so that each step's values are one contiguous block.
     """
 
     z: np.ndarray
@@ -164,7 +145,7 @@ class _SequenceCache:
 
 @dataclass
 class _BiGRUCache:
-    runs: tuple[_SequenceCache, ...]  # one stacked run, or the forward then the backward run
+    runs: tuple[_SequenceCache, ...]  # one per stack of the layer
     mask_fwd: np.ndarray | None
     mask_bwd: np.ndarray | None
 
@@ -181,33 +162,35 @@ def _dropout_mask(
 def _gru_sequence_forward(
     cells: GRUCellParams, sequences: tuple[np.ndarray, ...], keep: bool
 ) -> tuple[np.ndarray, _SequenceCache | None]:
-    """Run one cell over its (T, B, width) sequence, or a stack over one sequence per direction.
+    """Run a stack of S cells, each over its own (T, B, width) sequence.
 
-    Returns the states, (T, [2,] B, H), and the cache, or None without
-    ``keep``, so that the sequence's arrays are freed here.  Every step writes
-    into arrays allocated once per sequence, whose input part is filled
-    once.  A stack's matmuls run both directions' products in one call;
-    each product, sum and activation is the one a single step of one
-    direction on fresh arrays computes, so the values are the same bits.
+    Returns the states, (T, S, B, H), and the cache, or None without
+    ``keep``.  Every step writes into arrays allocated once per sequence:
+    with ``keep`` they span the T steps, without it they hold one.  Each
+    matmul runs the S directions' products in one call; each product, sum
+    and activation is the one a single step of one direction on fresh
+    arrays computes, so the values are the same bits.
     """
-    lead = cells.W_U.shape[:-2]  # (2,) for a stack, () for one cell
+    S, H = len(sequences), cells.hidden_size
     T, B, n_in = sequences[0].shape
-    H = cells.hidden_size
-    z = np.empty((*lead, T, B, n_in + H))
+    depth = T if keep else 1  # steps the z, zc, gates and h_tilde arrays hold
+    z = np.empty((S, depth, B, n_in + H))
     zc = np.empty_like(z)
-    for z_s, sequence in zip(z.reshape(-1, T, B, n_in + H), sequences):
-        z_s[..., :n_in] = sequence
-    zc[..., :n_in] = z[..., :n_in]
-    gates = np.empty((T, 2, *lead, B, H))
-    h_tilde = np.empty((T, *lead, B, H))
-    out = np.empty((T, *lead, B, H))
+    gates = np.empty((depth, 2, S, B, H))
+    h_tilde = np.empty((depth, S, B, H))
+    out = np.empty((T, S, B, H))
     W_U, W_R, W_h = (w.swapaxes(-1, -2) for w in (cells.W_U, cells.W_R, cells.W_h))
     b_UR = np.array((cells.b_U, cells.b_R))[..., None, :]
     b_h = cells.b_h[..., None, :]
-    z_steps, zc_steps = z.swapaxes(0, len(lead)), zc.swapaxes(0, len(lead))  # step first
-    h = np.zeros((*lead, B, H))
+    z_steps, zc_steps = z.swapaxes(0, 1), zc.swapaxes(0, 1)  # step first
+    h = np.zeros((S, B, H))
     for t in range(T):
-        z_t, zc_t, a, c, h_t = z_steps[t], zc_steps[t], gates[t], h_tilde[t], out[t]
+        k = t % depth  # the slot of step t
+        if k == 0:  # the input part of steps t .. t + depth - 1
+            for z_s, sequence in zip(z, sequences):
+                z_s[..., :n_in] = sequence[t : t + depth]
+            zc[..., :n_in] = z[..., :n_in]
+        z_t, zc_t, a, c, h_t = z_steps[k], zc_steps[k], gates[k], h_tilde[k], out[t]
         z_t[..., n_in:] = h
         np.matmul(z_t, W_U, out=a[0])
         np.matmul(z_t, W_R, out=a[1])
@@ -240,26 +223,18 @@ def _bigru_forward(
     flipped back, so output step t concatenates the forward state after
     seeing x[0..t] with the backward state after seeing x[t..T-1].
     Inverted dropout is applied per direction in train mode only, the
-    forward direction's mask drawn first.  A stack of both cells (see
-    :func:`_layer_stacks`) runs as one.  Only train mode keeps the
-    caches; eval mode returns None for them, so that each direction's
-    sequence arrays are freed when its loop ends.
+    forward direction's mask drawn first.  Only train mode keeps the
+    caches; eval mode returns None for them.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
     if train and (dropout_fwd > 0 or dropout_bwd > 0) and rng is None:
         raise ValueError("train mode with dropout needs an rng")
-    if len(stacks) == 1:
-        out, cache = _gru_sequence_forward(stacks[0], (sequence, sequence[::-1]), train)
-        out_f, out_b_rev = out.swapaxes(0, 1)
-        runs = (cache,)
-    else:
-        (out_f, cache_f), (out_b_rev, cache_b) = (
-            _gru_sequence_forward(cells, (seq,), train)
-            for cells, seq in zip(stacks, (sequence, sequence[::-1]))
-        )
-        runs = (cache_f, cache_b)
+    directions = (sequence, sequence[::-1])
+    groups = (directions,) if len(stacks) == 1 else zip(directions)  # each stack's sequences
+    outs, runs = zip(*(_gru_sequence_forward(c, g, train) for c, g in zip(stacks, groups)))
+    out_f, out_b_rev = (states for out in outs for states in out.swapaxes(0, 1))
     masks = []
     for out, rate in ((out_f, dropout_fwd), (out_b_rev, dropout_bwd)):
         mask = _dropout_mask(rng, out.shape, rate) if train else None
@@ -270,60 +245,77 @@ def _bigru_forward(
     return out, (_BiGRUCache(runs, *masks) if train else None)
 
 
+def _gate_gradients(
+    cells: GRUCellParams, d_out: np.ndarray, cache: _SequenceCache
+) -> list[np.ndarray]:
+    """The dh recurrence of a stack, run back over its T steps: the gradients
+    of the h~, U and R pre-activations, each (T, S, B, H) like ``d_out``.
+    Every other array is freed on return; ``1-U`` and ``1-R`` are one step's.
+    """
+    T, S, B, H = d_out.shape
+    n_in = cells.input_size
+    W_Uh, W_Rh, W_hh = (w[..., n_in:] for w in (cells.W_U, cells.W_R, cells.W_h))
+    h_prev = cache.z[..., n_in:].swapaxes(0, 1)  # step first
+    gates = cache.gates
+    d_tanh = 1.0 - cache.h_tilde**2
+    h_step = cache.h_tilde - h_prev
+    da_h, da_U, da_R = np.empty(d_out.shape), np.empty(d_out.shape), np.empty(d_out.shape)
+    one_minus = np.empty(gates.shape[1:])  # 1-U and 1-R of one step
+    one_minus_U, one_minus_R = one_minus
+    dh = np.zeros((S, B, H))
+    for t in range(T - 1, -1, -1):
+        # each product is formed left to right, as dh * U * d_tanh[t] would be
+        a_U, a_R, a_h, U_R, h_prev_t = da_U[t], da_R[t], da_h[t], gates[t], h_prev[t]
+        U, R = U_R
+        np.subtract(1.0, U_R, out=one_minus)
+        dh = d_out[t] + dh
+        np.multiply(dh, U, out=a_h)
+        a_h *= d_tanh[t]
+        dRh = a_h @ W_hh
+        np.multiply(dh, h_step[t], out=a_U)
+        a_U *= U
+        a_U *= one_minus_U
+        np.multiply(dRh, h_prev_t, out=a_R)
+        a_R *= R
+        a_R *= one_minus_R
+        dh = dh * one_minus_U + dRh * R + (a_U @ W_Uh + a_R @ W_Rh)
+    return [da_h, da_U, da_R]
+
+
 def _gru_sequence_backward(
     cells: GRUCellParams,
     d_out: np.ndarray,
     cache: _SequenceCache,
     grads: GRUCellParams,
 ) -> np.ndarray:
-    """Backprop one cell, or a stack, over its T steps into ``grads`` (overwritten).
+    """Backprop a stack over its T steps into ``grads`` (overwritten).
 
-    ``d_out`` is (T, [2,] B, H), like the states; returns dx, ([2,] T, B, n_in).
-    Only the dh recurrence runs per step.  The gate gradients of all steps
-    are then laid out as ([2,] T*B, H), so each weight gradient is one matmul.
+    ``d_out`` is (T, S, B, H), like the states; returns dx, (S, T, B, n_in).
+    Each gate's gradients of all steps (:func:`_gate_gradients`) are laid
+    out as (S, T*B, H), so its weight gradient is one matmul.
     """
-    T, *lead, B, H = d_out.shape
+    T, S, B, H = d_out.shape
     n_in = cells.input_size
-    W_U, W_R, W_h = cells.W_U, cells.W_R, cells.W_h
-    W_Uh, W_Rh, W_hh = (w[..., n_in:] for w in (W_U, W_R, W_h))
-    h_prev = cache.z[..., n_in:].swapaxes(0, len(lead))  # step first
-    U, R = cache.gates[:, 0], cache.gates[:, 1]
-    h_tilde = cache.h_tilde
-    one_minus_U, one_minus_R = 1.0 - U, 1.0 - R
-    d_tanh = 1.0 - h_tilde**2
-    h_step = h_tilde - h_prev
-    da_U, da_R, da_h = np.empty((3, T, *lead, B, H))
-    dh = np.zeros((*lead, B, H))
-    for t in range(T - 1, -1, -1):
-        # each product is formed left to right, as dh * U[t] * d_tanh[t] would be
-        a_U, a_R, a_h = da_U[t], da_R[t], da_h[t]
-        dh = d_out[t] + dh
-        np.multiply(dh, U[t], out=a_h)
-        a_h *= d_tanh[t]
-        dRh = a_h @ W_hh
-        np.multiply(dh, h_step[t], out=a_U)
-        a_U *= U[t]
-        a_U *= one_minus_U[t]
-        np.multiply(dRh, h_prev[t], out=a_R)
-        a_R *= R[t]
-        a_R *= one_minus_R[t]
-        dh = dh * one_minus_U[t] + dRh * R[t] + (a_U @ W_Uh + a_R @ W_Rh)
-
-    # copied into ([2,] T, B, H) order: BLAS then sees each direction's rows as
-    # the single direction does, for every size (a reshaped view may not)
-    da_U, da_R, da_h = (
-        np.ascontiguousarray(a.swapaxes(0, len(lead))).reshape(*lead, T * B, H)
-        for a in (da_U, da_R, da_h)
-    )
-    z, zc = (a.reshape(*lead, T * B, n_in + H) for a in (cache.z, cache.zc))
-    np.matmul(da_U.swapaxes(-1, -2), z, out=grads.W_U)
-    np.matmul(da_R.swapaxes(-1, -2), z, out=grads.W_R)
-    np.matmul(da_h.swapaxes(-1, -2), zc, out=grads.W_h)
-    da_U.sum(axis=-2, out=grads.b_U)
-    da_R.sum(axis=-2, out=grads.b_R)
-    da_h.sum(axis=-2, out=grads.b_h)
-    dx = da_h @ W_h[..., :n_in] + da_U @ W_U[..., :n_in] + da_R @ W_R[..., :n_in]
-    return dx.reshape(*lead, T, B, n_in)
+    gradients = _gate_gradients(cells, d_out, cache)
+    z, zc = (a.reshape(S, T * B, n_in + H) for a in (cache.z, cache.zc))
+    # each gate's gradients in turn are copied into (S, T, B, H) order, so that
+    # BLAS sees each direction's rows as the single direction does (a reshaped
+    # view may not); popped, so that each step-first array is freed once copied
+    da = np.empty((S, T, B, H))
+    rows, dx = da.reshape(S, T * B, H), None
+    for W, z_in, g_W, g_b in (
+        (cells.W_h, zc, grads.W_h, grads.b_h),
+        (cells.W_U, z, grads.W_U, grads.b_U),
+        (cells.W_R, z, grads.W_R, grads.b_R),
+    ):
+        da[...] = gradients.pop(0).swapaxes(0, 1)
+        np.matmul(rows.swapaxes(-1, -2), z_in, out=g_W)
+        rows.sum(axis=-2, out=g_b)
+        if dx is None:  # summed in place, h then U then R, as left to right
+            dx = rows @ W[..., :n_in]
+        else:
+            dx += rows @ W[..., :n_in]
+    return dx.reshape(S, T, B, n_in)
 
 
 def _bigru_backward(
@@ -333,21 +325,17 @@ def _bigru_backward(
     cache: _BiGRUCache,
 ) -> np.ndarray:
     """Backprop both directions into ``grad_stacks``, which stack as ``stacks``; returns d(input)."""
+    T, B, _ = dout.shape
     hf = stacks[0].hidden_size
-    d_f = dout[:, :, :hf]
-    d_b_rev = dout[::-1, :, hf:]
-    if cache.mask_fwd is not None:
-        d_f = d_f * cache.mask_fwd
-    if cache.mask_bwd is not None:
-        d_b_rev = d_b_rev * cache.mask_bwd
-    if len(stacks) == 1:
-        d_out = np.array((d_f, d_b_rev)).swapaxes(0, 1)
-        dx_f, dx_b_rev = _gru_sequence_backward(stacks[0], d_out, cache.runs[0], grad_stacks[0])
-    else:
-        dx_f, dx_b_rev = (
-            _gru_sequence_backward(*args)
-            for args in zip(stacks, (d_f, d_b_rev), cache.runs, grad_stacks)
-        )
+    d_outs = [np.empty((T, len(c.W_U), B, c.hidden_size)) for c in stacks]  # one per stack
+    d_f, d_b_rev = (d[:, s] for d in d_outs for s in range(d.shape[1]))
+    # each direction times its mask, or times 1.0 without one, which keeps every bit
+    np.multiply(dout[..., :hf], 1.0 if cache.mask_fwd is None else cache.mask_fwd, out=d_f)
+    np.multiply(dout[::-1, :, hf:], 1.0 if cache.mask_bwd is None else cache.mask_bwd, out=d_b_rev)
+    dx_f, dx_b_rev = (
+        dx for args in zip(stacks, d_outs, cache.runs, grad_stacks)
+        for dx in _gru_sequence_backward(*args)
+    )
     return dx_f + dx_b_rev[::-1]
 
 
@@ -373,7 +361,8 @@ class ModelParams:
     Every tensor is a view into ``flat``, so writing to a view writes to
     the buffer and vice versa.  Gradients are held in the same form.
     ``layers`` holds each block's cells as stacks (see :func:`_layer_stacks`):
-    one stack of two where the block's two cells are of equal size.
+    one stack of two where the block's two cells are of equal size, else two
+    stacks of one.
     """
 
     flat: np.ndarray
@@ -512,6 +501,7 @@ def network_backward(
     dout2[-1] = np.outer(dy, params.dense_w)
 
     dout1 = _bigru_backward(params.layers[1], grads.layers[1], dout2, cache2)
+    del dout2  # freed before block 1's backward, whose peak would otherwise be the step's
     _bigru_backward(params.layers[0], grads.layers[0], dout1, cache1)
     return grads
 

@@ -331,7 +331,7 @@ def per_step_network_backward(spec, dy, cache):
     grads = params.zeros_like()
 
     def direction(cell, grad, d_seq, seq_cache, s):
-        # s is the direction's index in a stacked run, () for a run of its own
+        # s is the direction's index in its run's stack
         n_in = cell.input_size
         dx_seq = np.zeros(d_seq.shape[:2] + (n_in,))
         dh = np.zeros(d_seq.shape[1:])
@@ -349,11 +349,11 @@ def per_step_network_backward(spec, dy, cache):
             d_f = d_f * bicache.mask_fwd
         if bicache.mask_bwd is not None:
             d_b_rev = d_b_rev * bicache.mask_bwd
-        # (run, index in it) of the forward, then the backward direction
+        # (run, index in its stack) of the forward, then the backward direction
         if len(bicache.runs) == 1:
             fwd, bwd = (bicache.runs[0], 0), (bicache.runs[0], 1)
         else:
-            fwd, bwd = ((run, ()) for run in bicache.runs)
+            fwd, bwd = ((run, 0) for run in bicache.runs)
         dseq = direction(cells[0], grads_pair[0], d_f, *fwd)
         return dseq + direction(cells[1], grads_pair[1], d_b_rev, *bwd)[::-1]
 

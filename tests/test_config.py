@@ -221,6 +221,16 @@ def test_extract_value_the_stage_cannot_use_names_the_key(tmp_path, capsys, sect
     assert capsys.readouterr().err == f"error: {config}: {shown}\n"
 
 
+@pytest.mark.parametrize("value, shown", [("1.5", "1.5"), ("0", "0"), (".nan", "nan")])
+def test_train_denoise_rank_the_stage_cannot_use_names_the_key(tmp_path, hi_table, capsys, value, shown):
+    # checked where the config is read, by the rule extract.denoise is checked by
+    code, out = train_with(tmp_path, f"experiment:\n  denoise_rank: {value}\n", hi_table)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'cfg.yaml'}: experiment.denoise_rank = {shown} {cli.NOT_A_RANK}\n"
+    )
+
+
 def test_every_key_read_before_is_settable():
     settable = set(cli.CONFIG_SCHEMA)
     assert len(settable) == 70  # 69 values and experiment.network itself
@@ -351,3 +361,16 @@ def test_hpo_checks_the_candidate_form(tmp_path, hi_table, capsys):
                      "--out", str(out)])
     assert code == 1 and not out.exists()
     assert "candidate_form 'concat' is not supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, shown", [("0", "0"), ("2.0", "2.0")])
+def test_hpo_denoise_rank_the_stage_cannot_use_names_the_key(tmp_path, hi_table, capsys, value, shown):
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"experiment:\n  denoise_rank: {value}\n" + TINY_SEARCH)
+    out = tmp_path / "out"
+    code = cli.main(["hpo", "--config", str(config), "--hi-table", str(hi_table), "--jobs", "1",
+                     "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {config}: experiment.denoise_rank = {shown} {cli.NOT_A_RANK}\n"
+    )

@@ -365,7 +365,8 @@ class TestSequenceBackward:
 
 
 STACK_UNITS = pytest.mark.parametrize(
-    "units", [(3, 3, 4, 4), (3, 2, 4, 3), (16, 16, 16, 16), (5, 7, 4, 6)]
+    "units",
+    [(3, 3, 4, 4), (3, 2, 4, 3), (16, 16, 16, 16), (5, 7, 4, 6), (65,) * 4, (128,) * 4],
 )
 
 
@@ -420,11 +421,20 @@ class TestStackedDirections:
         assert np.array_equal(preds, ref_preds)
         assert np.array_equal(grads.flat, ref_grads.flat)
 
+    @staticmethod
+    def assert_run_alone(layer, cells):
+        """Each cell is a stack of one whose arrays view the cell's own."""
+        assert len(layer) == 2
+        for stack, cell in zip(layer, cells):
+            for name in nn.CELL_FIELDS:
+                alone = getattr(stack, name)
+                assert alone.shape == (1, *getattr(cell, name).shape)
+                assert np.shares_memory(alone, getattr(cell, name))
+
     def test_equal_cells_stack_as_views_of_the_buffer(self):
         params = built_spec(units=(3, 3, 4, 3)).params
         (stack,) = params.layers[0]
-        first, second = params.layers[1]  # unequal cells run one after the other
-        assert first is params.cells[2] and second is params.cells[3]
+        self.assert_run_alone(params.layers[1], params.cells[2:])  # unequal cells
         for name in nn.CELL_FIELDS:
             stacked = getattr(stack, name)
             assert np.shares_memory(stacked, params.flat)
@@ -437,18 +447,17 @@ class TestStackedDirections:
         assert grads.cells[1].W_h[0, 0] == 2.5
         assert np.count_nonzero(grads.flat) == 1
 
-    def test_cells_wider_than_the_limit_run_alone(self):
-        wide = nn.STACK_MAX_UNITS + 1
-        params = built_spec(units=(wide, wide, 2, 2), window=2).params
-        first, second = params.layers[0]
-        assert first is params.cells[0] and second is params.cells[1]
-        assert len(params.layers[1]) == 1
+    @pytest.mark.parametrize("width", [65, 128])
+    def test_equal_cells_of_any_width_stack(self, width):
+        params = built_spec(units=(width, width, width, width + 1), window=2).params
+        (stack,) = params.layers[0]
+        assert stack.W_U.shape == (2, width, 1 + width)
+        self.assert_run_alone(params.layers[1], params.cells[2:])  # unequal cells
 
     def test_cells_of_separate_buffers_do_not_stack(self):
         rng = np.random.default_rng(0)
         cells = init_gru_cell(1, 3, rng), init_gru_cell(1, 3, rng)
-        first, second = nn._layer_stacks(*cells)
-        assert first is cells[0] and second is cells[1]
+        self.assert_run_alone(nn._layer_stacks(*cells), cells)
 
     @pytest.mark.parametrize("units", [(3, 3, 4, 4), (3, 2, 4, 3)])
     def test_nan_window_diverges(self, units):
@@ -546,11 +555,12 @@ class TestAdam:
 class TestPeakMemory:
     """A training run holds four model-sized buffers, ``predict`` keeps no caches,
     and ``load_model`` reads the data section once.  Peaks are multiples of the
-    3.2 MB parameter buffer of the paper's 128-unit network, window length 5.
+    parameter buffer: 3.2 MB for the paper's 128-unit network, window length 5,
+    and 0.8 MB at 64 units.  Every block of these networks runs as one stack.
     """
 
-    def paper_spec(self):
-        return built_spec(units=(128,) * 4, window=5, dropouts=(0.02,) * 4)
+    def paper_spec(self, units=128):
+        return built_spec(units=(units,) * 4, window=5, dropouts=(0.02,) * 4)
 
     def test_train_holds_four_model_sized_buffers(self):
         spec = self.paper_spec()
@@ -559,18 +569,22 @@ class TestPeakMemory:
         config = nn.TrainingConfig(1, 0.01, 1, batch_size=16)
         peak = traced_peak(lambda: nn.train(spec, config, data))
         # train's copy of the params, grads, m and v are 4x; Adam's two scratch
-        # blocks add 0.17x, the step's forward caches 0.9x and its backward
-        # temporaries 0.5x, so 5.6x was measured.  Two model-sized scratch
-        # buffers in place of the blocks made it 7.4x.
+        # blocks add 0.16x, the step's forward caches 0.9x and its backward
+        # temporaries 0.44x, so 5.50x was measured.  Two model-sized scratch
+        # buffers in place of the blocks made it 7.4x, and stacking the blocks
+        # with the backward holding both directions' temporaries at once 5.96x.
         assert peak < 6.5 * spec.params.flat.nbytes
 
-    def test_predict_keeps_no_caches(self):
-        spec = self.paper_spec()
+    @pytest.mark.parametrize("units", [64, 128])
+    def test_predict_keeps_no_caches(self, units):
+        spec = self.paper_spec(units)
         windows = np.random.default_rng(0).normal(size=(96, 5))
         peak = traced_peak(lambda: nn.predict(spec, windows))
-        # one block-2 direction's sequence arrays at a time (z, zc, gates, h_tilde
-        # and states, 1.55x at 96 windows) plus the block outputs: 2.2x was
-        # measured.  Keeping all four directions' caches to the end made it 5.3x.
+        # each stack's states, one step of its z, zc, gates and h_tilde, and the
+        # block outputs: 1.62x was measured at 128 units and 3.22x at 64 (a
+        # smaller buffer against the same 96 windows).  Stacks whose sequence
+        # arrays spanned every step made it 3.85x and 7.66x; keeping all four
+        # directions' caches to the end made it 5.3x at 128 units.
         assert peak < 3.5 * spec.params.flat.nbytes
 
     def test_load_model_reads_the_data_once(self, tmp_path):

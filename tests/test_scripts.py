@@ -70,9 +70,10 @@ def test_cli_peak_stops_at_a_failed_call(tmp_path):
 def test_cli_peak_prints_cpu_time(tmp_path):
     lines = run_script("cli_peak.py", "-n", 2, "--", "synth", "--out", "synth", cwd=tmp_path)
     header = lines[0].split()
-    assert header == ["run", "wall_s", "cpu_s", "peak_rss_mb"]
+    assert header == ["run", "wall_s", "cpu_s", "peak_rss_mb", "minflt"]
     rows = table_rows(lines, "run")
     assert [row[0] for row in rows] == ["1", "2", "median"]
     for row in rows:
         cpu = float(row[header.index("cpu_s")])
         assert 0.0 < cpu, row
+        assert 0 < int(row[header.index("minflt")]), row
