@@ -192,14 +192,13 @@ CONFIG_SCHEMA: dict = {
     "experiment.denoise": (bool, pipeline.ExperimentConfig.denoise),
     "experiment.denoise_rank": (int | float, pipeline.ExperimentConfig.denoise_rank),
     "experiment.scale_band": (float, pipeline.ExperimentConfig.scale_band),
+    # the network and training defaults are the paper's baseline network
     "experiment.network": dict | Literal["ssa-tuned"],  # or the baseline network
-    "experiment.network.gru_units": (tuple[int, int, int, int], (pipeline.BASELINE_UNITS,) * 4),
-    "experiment.network.dropout_rates": (
-        tuple[float, float, float, float], (pipeline.BASELINE_DROPOUT,) * 4
-    ),
+    "experiment.network.gru_units": (tuple[int, int, int, int], (128,) * 4),
+    "experiment.network.dropout_rates": (tuple[float, float, float, float], (0.02,) * 4),
     "experiment.network.candidate_form": (str, "reset_gated"),
-    "experiment.training.max_epochs": (int, pipeline.BASELINE_EPOCHS),
-    "experiment.training.learning_rate": (float, pipeline.BASELINE_LEARNING_RATE),
+    "experiment.training.max_epochs": (int, 500),
+    "experiment.training.learning_rate": (float, 0.01),
     "experiment.training.lr_drop_period": int,  # or ssa.LR_DROP_RATIO * max_epochs
     "experiment.training.lr_drop_factor": (float, TrainingConfig.lr_drop_factor),
     "experiment.training.batch_size": (int, TrainingConfig.batch_size),
@@ -311,10 +310,11 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
 
     net, tr = exp.get("network"), exp["training"]
     if net == "ssa-tuned" and not searched:
-        raise ConfigError("network: ssa-tuned requires the hpo subcommand")
+        raise ConfigError(
+            f"{args.config}: experiment.network = ssa-tuned needs a search (hpo or fleet)"
+        )
     # checked with a search too, though it picks both, so one file serves train and hpo
-    given = isinstance(net, dict)
-    if not given:  # the schema's defaults, which are the baseline network's
+    if not isinstance(net, dict):  # the schema's defaults: the baseline network
         net = _checked({}, "", "experiment.network")
     if net["candidate_form"] != "reset_gated":
         raise ConfigError(
@@ -332,11 +332,9 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
     problems = domain.violations(list(explicit.values()), names)
     if problems:
         raise ConfigError(f"{args.config}: hyperparameters violate bounds: " + "; ".join(problems))
-    network, training = "ssa-tuned" if searched else "baseline", None
-    if given and not searched:
+    network, training = "ssa-tuned", None
+    if not searched:
         network = DualBiGRUSpec(exp["window_length"], net["gru_units"], net["dropout_rates"])
-    # a training section left at its defaults is the baseline's, which the pipeline supplies
-    if not searched and (given or tr != _checked({}, "", "experiment.training")):
         period = round(ssa.LR_DROP_RATIO * tr["max_epochs"])
         training = TrainingConfig(**{"lr_drop_period": period, **tr}, seed=seeds[0])
 
@@ -501,12 +499,14 @@ def _load_hi_inputs(args, conf: dict) -> tuple[Path, HISeries, ingest.SOHSeries]
     return table, hi, soh
 
 
-def _write_report(out_dir: Path, h: str, name: str, report: pipeline.PredictionReport) -> None:
+def _write_report(out_dir: Path, h: str, name: str, report: pipeline.PredictionReport,
+                  table_index: tuple[int, ...], index_name: str) -> None:
+    """``index`` is the position in the series; ``index_name`` its own index there."""
     _write_table(
         out_dir / name,
         h,
-        ["index", "true_soh", "predicted_soh"],
-        [[int(i), float(t), float(p)]
+        ["index", "true_soh", "predicted_soh", index_name],
+        [[int(i), float(t), float(p), table_index[i]]
          for i, t, p in zip(report.indices, report.true_soh, report.predicted_soh)],
     )
 
@@ -552,7 +552,7 @@ def _run_experiment(args, searched: bool) -> int:
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
 
-    _write_report(out_dir, h, "report.csv", report)
+    _write_report(out_dir, h, "report.csv", report, soh.index, "cycle")
     _write_summary(
         out_dir,
         h,
@@ -590,7 +590,7 @@ def cmd_predict(args) -> int:
     report = predictor.report("-", hi.values, soh.values)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
-    _write_report(out_dir, h, "predictions.csv", report)
+    _write_report(out_dir, h, "predictions.csv", report, soh.index, "cycle")
     _write_summary(out_dir, h, [["-", hi.name, "full", report.rmse, report.mae, report.mape]])
     _write_manifest(out_dir, manifest)
     print(f"{out_dir} rmse={report.rmse!r}")
@@ -727,7 +727,8 @@ def cmd_fleet(args) -> int:
     )
     summary_rows = []
     for vid, report in results:
-        _write_report(out_dir, h, f"fleet_{vid}_report.csv", report)
+        months = vehicle_soh[vid].index
+        _write_report(out_dir, h, f"fleet_{vid}_report.csv", report, months, "month")
         summary_rows.append([report.fingerprint, vid, start.label(), report.rmse, report.mae, report.mape])
     _write_summary(out_dir, h, summary_rows)
     if searched:

@@ -33,35 +33,8 @@ from .neuralnet import (
 )
 from .seeding import derive_rng
 
-# baseline network settings used when nothing is searched: equal hidden
-# sizes, one shared dropout rate, step decay late in the run
-BASELINE_UNITS = 128
-BASELINE_EPOCHS = 500
-BASELINE_LEARNING_RATE = 0.01
-BASELINE_DROP_PERIOD = 350
-BASELINE_DROP_FACTOR = 0.01
-BASELINE_BATCH_SIZE = 16
-BASELINE_DROPOUT = 0.02
 DEFAULT_WINDOW_LENGTH = 5
 VALIDATION_TAIL_FRACTION = 0.2
-
-
-def baseline_network(window_length: int = DEFAULT_WINDOW_LENGTH) -> DualBiGRUSpec:
-    return DualBiGRUSpec(
-        window_length=window_length,
-        gru_units=(BASELINE_UNITS,) * 4,
-        dropout_rates=(BASELINE_DROPOUT,) * 4,
-    )
-
-
-def baseline_training() -> TrainingConfig:
-    return TrainingConfig(
-        max_epochs=BASELINE_EPOCHS,
-        learning_rate=BASELINE_LEARNING_RATE,
-        lr_drop_period=BASELINE_DROP_PERIOD,
-        lr_drop_factor=BASELINE_DROP_FACTOR,
-        batch_size=BASELINE_BATCH_SIZE,
-    )
 
 
 @dataclass(frozen=True)
@@ -151,7 +124,7 @@ class ExperimentConfig:
     """Everything needed to reproduce one prediction experiment."""
 
     split: SplitSpec
-    network: DualBiGRUSpec | str = "baseline"  # spec, "baseline", or "ssa-tuned"
+    network: DualBiGRUSpec | str  # a spec, trained with ``training``, or "ssa-tuned"
     training: TrainingConfig | None = None
     denoise: bool = True
     denoise_rank: float | int = 2  # model-input conditioning; ramps need rank 2
@@ -163,11 +136,13 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.network, str):
-            if self.network not in ("baseline", "ssa-tuned"):
-                raise ValueError("network must be a spec, 'baseline' or 'ssa-tuned'")
-            if self.network == "ssa-tuned" and self.ssa is None:
+        if self.network == "ssa-tuned":
+            if self.ssa is None:
                 raise ValueError("'ssa-tuned' requires an SSAConfig attachment")
+        elif not isinstance(self.network, DualBiGRUSpec):
+            raise ValueError(f"network must be a spec or 'ssa-tuned', got {self.network!r}")
+        elif self.training is None:
+            raise ValueError("a network spec needs a TrainingConfig")
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
         if self.jobs < 1:
@@ -273,13 +248,10 @@ class AnchoredScale:
 def _resolve_network(
     config: ExperimentConfig, train_inputs: np.ndarray, train_targets: np.ndarray
 ) -> tuple[DualBiGRUSpec, TrainingConfig, list[ssa.IterationRecord]]:
-    """Pick hyperparameters: given spec, baseline defaults, or one search on the first seed."""
+    """Pick hyperparameters: the given spec and training, or one search on the first seed."""
     seed = config.seeds[0]
     if config.network != "ssa-tuned":
-        spec = config.network
-        if spec == "baseline":
-            spec = baseline_network(config.window_length)
-        return spec, replace(config.training or baseline_training(), seed=seed), []
+        return config.network, replace(config.training, seed=seed), []
 
     # hyperparameter search on the training region only: candidates train on
     # the leading part and are scored on the last fifth of the region

@@ -178,8 +178,20 @@ class TestTrainPredict:
             "--hi-table", ext / "hi_top.csv", "--out", pred_dir,
         ) == 0
         lines = (pred_dir / "predictions.csv").read_text().splitlines()
-        assert lines[1] == "index,true_soh,predicted_soh"
+        assert lines[1] == "index,true_soh,predicted_soh,cycle"
         assert len(lines) > 10
+
+    def test_report_cycles_join_the_indicator_table(self, tmp_path, tiny_config):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        model_dir = tmp_path / "model"
+        assert run_cli("train", "--config", tiny_config, "--hi-table", ext / "hi_top.csv", "--out", model_dir) == 0
+        table = {int(r[0]): r[2] for r in
+                 (ln.split(",") for ln in (ext / "hi_top.csv").read_text().splitlines()[2:])}
+        lines = (model_dir / "report.csv").read_text().splitlines()
+        assert lines[1] == "index,true_soh,predicted_soh,cycle"
+        rows = [ln.split(",") for ln in lines[2:]]
+        assert [int(r[3]) for r in rows] == [int(r[0]) + 1 for r in rows]  # cycles start at 1
+        assert [table[int(r[3])] for r in rows] == [r[1] for r in rows]
 
     def test_predict_uses_the_conditioning_it_was_trained_under(self, tmp_path, tiny_config):
         # trained without denoising; predict gets no --config, so nothing but
@@ -303,6 +315,18 @@ class TestInputErrors:
         code = run_cli("train", "--config", bad, "--hi-table", hi_table, "--out", tmp_path / "m")
         assert code == 1
         assert "candidate_form 'concat' is not supported" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_ssa_tuned_network_needs_a_search(self, tmp_path, tiny_config, hi_table, capsys):
+        cfg = yaml.safe_load(Path(tiny_config).read_text())
+        cfg["experiment"]["network"] = "ssa-tuned"
+        bad = tmp_path / "tuned.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        code = run_cli("train", "--config", bad, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: experiment.network = ssa-tuned needs a search (hpo or fleet)\n"
+        )
         assert not (tmp_path / "m").exists()
 
     def test_divergence_reported_without_traceback(self, tmp_path, tiny_config, hi_table, capsys, monkeypatch):
@@ -493,6 +517,8 @@ class TestFleetCommand:
         medians = np.array([float(r[3]) for r in rows if r[0] == "V02"])
         report = [ln.split(",") for ln in (out / "fleet_V02_report.csv").read_text().splitlines()[2:]]
         index = [int(r[0]) for r in report]
+        months = [int(r[1]) for r in rows if r[0] == "V02"]
+        assert [int(r[3]) for r in report] == [months[i] for i in index]
         true_soh = np.array([float(r[1]) for r in report])
         assert true_soh == pytest.approx((means / means.max())[index], rel=1e-12)
         assert not np.allclose(true_soh, (medians / medians.max())[index], rtol=1e-6)

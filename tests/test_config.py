@@ -1,16 +1,16 @@
 """The run-config schema: every key a config may set, checked before a run starts."""
 
+import argparse
 import importlib.util
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 from sohpred import cli, pipeline
-from sohpred.neuralnet import DivergenceError, TrainingConfig, load_model
+from sohpred.neuralnet import DivergenceError, DualBiGRUSpec, TrainingConfig, load_model
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -322,8 +322,37 @@ def test_training_alone_applies_to_the_baseline_network(tmp_path, hi_table, monk
     code, _ = train_with(tmp_path, "experiment:\n  training: {max_epochs: 2, batch_size: 4}\n", hi_table)
     assert code == 1
     (spec, training), = seen
-    assert spec == pipeline.baseline_network(spec.window_length)
-    assert training == replace(pipeline.baseline_training(), max_epochs=2, lr_drop_period=1, batch_size=4)
+    assert spec == DualBiGRUSpec(spec.window_length, (128,) * 4, (0.02,) * 4)
+    assert training == TrainingConfig(2, 0.01, 1, 0.01, batch_size=4)
+
+
+BASELINE_NETWORK = {"gru_units": [128] * 4, "dropout_rates": [0.02] * 4}
+BASELINE_TRAINING = {"max_epochs": 500, "learning_rate": 0.01, "lr_drop_period": 350,
+                     "lr_drop_factor": 0.01, "batch_size": 16}
+
+
+def resolved(tmp_path, cfg: dict):
+    """The spec, training and fingerprint with which ``train`` runs ``cfg``."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    args = argparse.Namespace(config=str(path), seed=0)
+    config = cli._experiment_config(cli._load_config(str(path))[1], args, searched=False)
+    spec, training, _ = pipeline._resolve_network(config, None, None)
+    return spec, training, pipeline.config_fingerprint(config)
+
+
+@pytest.mark.parametrize("cfg, twin", [
+    ({}, {"network": BASELINE_NETWORK}),
+    ({"experiment": {"training": {"max_epochs": 2, "batch_size": 4}}},
+     {"network": BASELINE_NETWORK, "training": {"max_epochs": 2, "batch_size": 4}}),
+    ({"experiment": {"network": BASELINE_NETWORK, "training": BASELINE_TRAINING}},
+     {"network": BASELINE_NETWORK}),
+], ids=["no-experiment", "training-alone", "written-out"])
+def test_one_set_of_hyperparameters_has_one_fingerprint(tmp_path, cfg, twin):
+    """A run without a network section is the run that writes the baseline network out."""
+    spec, training, fingerprint = resolved(tmp_path, cfg)
+    assert spec == DualBiGRUSpec(5, (128,) * 4, (0.02,) * 4)
+    assert (spec, training, fingerprint) == resolved(tmp_path, {"experiment": twin})
 
 
 # ---------------------------------------------------------------------------

@@ -478,7 +478,17 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
-            ExperimentConfig(split=SplitSpec.fraction(0.25), jobs=jobs)
+            ExperimentConfig(split=SplitSpec.fraction(0.25), network=small_net(),
+                             training=small_training(), jobs=jobs)
+
+    @pytest.mark.parametrize("network, message", [
+        ("baseline", "network must be a spec or 'ssa-tuned'"),
+        ("spec", "a network spec needs a TrainingConfig"),
+    ])
+    def test_network_must_be_a_trained_spec_or_a_search(self, network, message):
+        network = small_net() if network == "spec" else network
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(SplitSpec.fraction(0.25), network=network)
 
     def test_fingerprint_stable_and_sensitive(self):
         a = ExperimentConfig(split=SplitSpec.fraction(0.25), network=small_net(), training=small_training())
@@ -497,8 +507,6 @@ class TestExperimentConfig:
     def test_fingerprint_matches_earlier_versions(self):
         """Values written by the releases that still held ``ExperimentConfig.hi_choice``."""
         training = TrainingConfig(20, 0.01, 14, batch_size=8, seed=0)
-        nets = {"baseline": "bff74c4a4b54672e",
-                DualBiGRUSpec(5, (3, 2, 4, 3), (0.0, 0.1, 0.0, 0.2)): "be5a7167612d9911"}
-        for net, fingerprint in nets.items():
-            config = ExperimentConfig(SplitSpec.fraction(0.25), network=net, training=training)
-            assert pipeline.config_fingerprint(config) == fingerprint
+        net = DualBiGRUSpec(5, (3, 2, 4, 3), (0.0, 0.1, 0.0, 0.2))
+        config = ExperimentConfig(SplitSpec.fraction(0.25), network=net, training=training)
+        assert pipeline.config_fingerprint(config) == "be5a7167612d9911"
