@@ -10,6 +10,7 @@ manifest seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -35,7 +36,7 @@ SEARCH_BOUNDS_HELP = (
     f"hyperparameter domain: GRU units {list(ssa.UNIT_RANGE)} per layer, max epochs "
     f"{list(ssa.EPOCHS_RANGE)}, learning rate {list(ssa.LEARNING_RATE_RANGE)}, batch size "
     f"{list(ssa.BATCH_RANGE)}, dropout {list(ssa.DROPOUT_RANGE)} per layer; learning-rate "
-    f"drop period = {ssa.LR_DROP_RATIO} * max epochs, drop factor {ssa.LR_DROP_FACTOR}"
+    f"drop period = {ssa.LR_DROP_RATIO} * max epochs, drop factor {TrainingConfig.lr_drop_factor}"
 )
 
 
@@ -176,7 +177,9 @@ CONFIG_SCHEMA: dict = {
     "dataset.path": str,  # or --dataset
     "dataset.hi_table": str,  # or --hi-table
     **_dataclass_keys("dataset.schema", ingest.CycleSchema, ingest.FleetSchema),
-    "extract.soh_denominator": (str | float, _param_default(ingest.compute_soh, "denominator")),
+    "extract.soh_denominator": (
+        Literal["first", "max"] | float, _param_default(ingest.compute_soh, "denominator")
+    ),
     "extract.bin_width": (float, icfeatures.DEFAULT_BIN_WIDTH_V),
     "extract.sg_window": (int, icfeatures.DEFAULT_SG_WINDOW),
     "extract.sg_order": (int, icfeatures.DEFAULT_SG_ORDER),
@@ -209,7 +212,7 @@ CONFIG_SCHEMA: dict = {
     "ssa.ranges.learning_rate": (tuple[int | float, int | float], ssa.LEARNING_RATE_RANGE),
     "ssa.ranges.batch": (tuple[int, int], ssa.BATCH_RANGE),
     "ssa.ranges.dropout": (tuple[int | float, int | float], ssa.DROPOUT_RANGE),
-    "fleet.stat": (str, "median"),
+    "fleet.stat": (Literal["median", "mean"], "median"),
     "fleet.train_vehicle": str,  # or the first vehicle
     "fleet.start_index": (int, 2),
 }
@@ -345,7 +348,7 @@ def _experiment_config(conf: dict, args, searched: bool) -> pipeline.ExperimentC
         ssa=ssa.SSAConfig(s["pop_size"], s["max_iter"], seed=args.seed) if searched else None,
         search_space=ssa.encode_hyperparameters(
             *(ranges[k] for k in ("units", "epochs", "learning_rate", "batch", "dropout"))
-        ),
+        ) if searched else None,
         jobs=getattr(args, "jobs", 1),  # train never searches, so it has no --jobs
     )
 
@@ -370,8 +373,11 @@ def cmd_synth(args) -> int:
 
 def _check_extract(ex: dict, source: str | None) -> None:
     """ConfigError naming the first key of the extract section that the stage cannot use."""
-    window, order = ex["sg_window"], ex["sg_order"]
+    window, order, denominator = ex["sg_window"], ex["sg_order"], ex["soh_denominator"]
     checks = [  # NaN fails the comparisons too
+        ("soh_denominator", denominator,  # "first", "max" or a capacity
+         isinstance(denominator, str) or 0.0 < denominator < math.inf,
+         "is not a positive capacity"),
         ("bin_width", ex["bin_width"], 0.0 < ex["bin_width"] < math.inf, "is not a positive width"),
         ("sg_order", order, order >= 0, "is negative"),
         ("sg_window", window, window % 2 == 1, "is not odd"),
@@ -545,8 +551,8 @@ def _write_search(out_dir: Path, h: str, model: DualBiGRUSpec, training: Trainin
 
 def _run_experiment(args, searched: bool) -> int:
     written, conf = _load_config(args.config)
-    table, hi, soh = _load_hi_inputs(args, conf)
     config = _experiment_config(conf, args, searched)
+    table, hi, soh = _load_hi_inputs(args, conf)
     manifest = build_manifest("hpo" if searched else "train", written, [table], list(config.seeds))
     report, predictors, training, history = pipeline.train_and_predict(config, hi, soh)
     out_dir = _resolve_out_dir(args, manifest)
@@ -620,31 +626,26 @@ def _read_vehicle(path: Path, schema: ingest.FleetSchema, stat: str) -> _Vehicle
     return _VehicleLog(soh, rows, _file_sha256(path))
 
 
-def _read_fleet_and_fit(files, train_vehicle, schema, stat, settings, workers):
-    """Read every log and fit the training vehicle's predictors.
+def _read_fleet_and_fit(files, train_index, schema, stat, config, workers):
+    """Read every log and fit the predictors of the log at ``train_index``.
 
     With no ``workers``, this process reads every log in file order, then
-    resolves ``settings()`` (the split start and the experiment config) and
-    fits.  Otherwise a pool of ``workers`` forked readers reads the other
-    vehicles' logs while this process reads the training vehicle's log and
-    fits, so at most ``workers`` + 1 processes compute at once.  This
-    process reads no other log, so its peak memory does not depend on how
-    fast the readers were.  Returns the logs in file order, the start, the
-    config and a settled future of what :func:`pipeline.fit_predictors`
-    returns.  Errors come out in the order of a serial run: a read error of
-    an earlier file before that of a later one, any read error before a
-    settings error, and a fitting error only once the caller asks the
-    future for its result.
+    fits.  Otherwise a :func:`ssa.fork_pool` of ``workers`` readers reads
+    the other vehicles' logs while this process reads the training
+    vehicle's log and fits, so at most ``workers`` + 1 processes compute at
+    once.  This process reads no other log, so its peak memory does not
+    depend on how fast the readers were.  Returns the logs in file order
+    and what :func:`pipeline.fit_predictors` returns.  Errors come out in
+    the order of a serial run: a read error of an earlier file before that
+    of a later one, and any read error before a fitting error.
 
     The readers are forked, not spawned: a spawned reader would import
     NumPy and the package again, which takes about as long as a parse.
-    The pool forks every reader on the first submit, before its own
-    threads start and before this process reads a log.  The readers parse
-    and make no BLAS calls, so their BLAS threads are left alone.
+    The pool forks every reader on the first submit, before this process
+    reads a log.  The readers parse and make no BLAS calls, so their BLAS
+    threads are left alone.
     """
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import Future
 
     def settle(fn, *fn_args) -> Future:
         future = Future()
@@ -655,67 +656,53 @@ def _read_fleet_and_fit(files, train_vehicle, schema, stat, settings, workers):
         return future
 
     def fit():
-        _, config = settled.result()
         for i in here:  # no fit after a read error in this process
             reads[i].result()
-        if train_vehicle not in vids:
-            raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
-        values = reads[vids.index(train_vehicle)].result().soh.values
+        values = reads[train_index].result().soh.values
         return pipeline.fit_predictors(config, values, values)
 
-    vids = [_vehicle_id(path) for path in files]
-    here = [i for i, vid in enumerate(vids) if not workers or vid == train_vehicle]
-    context = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, mp_context=context) if workers else None
-    try:
+    here = [train_index] if workers else range(len(files))
+    lost = "the fleet lost a worker process before it returned a vehicle's log"
+    with ssa.fork_pool(workers, lost) if workers else contextlib.nullcontext() as pool:
         reads = [None if i in here else pool.submit(_read_vehicle, path, schema, stat)
                  for i, path in enumerate(files)]
         for i in here:  # in file order, up to the first read error
             reads[i] = settle(_read_vehicle, files[i], schema, stat)
             if reads[i].exception() is not None:
                 break
-        settled = settle(settings)
         fitted = settle(fit)
         logs = [read.result() for read in reads]
-    except BrokenProcessPool as exc:
-        raise ssa.WorkerLostError(
-            "the fleet lost a worker process before it returned a vehicle's log"
-        ) from exc
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return (logs, *settled.result(), fitted)
+    return logs, fitted.result()
 
 
 def cmd_fleet(args) -> int:
     written, conf = _load_config(args.config)
+    try:
+        start = pipeline.SplitSpec.index(conf["fleet"]["start_index"])
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: fleet.start_index: {exc}") from None
+    searched = conf["experiment"].get("network") == "ssa-tuned"
+    config = _experiment_config(conf, args, searched)
+    schema = _build(ingest.FleetSchema, conf["dataset"]["schema"])
     data_dir = _dataset_path(args, conf)
     files = sorted(data_dir.glob("fleet_*.csv"))
     if not files:
         raise ConfigError(f"no fleet_*.csv files under {data_dir}")
-    stat = conf["fleet"]["stat"]
-    if stat not in ("median", "mean"):
-        raise ConfigError(f"fleet.stat must be 'median' or 'mean', got {stat!r}")
-    schema = _build(ingest.FleetSchema, conf["dataset"]["schema"])
     vids = [_vehicle_id(p) for p in files]
     train_vehicle = conf["fleet"].get("train_vehicle", min(vids))
-    searched = conf["experiment"].get("network") == "ssa-tuned"
-
-    def settings() -> tuple[pipeline.SplitSpec, pipeline.ExperimentConfig]:
-        start = pipeline.SplitSpec.index(conf["fleet"]["start_index"])
-        return start, _experiment_config(conf, args, searched)
+    if train_vehicle not in vids:
+        raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
 
     # --jobs counts this process too; a search keeps the cores for its own pool
     workers = 0 if searched else min(args.jobs - 1, len(files) - 1)
-    logs, start, config, fitted = _read_fleet_and_fit(
-        files, train_vehicle, schema, stat, settings, workers
+    logs, (predictors, training, history) = _read_fleet_and_fit(
+        files, vids.index(train_vehicle), schema, conf["fleet"]["stat"], config, workers
     )
     vehicle_soh = {vid: log.soh for vid, log in zip(vids, logs)}
 
     manifest = build_manifest(
         "fleet", written, files, list(config.seeds), [log.sha256 for log in logs]
     )
-    predictors, training, history = fitted.result()
     results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config, predictors)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]

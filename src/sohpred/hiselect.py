@@ -65,11 +65,11 @@ def min_max_normalize(series: HISeries) -> HISeries:
     return replace(series, values=scaled, normalized=True)
 
 
-def hankel_matrix(values: np.ndarray, window: int | None = None) -> np.ndarray:
-    """Trajectory matrix H[i, j] = values[i + j], maximally square by default."""
+def hankel_matrix(values: np.ndarray) -> np.ndarray:
+    """Trajectory matrix H[i, j] = values[i + j], maximally square."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    length = n // 2 + 1 if window is None else window
+    length = n // 2 + 1
     k = n - length + 1
     idx = np.arange(length)[:, None] + np.arange(k)[None, :]
     return values[idx]
@@ -149,11 +149,14 @@ def spearman(
     if ranked:
         x = _average_ranks(x)
         y = _average_ranks(y)
+    # tested before centering: a mean need not be exact (0.1 three times
+    # averages to 0.10000000000000002), so a centered constant is not all 0
+    constant = x.min() == x.max() or y.min() == y.max()
     dx = x - x.mean()
     dy = y - y.mean()
     sx = np.sqrt(np.sum(dx**2))
     sy = np.sqrt(np.sum(dy**2))
-    if sx == 0.0 or sy == 0.0:
+    if constant or sx == 0.0 or sy == 0.0:  # a spread too small to square is 0.0 too
         return (0.0, True) if return_degenerate else 0.0
     coeff = float(np.sum(dx * dy) / (sx * sy))
     coeff = min(1.0, max(-1.0, coeff))

@@ -344,7 +344,6 @@ class BoundarySweepResult:
     reference_peak: PeakDescriptor
     series: HISeries
     correlations: tuple[tuple[float, float], ...]  # (halfwidth, coefficient)
-    skipped: tuple[float, ...]
 
 
 def sweep_area_boundaries(
@@ -357,8 +356,8 @@ def sweep_area_boundaries(
     For every candidate half-width the per-cycle peak-area series is built
     and correlated with SOH; the half-width with the largest absolute
     coefficient wins.  Degenerate candidates (constant area series) are
-    skipped and reported.  Every curve's areas for every half-width are
-    integrated in one pass.
+    skipped.  Every curve's areas for every half-width are integrated in
+    one pass.
     """
     if not candidate_halfwidths:
         raise ValueError("candidate half-width list must be non-empty")
@@ -375,12 +374,10 @@ def sweep_area_boundaries(
 
     best: tuple[float, float, np.ndarray] | None = None  # |coeff|, halfwidth, series
     correlations: list[tuple[float, float]] = []
-    skipped: list[float] = []
     for hw, areas in zip(candidate_halfwidths, by_halfwidth):
         coeff, degenerate = spearman(areas, soh.values, return_degenerate=True)
         correlations.append((hw, coeff))
         if degenerate and np.all(areas == areas[0]):
-            skipped.append(hw)
             continue
         if best is None or abs(coeff) > best[0]:
             best = (abs(coeff), hw, areas)
@@ -395,5 +392,4 @@ def sweep_area_boundaries(
         reference_peak=locate_peak(curves[0], hw),
         series=HISeries(name="Area", values=areas),
         correlations=tuple(correlations),
-        skipped=tuple(skipped),
     )

@@ -679,16 +679,16 @@ def parse_fleet_file(
     return segments
 
 
-def compute_capacity(segment: ChargeSegment, min_soc_span: float = MIN_SOC_SPAN) -> float:
+def compute_capacity(segment: ChargeSegment) -> float:
     """Capacity in ampere-hours from coulomb counting over an SOC span.
 
     Left-rectangle integration of the (negative) charging current over the
     segment, divided by the SOC gained.
     """
     soc_span = float(segment.soc[-1] - segment.soc[0])
-    if soc_span < min_soc_span:
+    if soc_span < MIN_SOC_SPAN:
         raise ValueError(
-            f"SOC span {soc_span:.4f} below threshold {min_soc_span}: uninformative snippet"
+            f"SOC span {soc_span:.4f} below threshold {MIN_SOC_SPAN}: uninformative snippet"
         )
     current = segment.current
     if np.all(current >= 0.0):
@@ -699,20 +699,19 @@ def compute_capacity(segment: ChargeSegment, min_soc_span: float = MIN_SOC_SPAN)
 
 def monthly_aggregate(
     segments: Iterable[ChargeSegment],
-    min_events: int = MIN_MONTHLY_EVENTS,
-    min_soc_span: float = MIN_SOC_SPAN,
 ) -> tuple[list[FleetMonthlyRecord], dict[int, int]]:
     """Aggregate per-event capacities into monthly records.
 
     Both the mean and the median capacity are filled in on every record;
-    the caller picks one.  Months with fewer than ``min_events`` usable events are omitted; the returned
-    mapping reports how many events each omitted month had.  Events whose
-    SOC span is too small are skipped.
+    the caller picks one.  Months with fewer than ``MIN_MONTHLY_EVENTS``
+    usable events are omitted; the returned mapping reports how many
+    events each omitted month had.  Events whose SOC span is below
+    ``MIN_SOC_SPAN`` are skipped.
     """
     by_month: dict[tuple[str, int, int], list[float]] = {}
     for seg in segments:
         try:
-            cap = compute_capacity(seg, min_soc_span=min_soc_span)
+            cap = compute_capacity(seg)
         except ValueError:
             continue
         key = (seg.source_id, seg.start_timestamp.year, seg.start_timestamp.month)
@@ -727,7 +726,7 @@ def monthly_aggregate(
     for vid, year, month in months:
         caps = by_month[(vid, year, month)]
         ordinal = (year - y0) * 12 + (month - m0)
-        if len(caps) < min_events:
+        if len(caps) < MIN_MONTHLY_EVENTS:
             omitted[ordinal] = len(caps)
             continue
         records.append(

@@ -30,7 +30,6 @@ LEARNING_RATE_RANGE = (0.005, 0.015)
 BATCH_RANGE = (1, 20)
 DROPOUT_RANGE = (0.002, 0.2)
 LR_DROP_RATIO = 0.7  # drop period = ratio * max epochs
-LR_DROP_FACTOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -153,33 +152,33 @@ def _score_in_worker(row: np.ndarray) -> float:
 
 
 @contextlib.contextmanager
-def _fork_pool(fitness: Callable[[np.ndarray], float], space: SearchSpace, workers: int):
-    """A process pool whose forked workers inherit ``fitness`` and ``space``.
+def fork_pool(workers: int, lost: str, initializer=None, initargs=()):
+    """A pool of ``workers`` forked processes; a worker lost raises ``WorkerLostError(lost)``.
 
-    Only position rows go out and floats come back, so the fitness need not
-    pickle, and no worker re-imports NumPy as ``spawn`` would.  ``fork``
-    needs a caller that runs no threads of its own: the pool starts every
-    worker on the first ``map``, before its management thread, and OpenBLAS
-    stops and restarts its threads around a fork.  The imports stay here:
-    a serial run never pays for them.
-
-    The workers already share the cores, so each runs its BLAS on one
-    thread: two workers with two OpenBLAS threads each on 2 cores made a
-    128-unit search 3.5 times slower than one worker.  OpenBLAS is set to
-    one thread here, for the life of the pool, and the workers inherit it
-    when they fork; setting it inside each worker instead made a pool of
-    desk-sized fits about a quarter slower than not setting it at all.
+    The workers are forked, not spawned, so they inherit what this process
+    holds (``initializer`` and ``initargs`` need not pickle) and none
+    re-imports NumPy.  ``fork`` needs a caller that runs no threads of its
+    own: the pool forks every worker on the first submit, before its
+    management thread, and OpenBLAS stops and restarts its threads around a
+    fork.  Leaving the body cancels what is still queued.  The imports stay
+    here: a serial run never pays for them.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with blas.one_thread(), ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(fitness, space),
-    ) as pool:
+        initializer=initializer,
+        initargs=initargs,
+    )
+    try:
         yield pool
+    except BrokenProcessPool as exc:
+        raise WorkerLostError(lost) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _evaluate(
@@ -189,7 +188,7 @@ def _evaluate(
     pool=None,
     scores: dict[bytes, float] | None = None,
 ) -> np.ndarray:
-    """Score every row, here or on ``pool`` (from :func:`_fork_pool`).
+    """Score every row, here or on ``pool`` (from :func:`fork_pool`).
 
     ``scores`` maps a quantized position's bytes to its score.  Only rows
     whose quantized position it lacks are scored, once each and in row
@@ -204,14 +203,7 @@ def _evaluate(
     if pool is None:
         scores.update((key, _score(fitness, space, row)) for key, row in unseen.items())
     else:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            scores.update(zip(unseen, pool.map(_score_in_worker, unseen.values())))
-        except BrokenProcessPool as exc:
-            raise WorkerLostError(
-                "the search lost a worker process before it returned a score"
-            ) from exc
+        scores.update(zip(unseen, pool.map(_score_in_worker, unseen.values())))
     return np.array([scores[key] for key in keys])
 
 
@@ -352,11 +344,20 @@ def optimize(
             t, best.fitness, best.position.copy(), fitnesses.size, failures, repeats
         )
 
-    with (
-        _fork_pool(fitness, space, min(jobs, config.pop_size))
-        if jobs > 1
-        else contextlib.nullcontext()
-    ) as pool:
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if jobs > 1:
+            # the workers share the cores, so each runs its BLAS on one thread:
+            # two workers with two OpenBLAS threads each on 2 cores made a
+            # 128-unit search 3.5 times slower than one worker.  The workers
+            # inherit the one thread when they fork; setting it inside each
+            # worker instead made a pool of desk-sized fits a quarter slower.
+            stack.enter_context(blas.one_thread())
+            pool = stack.enter_context(fork_pool(
+                min(jobs, config.pop_size),
+                "the search lost a worker process before it returned a score",
+                _init_worker, (fitness, space),
+            ))
         positions, fitnesses = initialize_population(space, config, fitness, rng, pool, scores)
         best = Sparrow(space.quantize(positions[0]), float(fitnesses[0]))
         history = [record(0, best, fitnesses, 0)]
@@ -392,8 +393,8 @@ def encode_hyperparameters(
 
     Order: four GRU unit counts, max epochs, learning rate, batch size,
     four dropout rates.  The learning-rate drop period is derived as
-    round(0.7 * max epochs) and the drop factor is fixed at 0.01, so
-    neither is searched.
+    round(0.7 * max epochs) and the drop factor is TrainingConfig's
+    default, so neither is searched.
     """
     unit = Dimension(*unit_range, "integer")
     dropout = Dimension(*dropout_range, "continuous")
@@ -443,7 +444,6 @@ def decode(
         max_epochs=max_epochs,
         learning_rate=learning_rate,
         lr_drop_period=int(round(LR_DROP_RATIO * max_epochs)),
-        lr_drop_factor=LR_DROP_FACTOR,
         batch_size=batch_size,
         seed=seed,
     )

@@ -464,6 +464,7 @@ class TestFleetCommand:
         assert (out / "monthly.csv").exists()
 
     def fleet_run(self, tmp_path, stat):
+        """A fleet run with ``fleet.stat: stat`` on data synthesized without it."""
         cfg = {
             "synth": {"kind": "fleet", "n_vehicles": 2, "n_months": 12, "events_per_month": 4},
             "fleet": {"train_vehicle": "V01", "start_index": 2, "stat": stat},
@@ -474,10 +475,12 @@ class TestFleetCommand:
                 "training": {"max_epochs": 5, "learning_rate": 0.01, "batch_size": 8},
             },
         }
-        path = tmp_path / "fleet.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        path = tmp_path / "synth.yaml"
+        path.write_text(yaml.safe_dump({"synth": cfg["synth"]}))
         data = tmp_path / "data"
         assert run_cli("synth", "--config", path, "--out", data) == 0
+        path = tmp_path / "fleet.yaml"
+        path.write_text(yaml.safe_dump(cfg))
         out = tmp_path / "out"
         return run_cli("fleet", "--config", path, "--dataset", data, "--out", out), out
 
@@ -530,7 +533,8 @@ class TestFleetCommand:
         monkeypatch.setattr(cli.ingest, "parse_fleet_file", no_parsing)
         code, _ = self.fleet_run(tmp_path, "bogus")
         assert code == 1
-        assert "error: fleet.stat must be 'median' or 'mean', got 'bogus'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'fleet.yaml'}: fleet.stat: "
+                                           "expected Literal['median', 'mean'], got 'bogus'\n")
 
 
 def assert_no_child_left():
@@ -669,6 +673,11 @@ class TestFleetFanOut:
         errors = self.fleet_errors(tmp_path, config, data, capsys)
         assert errors["2"] == errors["1"]
         assert errors["2"] == "error: training vehicle 'V99' not in dataset\n"
+
+    def test_missing_training_vehicle_reported_before_a_bad_row(self, tmp_path, fleet, capsys):
+        config, data, _ = self.broken_copy(tmp_path, fleet, ("V01",), train_vehicle="V99")
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors == {jobs: "error: training vehicle 'V99' not in dataset\n" for jobs in "12"}
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()

@@ -48,6 +48,7 @@ WRONG_TYPE = [
     ("dataset.path", 3),
     ("dataset.schema.soc_in_percent", "yes"),
     ("extract.sg_window", 21.0),
+    ("extract.soh_denominator", "bogus"),
     ("experiment.seeds", 0),
     ("experiment.split.start_fraction", "a quarter"),
     ("experiment.network.gru_units", 16),
@@ -56,6 +57,7 @@ WRONG_TYPE = [
     ("ssa.pop_size", 6.5),
     ("ssa.ranges.units", [6]),
     ("fleet.start_index", "2"),
+    ("fleet.stat", "bogus"),
     ("experiment", [1, 2]),
 ]
 
@@ -90,11 +92,13 @@ def no_parsing(monkeypatch):
     monkeypatch.setattr(cli.pipeline.Predictor, "load", parsed)
 
 
-def run_with(tmp_path, cfg: dict, command: str, capsys) -> str:
+def run_with(tmp_path, cfg: dict, command: str, capsys, argv=None) -> str:
+    """stderr of ``command`` failing on ``cfg``; ``argv`` defaults to COMMANDS[command]."""
     config = tmp_path / "cfg.yaml"
     config.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
-    code = cli.main([command, "--config", str(config), *COMMANDS[command], "--out", str(out)])
+    argv = COMMANDS[command] if argv is None else argv
+    code = cli.main([command, "--config", str(config), *argv, "--out", str(out)])
     assert code == 1
     assert not out.exists()
     return capsys.readouterr().err
@@ -133,6 +137,53 @@ def test_unknown_section_names_file_and_key(tmp_path, capsys, no_parsing):
 def test_dotted_key_is_unknown(tmp_path, capsys, no_parsing):
     err = run_with(tmp_path, {**BASE, "experiment.seeds": [1]}, "train", capsys)
     assert "experiment.seeds: unknown key" in err
+
+
+# ---------------------------------------------------------------------------
+# a value checked after the schema still fails before a byte of data is read
+
+
+@pytest.fixture
+def inputs_in_place(tmp_path, monkeypatch, no_parsing):
+    """The inputs COMMANDS names, present in the working directory; none can be parsed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fleet").mkdir()
+    for name in ("cells.csv", "hi.csv", "fleet/fleet_V01.csv", "fleet/fleet_V02.csv"):
+        (tmp_path / name).write_text("")
+
+
+# a command that reads data, and the arguments after its config
+DATA_RUNS = {
+    "train": ("train", COMMANDS["train"]),
+    "hpo-jobs2": ("hpo", ["--hi-table", "hi.csv", "--jobs", "2"]),
+    "fleet-jobs1": ("fleet", ["--dataset", "fleet", "--jobs", "1"]),
+    "fleet-jobs2": ("fleet", ["--dataset", "fleet", "--jobs", "2"]),
+}
+FLEET = {name: run for name, run in DATA_RUNS.items() if name.startswith("fleet")}
+
+
+@pytest.mark.parametrize("command, argv", DATA_RUNS.values(), ids=DATA_RUNS)
+def test_experiment_value_fails_before_any_file_is_parsed(tmp_path, capsys, inputs_in_place,
+                                                          command, argv):
+    err = run_with(tmp_path, with_value("experiment.scale_band", 0), command, capsys, argv)
+    assert err == f"error: {tmp_path / 'cfg.yaml'}: experiment.scale_band = 0.0 outside (0, 1]\n"
+
+
+@pytest.mark.parametrize("command, argv", FLEET.values(), ids=FLEET)
+def test_fleet_start_fails_before_any_file_is_parsed(tmp_path, capsys, inputs_in_place,
+                                                     command, argv):
+    err = run_with(tmp_path, with_value("fleet.start_index", 0), command, capsys, argv)
+    assert err == (f"error: {tmp_path / 'cfg.yaml'}: fleet.start_index: "
+                   "index mode needs start_index >= 1\n")
+
+
+@pytest.mark.parametrize("value, shown", [(-1.0, "-1.0"), (0, "0.0"), (float("nan"), "nan"),
+                                          (float("inf"), "inf")])
+def test_soh_denominator_fails_before_the_cell_is_parsed(tmp_path, capsys, inputs_in_place,
+                                                         value, shown):
+    err = run_with(tmp_path, with_value("extract.soh_denominator", value), "extract", capsys)
+    assert err == (f"error: {tmp_path / 'cfg.yaml'}: "
+                   f"extract.soh_denominator = {shown} is not a positive capacity\n")
 
 
 @pytest.fixture
@@ -353,6 +404,19 @@ def test_one_set_of_hyperparameters_has_one_fingerprint(tmp_path, cfg, twin):
     spec, training, fingerprint = resolved(tmp_path, cfg)
     assert spec == DualBiGRUSpec(5, (128,) * 4, (0.02,) * 4)
     assert (spec, training, fingerprint) == resolved(tmp_path, {"experiment": twin})
+
+
+def test_run_without_a_search_hashes_no_search_domain(tmp_path):
+    """The ssa section leaves a train run's fingerprint alone: it is the library's config."""
+    cfg = {"experiment": {"training": {"max_epochs": 20, "batch_size": 8}}}
+    fingerprint = resolved(tmp_path, cfg)[2]
+    for section in ({"ranges": {"units": [25, 100]}}, {"pop_size": 9}):
+        assert resolved(tmp_path, {**cfg, "ssa": section})[2] == fingerprint
+    library = pipeline.ExperimentConfig(
+        pipeline.SplitSpec.fraction(0.25), DualBiGRUSpec(5, (128,) * 4, (0.02,) * 4),
+        TrainingConfig(20, 0.01, 14, batch_size=8), seeds=(0,),
+    )
+    assert fingerprint == pipeline.config_fingerprint(library) == "e44ca5197d1bcbf7"
 
 
 # ---------------------------------------------------------------------------

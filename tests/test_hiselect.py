@@ -179,6 +179,13 @@ class TestSpearman:
         )
         assert coeff == 0.0 and degenerate
 
+    @pytest.mark.parametrize("constant", [np.full(3, 0.1), np.full(10, 1 / 3)])
+    def test_constant_series_with_an_inexact_mean_degenerate(self, constant):
+        # 0.1 three times averages to 0.10000000000000002: centering leaves a spread
+        other = np.linspace(1.0, 0.8, constant.size)
+        for x, y in ((constant, other), (other, constant)):
+            assert spearman(x, y, return_degenerate=True) == (0.0, True)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             spearman(np.arange(4.0), np.arange(5.0))

@@ -322,13 +322,15 @@ class TestOptimize:
         if blas.openblas_threads() is None:
             pytest.skip("NumPy's OpenBLAS offers no thread setter here")
         before = openblas_threads()
-        with ssa._fork_pool(sphere, box(2), 2) as pool:
-            assert list(pool.map(openblas_threads, range(4), timeout=60)) == [1] * 4
+        config = SSAConfig(pop_size=4, max_iter=2, seed=0)
+        # every candidate scores minus the thread count of the process that scored it
+        _, best, history = optimize(box(2), config, lambda x: -openblas_threads(), jobs=2)
+        assert best == -1.0 and [r.failures for r in history] == [0] * 3
         assert openblas_threads() == before
 
     def test_lost_worker_is_an_error(self):
         config = SSAConfig(pop_size=6, max_iter=3, seed=1)
-        with pytest.raises(ssa.WorkerLostError, match="lost a worker process"):
+        with pytest.raises(ssa.WorkerLostError, match="the search lost a worker process"):
             optimize(box(2), config, exits_on_positive_first, jobs=2)
 
 
