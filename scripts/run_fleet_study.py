@@ -49,12 +49,12 @@ def main():
         training=TrainingConfig(args.epochs, 0.01, int(0.7 * args.epochs), 0.01, batch_size=8),
         seeds=(0,),
     )
-    # the predictors do not depend on the starting month: fit them once
+    # the predictor does not depend on the starting month: fit it once
     history = vehicle_soh[args.train_vehicle].values
-    predictors, _, _ = pipeline.fit_predictors(config, history, history)
+    predictor, _, _ = pipeline.fit_predictor(config, history, history)
     for start in args.starts:
         results = pipeline.run_fleet(
-            args.train_vehicle, vehicle_soh, pipeline.SplitSpec.index(start), config, predictors
+            args.train_vehicle, vehicle_soh, pipeline.SplitSpec.index(start), config, predictor
         )
         rmses = [report.rmse for _, report in results]
         print(f"\nprediction starting month {start}:")

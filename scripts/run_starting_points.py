@@ -50,7 +50,7 @@ def main():
             seeds=tuple(range(args.seeds)),
         )
         report = pipeline.train_and_predict(config, hi, soh).report
-        per_seed = " ".join(f"{r:.4f}" for r in report.detail["per_seed_rmse"])
+        per_seed = " ".join(f"{r:.4f}" for r in report.per_seed_rmse)
         print(
             f"{frac:6.0%} {report.rmse:10.5f} {report.mae:10.5f} "
             f"{report.mape:8.3f}  [{per_seed}]"

@@ -109,8 +109,9 @@ def _format_cell(value) -> str:
 def read_hi_table(path: Path | str) -> tuple[HISeries, ingest.SOHSeries]:
     """Read an indicator table written by the extract step.
 
-    Each row is checked as the extract step writes it: finite values, an
-    SOH in (0, 1.05] and an index above the row before.
+    The header must name a known indicator, and each row is checked as the
+    extract step writes it: finite values, an SOH in (0, 1.05] and an index
+    above the row before.
     """
     path = Path(path)
     name = "MF"
@@ -118,11 +119,13 @@ def read_hi_table(path: Path | str) -> tuple[HISeries, ingest.SOHSeries]:
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line or line.startswith("# "):
             continue
-        if line.startswith("index,"):
-            name = line.split(",")[1]
-            continue
         fields = line.split(",")
         try:
+            if line.startswith("index,"):
+                name = fields[1]
+                if name not in HI_NAMES:
+                    raise ValueError(f"unknown HI name {name!r}, expected one of {HI_NAMES}")
+                continue
             if len(fields) != 3:
                 raise ValueError(f"expected 3 fields (index,{name},soh), got {len(fields)}")
             index, hi, soh = int(fields[0]), float(fields[1]), float(fields[2])
@@ -554,7 +557,7 @@ def _run_experiment(args, searched: bool) -> int:
     config = _experiment_config(conf, args, searched)
     table, hi, soh = _load_hi_inputs(args, conf)
     manifest = build_manifest("hpo" if searched else "train", written, [table], list(config.seeds))
-    report, predictors, training, history = pipeline.train_and_predict(config, hi, soh)
+    report, predictor, training, history = pipeline.train_and_predict(config, hi, soh)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
 
@@ -564,9 +567,9 @@ def _run_experiment(args, searched: bool) -> int:
         h,
         [[report.fingerprint, hi.name, config.split.label(), report.rmse, report.mae, report.mape]],
     )
-    predictors[0].save(out_dir)  # the first seed's predictor
+    predictor.save(out_dir)  # model.bin holds the first seed's network
     if searched:  # the one search, whose winner every seed trained
-        _write_search(out_dir, h, predictors[0].model, training, history)
+        _write_search(out_dir, h, predictor.models[0], training, history)
     _write_manifest(out_dir, manifest)
     print(f"{out_dir} rmse={report.rmse!r}")
     return 0
@@ -620,6 +623,10 @@ def _read_vehicle(path: Path, schema: ingest.FleetSchema, stat: str) -> _Vehicle
     vid = _vehicle_id(path)
     segments = ingest.parse_fleet_file(path, schema, source_id=vid)
     records, _ = ingest.monthly_aggregate(segments)
+    if not records:
+        raise ingest.ParseError(
+            f"{path}: no month has {ingest.MIN_MONTHLY_EVENTS} or more usable charging events"
+        )
     caps = [r.median_capacity if stat == "median" else r.mean_capacity for r in records]
     soh = ingest.compute_soh(caps, denominator="max", index=[r.month for r in records])
     rows = [[vid, r.month, len(r.capacities), r.median_capacity, r.mean_capacity] for r in records]
@@ -627,7 +634,7 @@ def _read_vehicle(path: Path, schema: ingest.FleetSchema, stat: str) -> _Vehicle
 
 
 def _read_fleet_and_fit(files, train_index, schema, stat, config, workers):
-    """Read every log and fit the predictors of the log at ``train_index``.
+    """Read every log and fit the predictor of the log at ``train_index``.
 
     With no ``workers``, this process reads every log in file order, then
     fits.  Otherwise a :func:`ssa.fork_pool` of ``workers`` readers reads
@@ -635,7 +642,7 @@ def _read_fleet_and_fit(files, train_index, schema, stat, config, workers):
     vehicle's log and fits, so at most ``workers`` + 1 processes compute at
     once.  This process reads no other log, so its peak memory does not
     depend on how fast the readers were.  Returns the logs in file order
-    and what :func:`pipeline.fit_predictors` returns.  Errors come out in
+    and what :func:`pipeline.fit_predictor` returns.  Errors come out in
     the order of a serial run: a read error of an earlier file before that
     of a later one, and any read error before a fitting error.
 
@@ -659,7 +666,7 @@ def _read_fleet_and_fit(files, train_index, schema, stat, config, workers):
         for i in here:  # no fit after a read error in this process
             reads[i].result()
         values = reads[train_index].result().soh.values
-        return pipeline.fit_predictors(config, values, values)
+        return pipeline.fit_predictor(config, values, values)
 
     here = [train_index] if workers else range(len(files))
     lost = "the fleet lost a worker process before it returned a vehicle's log"
@@ -695,7 +702,7 @@ def cmd_fleet(args) -> int:
 
     # --jobs counts this process too; a search keeps the cores for its own pool
     workers = 0 if searched else min(args.jobs - 1, len(files) - 1)
-    logs, (predictors, training, history) = _read_fleet_and_fit(
+    logs, (predictor, training, history) = _read_fleet_and_fit(
         files, vids.index(train_vehicle), schema, conf["fleet"]["stat"], config, workers
     )
     vehicle_soh = {vid: log.soh for vid, log in zip(vids, logs)}
@@ -703,7 +710,7 @@ def cmd_fleet(args) -> int:
     manifest = build_manifest(
         "fleet", written, files, list(config.seeds), [log.sha256 for log in logs]
     )
-    results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config, predictors)
+    results = pipeline.run_fleet(train_vehicle, vehicle_soh, start, config, predictor)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
     _write_table(
@@ -719,7 +726,7 @@ def cmd_fleet(args) -> int:
         summary_rows.append([report.fingerprint, vid, start.label(), report.rmse, report.mae, report.mape])
     _write_summary(out_dir, h, summary_rows)
     if searched:
-        _write_search(out_dir, h, predictors[0].model, training, history)
+        _write_search(out_dir, h, predictor.models[0], training, history)
     _write_manifest(out_dir, manifest)
     mean_rmse = float(np.mean([r.rmse for _, r in results]))
     print(f"{out_dir} vehicles={len(results)} mean_rmse={mean_rmse!r}")

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -201,7 +201,7 @@ class PredictionReport:
     rmse: float
     mae: float
     mape: float | None
-    detail: dict = field(default_factory=dict)
+    per_seed_rmse: list[float]  # each network's own RMSE, in seed-list order
 
     def __post_init__(self) -> None:
         if self.rmse + 1e-12 < self.mae or self.mae < 0.0:
@@ -300,16 +300,17 @@ def _condition(
 
 @dataclass(frozen=True)
 class Predictor:
-    """A fitted network together with the conditioning it was trained under.
+    """The networks of a seed list together with the conditioning they were trained under.
 
     Conditioning is the input scale followed, unless ``denoise_rank`` is
-    None, by Hankel-SVD denoising of the scaled series.  Every prediction
-    (evaluation, fleet runs and the ``predict`` command) goes through
-    :meth:`report`, so a saved predictor reproduces the numbers reported
-    next to it.
+    None, by Hankel-SVD denoising of the scaled series.  Every seed's
+    network is trained under the same conditioning, so a region is
+    conditioned once for all of them.  Every prediction (evaluation, fleet
+    runs and the ``predict`` command) goes through :meth:`report`, so a
+    saved one-seed predictor reproduces the numbers reported next to it.
     """
 
-    model: DualBiGRUSpec
+    models: tuple[DualBiGRUSpec, ...]  # one per seed, in seed-list order
     input_scale: AnchoredScale
     target_scale: AnchoredScale
     denoise_rank: float | int | None
@@ -322,29 +323,34 @@ class Predictor:
     def report(
         self, fingerprint: str, values: np.ndarray, soh: np.ndarray, offset: int = 0
     ) -> PredictionReport:
-        """Condition one region as a whole, predict every window, score it."""
+        """Condition one region as a whole, predict every window with each network, score them.
+
+        The prediction is the networks' mean; the metrics are the means of
+        each network's own metrics.
+        """
         inputs = _condition(values, self.input_scale, self.denoise_rank)
-        batch = make_windows(inputs, soh, self.model.window_length, offset)
-        preds = self.target_scale.inverse(predict(self.model, batch.inputs))
+        batch = make_windows(inputs, soh, self.models[0].window_length, offset)
+        preds = [self.target_scale.inverse(predict(m, batch.inputs)) for m in self.models]
         if not np.all(np.isfinite(preds)):
             raise ValueError(
                 f"non-finite predictions (indices {batch.indices[0]}-{batch.indices[-1]})"
             )
-        rmse, mae, mape = evaluate_metrics(batch.targets, preds)
+        rmses, maes, mapes = zip(*(evaluate_metrics(batch.targets, p) for p in preds))
         return PredictionReport(
             fingerprint=fingerprint,
             indices=batch.indices,
             true_soh=batch.targets,
-            predicted_soh=preds,
-            rmse=rmse,
-            mae=mae,
-            mape=mape,
+            predicted_soh=np.mean(preds, axis=0),
+            rmse=float(np.mean(rmses)),
+            mae=float(np.mean(maes)),
+            mape=None if None in mapes else float(np.mean(mapes)),
+            per_seed_rmse=list(rmses),
         )
 
     def save(self, out_dir: Path | str) -> None:
-        """Write ``model.bin`` and ``scaler.yaml`` into ``out_dir``."""
+        """Write the first seed's network to ``model.bin``, and ``scaler.yaml``, into ``out_dir``."""
         out_dir = Path(out_dir)
-        save_model(self.model, out_dir / "model.bin")
+        save_model(self.models[0], out_dir / "model.bin")
         payload = {
             "input_scale": asdict(self.input_scale),
             "target_scale": asdict(self.target_scale),
@@ -354,7 +360,7 @@ class Predictor:
 
     @classmethod
     def load(cls, model: Path | str, scaler: Path | str) -> "Predictor":
-        """Read what :meth:`save` wrote; ``ValueError`` naming the file if malformed."""
+        """Read what :meth:`save` wrote, one network; ``ValueError`` naming the file if malformed."""
         spec = load_model(model)
         try:
             payload = yaml.safe_load(Path(scaler).read_text())
@@ -362,16 +368,16 @@ class Predictor:
                 AnchoredScale(**{k: float(v) for k, v in payload[key].items()})
                 for key in ("input_scale", "target_scale")
             ]
-            return cls(spec, *scales, denoise_rank=payload["denoise_rank"])
+            return cls((spec,), *scales, denoise_rank=payload["denoise_rank"])
         except KeyError as exc:
             raise ValueError(f"{scaler}: malformed scaler file (missing {exc})") from None
         except (yaml.YAMLError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"{scaler}: malformed scaler file ({exc})") from None
 
 
-def fit_predictors(
+def fit_predictor(
     config: ExperimentConfig, values: np.ndarray, soh: np.ndarray, offset: int = 0
-) -> tuple[list[Predictor], TrainingConfig, list[ssa.IterationRecord]]:
+) -> tuple[Predictor, TrainingConfig, list[ssa.IterationRecord]]:
     """Fit a training region's scales and network once, then train the network for every seed.
 
     No seed changes the conditioning or the search, so each seed differs
@@ -385,35 +391,15 @@ def fit_predictors(
     target_scale = AnchoredScale.fit(batch.targets, config.scale_band)
     batch = replace(batch, targets=target_scale.forward(batch.targets))
     spec, training, history = _resolve_network(config, batch.inputs, batch.targets)
-    predictors = [
-        Predictor(train(spec, replace(training, seed=s), batch)[0], input_scale, target_scale, rank)
-        for s in config.seeds
-    ]
-    return predictors, training, history
-
-
-def aggregate_reports(reports: list[PredictionReport]) -> PredictionReport:
-    """Mean metrics and mean point predictions over the seed list."""
-    first = reports[0]
-    preds = np.mean([r.predicted_soh for r in reports], axis=0)
-    mapes = [r.mape for r in reports]
-    return PredictionReport(
-        fingerprint=first.fingerprint,
-        indices=first.indices,
-        true_soh=first.true_soh,
-        predicted_soh=preds,
-        rmse=float(np.mean([r.rmse for r in reports])),
-        mae=float(np.mean([r.mae for r in reports])),
-        mape=None if any(m is None for m in mapes) else float(np.mean(mapes)),
-        detail={"per_seed_rmse": [r.rmse for r in reports]},
-    )
+    models = tuple(train(spec, replace(training, seed=s), batch)[0] for s in config.seeds)
+    return Predictor(models, input_scale, target_scale, rank), training, history
 
 
 class ExperimentResult(NamedTuple):
     """One experiment over the seed list: the seed-mean report and what produced it."""
 
     report: PredictionReport
-    predictors: list[Predictor]  # one per seed, in seed-list order
+    predictor: Predictor
     training: TrainingConfig
     search_history: list[ssa.IterationRecord]
 
@@ -425,15 +411,13 @@ def train_and_predict(config: ExperimentConfig, hi: HISeries, soh: SOHSeries) ->
     for name, region in (("training", train_region), ("test", test_region)):
         if region.hi.size < w:
             raise ValueError(f"{name} region ({region.hi.size}) shorter than window ({w})")
-    predictors, training, history = fit_predictors(
+    predictor, training, history = fit_predictor(
         config, train_region.hi, train_region.soh, train_region.offset
     )
-    fingerprint = config_fingerprint(config)
-    report = aggregate_reports([
-        p.report(fingerprint, test_region.hi, test_region.soh, test_region.offset)
-        for p in predictors
-    ])
-    return ExperimentResult(report, predictors, training, history)
+    report = predictor.report(
+        config_fingerprint(config), test_region.hi, test_region.soh, test_region.offset
+    )
+    return ExperimentResult(report, predictor, training, history)
 
 
 @dataclass(frozen=True)
@@ -486,14 +470,14 @@ def run_fleet(
     vehicle_soh: dict[str, SOHSeries],
     start: SplitSpec,
     config: ExperimentConfig,
-    predictors: list[Predictor],
+    predictor: Predictor,
 ) -> list[tuple[str, PredictionReport]]:
-    """Predict every vehicle but the training one with its fitted predictors.
+    """Predict every vehicle but the training one with its fitted predictor.
 
-    The monthly SOH history itself is the model input.  ``predictors`` are
-    those :func:`fit_predictors` returns for the training vehicle's full
+    The monthly SOH history itself is the model input.  ``predictor`` is
+    the one :func:`fit_predictor` returns for the training vehicle's full
     history as both values and SOH, so test vehicles never influence the
-    model; their reports are means over the predictors.
+    model.
     """
     if train_vehicle not in vehicle_soh:
         raise ValueError(f"training vehicle {train_vehicle!r} not in dataset")
@@ -502,11 +486,13 @@ def run_fleet(
     fingerprint = config_fingerprint(config)
     for vid in sorted(v for v in vehicle_soh if v != train_vehicle):
         values = vehicle_soh[vid].values
-        k = start.boundary(values.size)
+        try:
+            k = start.boundary(values.size)
+        except ValueError as exc:
+            raise ValueError(f"vehicle {vid}: {exc}") from None
         if values.size - k < w:
             raise ValueError(f"vehicle {vid}: test region shorter than window")
-        reports = [p.report(fingerprint, values[k:], values[k:], k) for p in predictors]
-        results.append((vid, aggregate_reports(reports)))
+        results.append((vid, predictor.report(fingerprint, values[k:], values[k:], k)))
     return results
 
 

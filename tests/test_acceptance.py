@@ -250,9 +250,9 @@ def test_c10_fleet_protocol(tmp_path):
         assert len(vehicle_soh) == 20
         config = small_experiment(pipeline.SplitSpec.index(2), seeds=(0,), epochs=300)
         history = vehicle_soh["V01"].values
-        predictors = pipeline.fit_predictors(config, history, history)[0]
+        predictor = pipeline.fit_predictor(config, history, history)[0]
         results = pipeline.run_fleet(
-            "V01", vehicle_soh, pipeline.SplitSpec.index(2), config, predictors
+            "V01", vehicle_soh, pipeline.SplitSpec.index(2), config, predictor
         )
         assert len(results) == 19
         rmses = {vid: report.rmse for vid, report in results}

@@ -11,7 +11,8 @@ import pytest
 import yaml
 
 import sohpred
-from sohpred import blas, cli, pipeline, ssa
+from sohpred import blas, cli, ingest, pipeline, ssa
+from sohpred.hiselect import HI_NAMES, HISeries, rank_his
 from sohpred.neuralnet import DivergenceError
 
 
@@ -139,6 +140,31 @@ class TestSynthExtract:
                        "--out", tmp_path / "ext") == 0
         # one SVD per candidate indicator, each on one thread, and the count restored
         assert seen == [1] * 7 and get() == before
+
+    def test_ranked_correlation_ranks_before_correlating(self, tmp_path, tiny_config):
+        data, ext = chain_synth_extract(tmp_path, tiny_config)
+        cfg = yaml.safe_load(tiny_config.read_text())
+        cfg["extract"] = {"ranked_correlation": True}
+        ranked_config = tmp_path / "ranked.yaml"
+        ranked_config.write_text(yaml.safe_dump(cfg))
+        ranked = tmp_path / "ranked"
+        assert run_cli("extract", "--config", ranked_config, "--dataset", data / "cycles.csv",
+                       "--out", ranked) == 0
+
+        def coefficients(out):
+            rows = (out / "correlation.csv").read_text().splitlines()[2:]
+            return {name: float(coeff) for name, coeff, _ in (row.split(",") for row in rows)}
+
+        # the candidates and SOH as the run wrote them, ranked as the key asks
+        features = np.loadtxt(ranked / "features.csv", delimiter=",", skiprows=2, ndmin=2)
+        columns = ["cycle", "CF", "PF", "MF", "WF", "Kur", "Area", "Peak"]
+        candidates = [HISeries(name, features[:, i]) for i, name in enumerate(columns) if i]
+        capacity = np.loadtxt(ranked / "capacity.csv", delimiter=",", skiprows=2, ndmin=2)
+        soh = ingest.SOHSeries(tuple(capacity[:, 0].astype(int)), capacity[:, 2])
+        expected = dict(rank_his(candidates, soh, ranked_correlation=True).entries)
+        assert coefficients(ranked) == pytest.approx(expected, rel=1e-9)
+        default = coefficients(ext)
+        assert all(default[name] != pytest.approx(expected[name], rel=1e-6) for name in ("Kur", "MF"))
 
     @pytest.mark.parametrize("second, message", [
         (np.linspace(3.5, 3.62, 200), "cycle 2: window 21 exceeds curve length 13"),
@@ -294,6 +320,17 @@ class TestInputErrors:
         code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
         assert code == 1
         assert f"{hi_table}, line 7: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_unknown_indicator_names_file_and_line(self, tmp_path, tiny_config, hi_table, capsys):
+        lines = hi_table.read_text().splitlines()
+        lines[1] = "index,XX,soh"
+        hi_table.write_text("\n".join(lines) + "\n")
+        code = run_cli("train", "--config", tiny_config, "--hi-table", hi_table, "--out", tmp_path / "m")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {hi_table}, line 2: unknown HI name 'XX', expected one of {HI_NAMES}\n"
+        )
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("reorder, line, message", [
@@ -564,8 +601,9 @@ class TestFleetFanOut:
         assert run_cli("synth", "--config", config, "--out", root / "data") == 0
         return config, root / "data"
 
-    def broken_copy(self, tmp_path, fleet, bad=(), train_vehicle=None):
-        """The fleet with a bad row in each vehicle of ``bad``; returns (config, data, bad lines)."""
+    def broken_copy(self, tmp_path, fleet, bad=(), train_vehicle=None, until=None):
+        """The fleet with a bad row in each vehicle of ``bad``, and each log of ``until`` cut
+        before the vehicle's timestamp there; returns (config, data, bad lines)."""
         config, data = fleet
         copy = tmp_path / "data"
         copy.mkdir()
@@ -573,6 +611,8 @@ class TestFleetFanOut:
         for path in sorted(data.glob("fleet_*.csv")):
             rows = path.read_text().splitlines()
             vid = path.stem.removeprefix("fleet_")
+            if until and vid in until:
+                rows = rows[:1] + [r for r in rows[1:] if float(r.split(",")[0]) < until[vid]]
             if vid in bad:
                 rows[40] = "1500000320.0,-73.0,not-a-volt,30.0"
                 lines[vid] = f"error: {copy / path.name}:41:"
@@ -678,6 +718,30 @@ class TestFleetFanOut:
         config, data, _ = self.broken_copy(tmp_path, fleet, ("V01",), train_vehicle="V99")
         errors = self.fleet_errors(tmp_path, config, data, capsys)
         assert errors == {jobs: "error: training vehicle 'V99' not in dataset\n" for jobs in "12"}
+
+    # the synthetic fleet's first charge; a month's charges start 10,000 s apart
+    # and months 30 days apart
+    FIRST_CHARGE = 1_500_000_000
+
+    @pytest.mark.parametrize("cut, reported", [
+        (("V03",), "V03"),  # read on a worker
+        (("V01",), "V01"),  # the training vehicle, read here
+        (("V02", "V04"), "V02"),  # the earlier file wins
+    ])
+    def test_log_without_a_usable_month_is_named(self, tmp_path, fleet, capsys, cut, reported):
+        two_charges = {vid: self.FIRST_CHARGE + 2 * 10_000 for vid in cut}  # a month needs 3
+        config, data, _ = self.broken_copy(tmp_path, fleet, until=two_charges)
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors["2"] == errors["1"]
+        assert errors["2"] == (f"error: {data / f'fleet_{reported}.csv'}: no month has "
+                               f"{ingest.MIN_MONTHLY_EVENTS} or more usable charging events\n")
+
+    def test_vehicle_with_too_few_months_is_named(self, tmp_path, fleet, capsys):
+        two_months = {"V02": self.FIRST_CHARGE + 2 * 30 * 86400}
+        config, data, _ = self.broken_copy(tmp_path, fleet, until=two_months)
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors["2"] == errors["1"]
+        assert errors["2"] == "error: vehicle V02: split leaves an empty region: boundary 2 of 2\n"
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()

@@ -21,7 +21,7 @@ from sohpred.pipeline import (
     Predictor,
     SplitSpec,
     evaluate_metrics,
-    fit_predictors,
+    fit_predictor,
     run_fleet,
     run_hi_ablation,
     split_series,
@@ -197,8 +197,8 @@ class TestSingleBattery:
         result_fake = train_and_predict(config, corrupted, soh)
 
         for (ka, va), (kb, vb) in zip(
-            iter_arrays(result_real.predictors[0].model.params),
-            iter_arrays(result_fake.predictors[0].model.params),
+            iter_arrays(result_real.predictor.models[0].params),
+            iter_arrays(result_fake.predictor.models[0].params),
         ):
             assert ka == kb
             assert np.array_equal(va, vb), f"trained parameter {ka} depends on test data"
@@ -210,12 +210,15 @@ class TestSingleBattery:
         config = replace(self.config(seeds=(0, 1, 2)), training=small_training(epochs=30))
         together = train_and_predict(config, hi, soh)
         alone = [train_and_predict(replace(config, seeds=(s,)), hi, soh) for s in config.seeds]
-        assert len(together.predictors) == 3
-        for predictor, single in zip(together.predictors, alone):
-            (own,) = single.predictors
-            assert (predictor.input_scale, predictor.target_scale) == (own.input_scale, own.target_scale)
+        predictor = together.predictor
+        assert len(predictor.models) == 3
+        for model, single in zip(predictor.models, alone):
+            (own,) = single.predictor.models
+            assert (predictor.input_scale, predictor.target_scale) == (
+                single.predictor.input_scale, single.predictor.target_scale
+            )
             for (ka, va), (kb, vb) in zip(
-                iter_arrays(predictor.model.params), iter_arrays(own.model.params)
+                iter_arrays(model.params), iter_arrays(own.params)
             ):
                 assert ka == kb
                 assert np.array_equal(va, vb), f"parameter {ka} differs from the seed's own run"
@@ -226,7 +229,19 @@ class TestSingleBattery:
         assert together.report.rmse == np.mean([r.rmse for r in reports])
         assert together.report.mae == np.mean([r.mae for r in reports])
         assert together.report.mape == np.mean([r.mape for r in reports])
-        assert together.report.detail["per_seed_rmse"] == [r.rmse for r in reports]
+        assert together.report.per_seed_rmse == [r.rmse for r in reports]
+
+    def test_each_region_conditioned_once_for_every_seed(self, monkeypatch):
+        hi, soh = identity_series(n=40)
+        config = replace(self.config(seeds=(0, 1, 2)), training=small_training(epochs=2))
+        regions, denoise = [], pipeline.hiselect.hankel_svd_denoise
+        monkeypatch.setattr(
+            pipeline.hiselect, "hankel_svd_denoise",
+            lambda series, **kw: regions.append(series.values.size) or denoise(series, **kw),
+        )
+        train_and_predict(config, hi, soh)
+        k = config.split.boundary(40)
+        assert regions == [k, 40 - k]  # the training region, then the test region
 
     def test_training_region_too_small(self):
         hi, soh = identity_series(n=30)
@@ -251,7 +266,7 @@ class TestPredictor:
     def test_save_load_reproduces_report_bitwise(self, tmp_path, denoise):
         hi, soh = identity_series(n=60)
         result = train_and_predict(self.config(denoise), hi, soh)
-        result.predictors[0].save(tmp_path)
+        result.predictor.save(tmp_path)
         loaded = Predictor.load(tmp_path / "model.bin", tmp_path / "scaler.yaml")
         assert loaded.denoise_rank == (2 if denoise else None)
         k = self.config().split.boundary(60)
@@ -282,7 +297,7 @@ class TestPredictor:
     )
     def test_malformed_scaler_names_file(self, tmp_path, text):
         hi, soh = identity_series(n=40)
-        (predictor,), _, _ = fit_predictors(self.config(), hi.values, soh.values)
+        predictor, _, _ = fit_predictor(self.config(), hi.values, soh.values)
         predictor.save(tmp_path)
         scaler = tmp_path / "scaler.yaml"
         scaler.write_text(text)
@@ -371,11 +386,11 @@ class TestFleet:
         )
 
     def run(self, train_vehicle, soh_map):
-        """``run_fleet`` with predictors fitted on V01's history."""
+        """``run_fleet`` with the predictor fitted on V01's history."""
         config = self.config()
         values = soh_map["V01"].values
-        predictors = fit_predictors(config, values, values)[0]
-        return run_fleet(train_vehicle, soh_map, SplitSpec.index(2), config, predictors)
+        predictor = fit_predictor(config, values, values)[0]
+        return run_fleet(train_vehicle, soh_map, SplitSpec.index(2), config, predictor)
 
     def test_self_consistency_on_identical_vehicle(self):
         soh_map = synthetic_fleet_soh(n_vehicles=1)

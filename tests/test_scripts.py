@@ -1,7 +1,7 @@
 """Smoke runs of the experiment scripts at toy sizes.
 
 The scripts call the pipeline API directly (``train_and_predict``,
-``fit_predictors``, ``run_hi_ablation``, ``run_fleet`` and the aggregate
+``fit_predictor``, ``run_hi_ablation``, ``run_fleet`` and the seed-mean
 report's ``per_seed_rmse``), the network's step functions, or the CLI, so an API
 change that breaks them shows up here.
 """
