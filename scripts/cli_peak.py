@@ -14,7 +14,11 @@ it, for example with ``src`` on ``PYTHONPATH``.  The CPU time is the
 child's user and system time, also from ``os.wait4``: on a shared machine it
 resolves changes that wall time does not.  So does the count of minor page
 faults (``ru_minflt``), which shows memory that the allocator hands back to
-the system and faults in again.  Prints one row per run, then the medians;
+the system and faults in again.  ``os.wait4`` also covers the workers that
+the call forked and reaped (``hpo``, ``fleet``, and ``extract`` on a large
+cell), so for such a call the peak printed is the largest of its
+processes' peaks, and the CPU time and page faults are the sums of
+theirs, not the main process's alone.  Prints one row per run, then the medians;
 exits 1 if a call fails.
 """
 

@@ -21,7 +21,7 @@ import re
 import sys
 import typing
 from pathlib import Path
-from typing import Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 import yaml
@@ -395,22 +395,112 @@ def _check_extract(ex: dict, source: str | None) -> None:
             raise ConfigError(f"{source}: extract.{key} = {value} {why}")
 
 
-def _extract_artifacts(conf: dict, dataset: Path):
-    """Shared extract stage: parse cycles, build indicators, rank them."""
-    ex = conf["extract"]
-    records, dropped = ingest.parse_cycle_file(
-        dataset, _build(ingest.CycleSchema, conf["dataset"]["schema"])
-    )
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; without an affinity call, all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_SPANS_PER_READER = 4  # a reader that finishes early takes another span
+# Two spans of this size take as long in two readers as in one process: the
+# pool's imports and forks cost about 22 ms, and a MB parses in about 18 ms.
+_MIN_SPAN_BYTES = 2_000_000
+
+
+def _span_curves(
+    dataset: Path, schema: ingest.CycleSchema, bin_width: float, span: tuple[int, int]
+) -> tuple[list[tuple[int, float]], list[icfeatures.ICCurve], int, tuple[int, int] | None]:
+    """A span's cycles as (index, capacity) pairs, their IC curves, its dropped rows and kept cycles.
+
+    Runs in a forked reader: it takes and returns only what pickles.
+    """
+    records, dropped, kept = ingest.parse_cycle_file(dataset, schema, span)
+    cycles = [(r.cycle_index, r.measured_capacity) for r in records]
+    return cycles, [icfeatures.compute_ic_curve(r, bin_width) for r in records], dropped, kept
+
+
+def _joined(reads: Iterable[tuple]) -> tuple | None:
+    """The spans' cycles, IC curves and dropped rows from :func:`_span_curves`, joined in span order.
+
+    None unless each span's kept cycles come after those of the spans
+    before it, so that each cycle's kept rows lie in one span, and some
+    span made a record.  A cycle with one kept row in each of two spans
+    makes a record in neither, but one in the whole-file read.
+    """
+    cycles, curves, dropped, last = [], [], 0, None
+    for span_cycles, span_curves, span_dropped, kept in reads:
+        if kept is not None:
+            if last is not None and kept[0] <= last:
+                return None
+            last = kept[1]
+        cycles += span_cycles
+        curves += span_curves
+        dropped += span_dropped
+    return (cycles, curves, dropped) if cycles else None
+
+
+def _read_spans(
+    dataset: Path, schema: ingest.CycleSchema, bin_width: float, spans: list[tuple[int, int]]
+) -> tuple[str, tuple | None]:
+    """The dataset's sha256, and the ``spans`` read by forked readers and :func:`_joined`.
+
+    Each of :func:`ssa.fork_pool`'s readers, one per usable CPU, takes
+    spans in turn while this process hashes the file.  None where a reader
+    raised or was lost, and where :func:`_joined` gives None.
+    """
+    with ssa.fork_pool(min(_usable_cpus(), len(spans)), "extract lost a reader") as pool:
+        reads = [pool.submit(_span_curves, dataset, schema, bin_width, span) for span in spans]
+        digest = _file_sha256(dataset)
+        try:
+            return digest, _joined(read.result() for read in reads)
+        except Exception:  # the whole-file read decides, and reports any error
+            return digest, None
+
+
+def _read_cell(
+    dataset: Path, schema: ingest.CycleSchema, bin_width: float
+) -> tuple[str, list[tuple[int, float]], Iterable[icfeatures.ICCurve], int]:
+    """The dataset's sha256, its cycles' (index, capacity) pairs, their IC curves and its dropped rows.
+
+    A file of at least two spans of ``_MIN_SPAN_BYTES`` is read in spans
+    that start at a cycle (:func:`ingest.cycle_spans`) by forked readers
+    (:func:`_read_spans`), given more than one usable CPU and ``fork``.
+    Any other file, and any that the readers might read otherwise than
+    the whole-file read, is read whole here, and its errors are those of
+    that read.  Either way the charge curves go once their IC curves are
+    built.
+    """
+    cpus = _usable_cpus()
+    n = min(cpus * _SPANS_PER_READER, dataset.stat().st_size // _MIN_SPAN_BYTES)
+    spans = ingest.cycle_spans(dataset, schema, n) if cpus > 1 and n > 1 and hasattr(os, "fork") else None
+    if spans is not None and len(spans) > 1:
+        digest, read = _read_spans(dataset, schema, bin_width, spans)
+        if read is not None:
+            return digest, *read
+    else:
+        digest = _file_sha256(dataset)
+    records, dropped = ingest.parse_cycle_file(dataset, schema)
+    cycles = [(r.cycle_index, r.measured_capacity) for r in records]
+    # the list goes once the generator is spent: the charge curves are freed before smoothing
+    return digest, cycles, (icfeatures.compute_ic_curve(r, bin_width) for r in records), dropped
+
+
+def _extract_artifacts(
+    ex: dict, dataset: Path, cycles: list[tuple[int, float]], curves: Iterable[icfeatures.ICCurve]
+):
+    """Indicators and their ranking from each cycle's (index, capacity) and IC curve.
+
+    The curves are taken once the SOH series is built, so that a bad
+    capacity is reported before a curve that cannot be built.
+    """
     soh = ingest.compute_soh(
-        [r.measured_capacity for r in records],
+        [capacity for _, capacity in cycles],
         denominator=ex["soh_denominator"],
-        index=[r.cycle_index for r in records],
+        index=[i for i, _ in cycles],
     )
     try:
-        curves = icfeatures.smooth_curves(
-            [icfeatures.compute_ic_curve(r, ex["bin_width"]) for r in records],
-            ex["sg_window"], ex["sg_order"],
-        )
+        curves = icfeatures.smooth_curves(list(curves), ex["sg_window"], ex["sg_order"])
         sweep = icfeatures.sweep_area_boundaries(curves, soh, ex["area_halfwidths"])
         rows = icfeatures.feature_rows(curves, area_halfwidth=sweep.halfwidth)
     except ValueError as exc:
@@ -436,7 +526,7 @@ def _extract_artifacts(conf: dict, dataset: Path):
         chosen = select_hi(report, candidates, top_k=1)[0]
     else:
         chosen = next(c for c in candidates if c.name == ex["hi"])
-    return records, dropped, soh, sweep, rows, report, chosen
+    return soh, sweep, rows, report, chosen
 
 
 def _dataset_path(args, conf: dict) -> Path:
@@ -448,12 +538,15 @@ def _dataset_path(args, conf: dict) -> Path:
 
 def cmd_extract(args) -> int:
     written, conf = _load_config(args.config)
-    _check_extract(conf["extract"], args.config)
+    ex = conf["extract"]
+    _check_extract(ex, args.config)
     dataset = _dataset_path(args, conf)
     if not dataset.is_file():
         raise ConfigError(f"dataset file not found: {dataset}")
-    manifest = build_manifest("extract", written, [dataset], [args.seed])
-    records, dropped, soh, sweep, rows, report, chosen = _extract_artifacts(conf, dataset)
+    schema = _build(ingest.CycleSchema, conf["dataset"]["schema"])
+    digest, cycles, curves, dropped = _read_cell(dataset, schema, ex["bin_width"])
+    manifest = build_manifest("extract", written, [dataset], [args.seed], [digest])
+    soh, sweep, rows, report, chosen = _extract_artifacts(ex, dataset, cycles, curves)
     out_dir = _resolve_out_dir(args, manifest)
     h = manifest["hash"]
 
@@ -486,7 +579,7 @@ def cmd_extract(args) -> int:
         out_dir / "capacity.csv",
         h,
         ["cycle", "capacity_ah", "soh"],
-        [[r.cycle_index, r.measured_capacity, s] for r, s in zip(records, soh.values)],
+        [[i, capacity, s] for (i, capacity), s in zip(cycles, soh.values)],
     )
     hi_rows = [[i, v, s] for i, v, s in zip(soh.index, chosen.values, soh.values)]
     _write_table(out_dir / f"hi_{chosen.name}.csv", h, ["index", chosen.name, "soh"], hi_rows)
@@ -594,6 +687,9 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"scaler file not found: {scaler_path}")
     # conditioning comes from the scaler file, never from --config
     predictor = pipeline.Predictor.load(model_path, scaler_path)
+    window = predictor.models[0].window_length
+    if len(soh.index) < window:
+        raise ValueError(f"{table}: {len(soh.index)} rows, fewer than the model's window {window}")
 
     manifest = build_manifest("predict", written, [table, model_path], [args.seed])
     report = predictor.report("-", hi.values, soh.values)
@@ -665,7 +761,10 @@ def _read_fleet_and_fit(files, train_index, schema, stat, config, workers):
     def fit():
         for i in here:  # no fit after a read error in this process
             reads[i].result()
-        values = reads[train_index].result().soh.values
+        path, values = files[train_index], reads[train_index].result().soh.values
+        if values.size < (w := config.resolved_window()):
+            raise ValueError(f"{path}: training vehicle {_vehicle_id(path)}: "
+                             f"{values.size} months, fewer than the window {w}")
         return pipeline.fit_predictor(config, values, values)
 
     here = [train_index] if workers else range(len(files))
@@ -751,11 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: runs/<cmd>-<manifest hash>)")
 
     def jobs(p):
-        # the CPUs this process may run on; without an affinity call, all of them
-        if hasattr(os, "sched_getaffinity"):
-            default = len(os.sched_getaffinity(0))
-        else:
-            default = os.cpu_count()
+        default = _usable_cpus()
         p.add_argument("--jobs", type=int, default=default,
                        help="processes computing at once: a search scores its candidates on "
                             "that many forked workers, and fleet parses the other vehicles' "

@@ -13,10 +13,11 @@ import csv
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -406,6 +407,104 @@ def _read_columns(
         raise ParseError(f"{path}: unreadable file: {exc}") from exc
 
 
+# bytes that the locale's decoding, ``str.splitlines``, ``csv`` and both number
+# parsers read alike in any block: printable ASCII but the quote, tab and \n
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+
+
+def _plain_header(f: BinaryIO, path: Path) -> tuple[str, list[str]] | None:
+    """The delimiter and header of the binary file ``f``, found as ``_header`` finds them.
+
+    Leaves ``f`` at the first byte after the header line.  None unless
+    every line up to the header is plain (``_PLAIN``) and ends in ``\\n``.
+    """
+    f.seek(0)
+    head = []
+
+    def lines() -> Iterator[str]:
+        while (raw := f.readline(_BLOCK_CHARS)).endswith(b"\n"):
+            head.append(raw)
+            yield raw[:-1].decode("latin-1")
+
+    try:
+        delimiter, header, _ = _header(lines(), path)
+    except ParseError:
+        return None
+    if any(raw.translate(None, _PLAIN) for raw in head):
+        return None
+    return delimiter, header
+
+
+def cycle_spans(path: Path | str, schema: CycleSchema, n: int) -> list[tuple[int, int]] | None:
+    """About ``n`` spans ``(begin, end)`` of the bytes after the header, each starting a cycle.
+
+    The spans cover the data bytes in file order.  Each cut after the first
+    is the start of a line whose cycle field differs, as bytes, from the
+    line before it, the first such line at or after an ``n``-th of the data.
+    None unless the lines up to the header are plain and name the cycle
+    column.  Whether a span reads as the whole file would is for
+    ``parse_cycle_file`` to tell.
+    """
+    path = Path(path)
+    with path.open("rb") as f:
+        found = _plain_header(f, path)
+        if found is None or schema.cycle not in found[1]:
+            return None
+        sep, col = found[0].encode(), found[1].index(schema.cycle)
+        begin, size = f.tell(), f.seek(0, os.SEEK_END)
+
+        def cycle(line: bytes) -> list[bytes]:
+            return line.rstrip(b"\n").split(sep, col + 1)[col : col + 1]
+
+        cuts = [begin]
+        for k in range(1, n):
+            f.seek(max(begin + (size - begin) * k // n, cuts[-1] + 1) - 1)
+            f.readline(_BLOCK_CHARS)  # on to a line start, unless the line is longer
+            here, last = f.tell(), None
+            # a cut follows a whole line, so it is a line start
+            while (line := f.readline(_BLOCK_CHARS)).endswith(b"\n"):
+                if last is not None and cycle(line) != last:
+                    cuts.append(here)
+                    break
+                last, here = cycle(line), here + len(line)
+            else:  # the last cycle runs to the end, or a line is too long to scan
+                break
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _read_span(
+    path: Path, span: tuple[int, int], resolve: Callable[[list[str]], list[int]],
+    each: Callable[[_Columns], object], optional: int | None = None,
+) -> list:
+    """``_read_columns`` of the lines in bytes ``[begin, end)``, a span from ``cycle_spans``.
+
+    A block is ``_BLOCK_CHARS`` bytes and the rest of the line they end in.
+    Raises ParseError for any block that the whole-file read might read
+    otherwise: one with a byte that is not plain, or one that ``_loaded``
+    refuses.  Line numbers count from the span's first line.
+    """
+    begin, end = span
+    with path.open("rb") as f:
+        found = _plain_header(f, path)
+        if found is None:
+            raise ParseError(f"{path}: the lines up to the header are not plain")
+        delimiter, header = found
+        cols = resolve(header)
+        f.seek(begin)
+        blocks = []
+        while (at := f.tell()) < end:
+            raw = f.read(min(_BLOCK_CHARS, end - at))
+            if f.tell() < end:
+                raw += f.readline()
+            table = None
+            if raw and not raw.translate(None, _PLAIN):
+                table = _loaded(raw.decode("ascii").splitlines(), 0, path, delimiter, cols, optional)
+            if table is None:
+                raise ParseError(f"{path}: bytes {at}-{f.tell()} need the whole-file read")
+            blocks.append(each(table))
+        return blocks
+
+
 def _empty_as_nan(raw: str) -> float:
     """An optional field: NaN when empty, else a finite number (the bulk read refuses others)."""
     if not raw:
@@ -463,9 +562,9 @@ def _epoch_microseconds(seconds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_cycle_file(
-    path: Path | str, schema: CycleSchema = CycleSchema()
-) -> tuple[list[CycleRecord], int]:
-    """Parse a per-cycle charge file.
+    path: Path | str, schema: CycleSchema = CycleSchema(), span: tuple[int, int] | None = None
+) -> tuple[list[CycleRecord], int] | tuple[list[CycleRecord], int, tuple[int, int] | None]:
+    """Parse a per-cycle charge file, or the span of it that ``span`` names.
 
     Returns the records sorted by cycle index together with the count of
     rows dropped for violating the voltage window.  Within a cycle, rows are
@@ -475,6 +574,14 @@ def parse_cycle_file(
     time, voltage and charge columns are kept, one piece per cycle, with
     the earliest measured capacity among them; each cycle's pieces are
     merged once the file is read.
+
+    With a ``span`` from :func:`cycle_spans`, only its bytes are read
+    (``_read_span``), and the result has a third item: the first and last
+    cycle number among the kept rows, None when none is kept.  A span
+    without records is no error, and a ParseError only says that the whole
+    file must be read instead, for the message that read gives.  Where the kept
+    cycles rise from span to span, no two spans keep rows of one cycle, and
+    the spans' records, in span order, are the whole file's.
     """
 
     def resolve(header: list[str]) -> list[int]:
@@ -528,12 +635,17 @@ def parse_cycle_file(
 
     dropped = 0
     cycles: dict[float, list[tuple[np.ndarray, tuple | None]]] = {}
-    for block_dropped, found in _read_columns(path, resolve, pieces, optional=4):
+    if span is None:
+        blocks = _read_columns(path, resolve, pieces, optional=4)
+    else:
+        blocks = _read_span(Path(path), span, resolve, pieces, optional=4)
+    for block_dropped, found in blocks:
         dropped += block_dropped
         for key, curve, first in found:
             cycles.setdefault(key, []).append((curve, first))
     records = []
-    for key in sorted(cycles):
+    keys = sorted(cycles)
+    for key in keys:
         curves, firsts = zip(*cycles.pop(key))
         curve = curves[0] if len(curves) == 1 else np.concatenate(curves)
         if len(curve) < 2:
@@ -553,6 +665,8 @@ def parse_cycle_file(
             records.append(CycleRecord(int(key), curve, capacity))
         except ValueError as exc:
             raise ParseError(f"{path}: cycle {int(key)}: {exc}") from None
+    if span is not None:
+        return records, dropped, (int(keys[0]), int(keys[-1])) if keys else None
     if not records:
         raise ParseError(f"{path}: zero usable rows")
     return records, dropped

@@ -155,7 +155,8 @@ def _score_in_worker(row: np.ndarray) -> float:
 def fork_pool(workers: int, lost: str, initializer=None, initargs=()):
     """A pool of ``workers`` forked processes; a worker lost raises ``WorkerLostError(lost)``.
 
-    The workers are forked, not spawned, so they inherit what this process
+    It serves a search's scoring, fleet's log readers and extract's span
+    readers.  The workers are forked, not spawned, so they inherit what this process
     holds (``initializer`` and ``initargs`` need not pickle) and none
     re-imports NumPy.  ``fork`` needs a caller that runs no threads of its
     own: the pool forks every worker on the first submit, before its

@@ -265,6 +265,18 @@ class TestTrainPredict:
         assert code == 1
         assert f"error: {scaler}: malformed scaler file (missing 'denoise_rank')" in capsys.readouterr().err
 
+    def test_table_shorter_than_the_window_is_named(self, tmp_path, tiny_config, capsys):
+        _, ext = chain_synth_extract(tmp_path, tiny_config)
+        model_dir = tmp_path / "model"
+        assert run_cli("train", "--config", tiny_config, "--hi-table", ext / "hi_top.csv", "--out", model_dir) == 0
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join((ext / "hi_top.csv").read_text().splitlines()[:5]) + "\n")
+        code = run_cli("predict", "--model", model_dir / "model.bin", "--hi-table", short,
+                       "--out", tmp_path / "p")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {short}: 3 rows, fewer than the model's window 4\n"
+        assert not (tmp_path / "p").exists()
+
     def test_predict_missing_model_errors(self, tmp_path, tiny_config, capsys):
         _, ext = chain_synth_extract(tmp_path, tiny_config)
         code = run_cli(
@@ -742,6 +754,18 @@ class TestFleetFanOut:
         errors = self.fleet_errors(tmp_path, config, data, capsys)
         assert errors["2"] == errors["1"]
         assert errors["2"] == "error: vehicle V02: split leaves an empty region: boundary 2 of 2\n"
+
+    @pytest.mark.parametrize("bad", [(), ("V03",)], ids=["short", "short-and-bad-row-later"])
+    def test_training_vehicle_with_too_few_months_is_named(self, tmp_path, fleet, capsys, bad):
+        two_months = {"V01": self.FIRST_CHARGE + 2 * 30 * 86400}
+        config, data, lines = self.broken_copy(tmp_path, fleet, bad, until=two_months)
+        errors = self.fleet_errors(tmp_path, config, data, capsys)
+        assert errors["2"] == errors["1"]
+        if bad:  # a read error comes before a fitting error
+            assert errors["2"].startswith(lines["V03"] + " bad row")
+        else:
+            assert errors["2"] == (f"error: {data / 'fleet_V01.csv'}: training vehicle V01: "
+                                   "2 months, fewer than the window 4\n")
 
     def test_lost_worker_is_an_error(self, tmp_path, fleet, capsys, monkeypatch):
         parent = os.getpid()

@@ -900,6 +900,64 @@ class TestColumnarMatchesPerRow:
         assert_same_outcome(new, outcome(oracles.parse_fleet_file_per_row, path, schema))
 
 
+class TestCycleSpans:
+    """``cycle_spans`` cuts a file at cycle starts, and a span read refuses what it might misread."""
+
+    def spans(self, tmp_path, text, n):
+        path = tmp_path / "cycles.csv"
+        path.write_bytes(text.encode())
+        return path, ingest.cycle_spans(path, ingest.CycleSchema(), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40])
+    def test_spans_cover_the_data_and_start_at_a_cycle(self, tmp_path, n):
+        text = lab_text()
+        path, spans = self.spans(tmp_path, text, n)
+        data = path.read_bytes()
+        assert spans[0][0] == len(CYCLE_HEADER) + 1 and spans[-1][1] == len(data)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert len(spans) <= min(n, 3)  # a cut at a cycle start, one at most per cycle
+        assert len(spans) == 3 or n < 40
+        for begin, _ in spans[1:]:
+            before = data[:begin].splitlines()[-1]
+            assert before.split(b",")[0] != data[begin:].split(b",", 1)[0]
+        records = [r for span in spans for r in ingest.parse_cycle_file(path, span=span)[0]]
+        assert_same_outcome((records, 0), ingest.parse_cycle_file(path))
+
+    @pytest.mark.parametrize("text", [
+        lab_text().replace("\n", "\r\n"),
+        lab_text().replace("\n", "\r\n", 1),
+        quoting_header(lab_text()),
+        "\u00e9\n" + lab_text(),
+        lab_text().replace("cycle,", "cycle_number,", 1),
+        "\n".join(lab_text().splitlines()[:1]),
+    ], ids=["crlf", "crlf-header", "quoted-header", "non-ascii-before-header", "no-cycle-column",
+            "header-without-newline"])
+    def test_no_spans_unless_the_lines_to_the_header_are_plain(self, tmp_path, text):
+        assert self.spans(tmp_path, text, 3)[1] is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n2,", "\r\n2,"),
+        lambda text: text.replace("\n2,", "\n\n2,"),
+        lambda text: text.replace(",0.72\n", ',"0.72"\n'),
+        lambda text: text.replace(",0.72\n", ",0.72\u00a0\n"),
+        lambda text: text.replace(",0.72\n", ",x\n"),
+    ], ids=["cr", "blank-row", "quote", "non-ascii", "bad-field"])
+    def test_irregular_span_raises(self, tmp_path, edit):
+        path, spans = self.spans(tmp_path, edit(lab_text()), 1)
+        with pytest.raises(ingest.ParseError, match="need the whole-file read"):
+            ingest.parse_cycle_file(path, span=spans[0])
+
+    def test_span_reports_its_kept_cycles(self, tmp_path):
+        # cycle 2 keeps one row, so it makes no record; cycle 3 keeps none
+        text = lab_text(lambda rows: [
+            r[:2] + ["9.9"] + r[3:] if (r[0] == "2" and r[1] != "0") or r[0] == "3" else r for r in rows
+        ])
+        path, spans = self.spans(tmp_path, text, 40)
+        reads = [ingest.parse_cycle_file(path, span=span) for span in spans]
+        assert [[r.cycle_index for r in records] for records, _, _ in reads] == [[1], [], []]
+        assert [(dropped, kept) for _, dropped, kept in reads] == [(0, (1, 1)), (5, (2, 2)), (6, None)]
+
+
 class TestPeakMemory:
     """The block route holds no whole-file string and no list of all the file's lines."""
 
